@@ -235,9 +235,12 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& path,
 }
 
 Status Database::Close() {
-  if (!disk_.is_open()) return Status::OK();
   {
+    // The shared snapshot goes first: its memoized indexes point into the
+    // pool reset below.
     std::lock_guard<std::mutex> lock(mu_);
+    current_snapshot_.reset();
+    if (!disk_.is_open()) return Status::OK();
     PRIX_RETURN_NOT_OK(CommitLocked());
   }
   pool_.reset();
@@ -389,6 +392,9 @@ Result<PageId> Database::PersistFreeListLocked(uint64_t commit_gen) {
 }
 
 Status Database::CommitLocked() {
+  // Whatever the outcome, the catalog may have changed under the shared
+  // snapshot; the next OpenSnapshot takes a fresh one.
+  current_snapshot_.reset();
   uint64_t gen_next = generation_ + 1;
   auto resume_reuse = [this]() {
     std::lock_guard<std::mutex> lock(free_mu_);
@@ -533,26 +539,42 @@ size_t Database::free_page_count() const {
 }
 
 std::shared_ptr<const Snapshot> Database::OpenSnapshot() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (current_snapshot_ != nullptr) return current_snapshot_;
   auto* snap = new Snapshot();
+  snap->generation_ = generation_;
+  snap->catalog_ = catalog_;
+  uint64_t gen = generation_;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    snap->generation_ = generation_;
-    snap->catalog_ = catalog_;
-  }
-  uint64_t gen = snap->generation_;
-  {
-    std::lock_guard<std::mutex> lock(free_mu_);
+    std::lock_guard<std::mutex> flock(free_mu_);
     pinned_gens_.insert(gen);
   }
-  // The deleter unpins the generation; it takes only free_mu_, so dropping
-  // a snapshot is safe from any thread, including while a writer commits.
-  return std::shared_ptr<const Snapshot>(snap, [this, gen](Snapshot* s) {
-    {
-      std::lock_guard<std::mutex> lock(free_mu_);
-      pinned_gens_.erase(pinned_gens_.find(gen));
-    }
-    delete s;
-  });
+  // The deleter unpins the generation; it takes only free_mu_ (after mu_
+  // in lock order), so the last reference may drop on any thread, even
+  // inside CommitLocked.
+  current_snapshot_ =
+      std::shared_ptr<const Snapshot>(snap, [this, gen](Snapshot* s) {
+        {
+          std::lock_guard<std::mutex> flock(free_mu_);
+          pinned_gens_.erase(pinned_gens_.find(gen));
+        }
+        delete s;
+      });
+  return current_snapshot_;
+}
+
+Result<std::shared_ptr<const void>> Snapshot::Memoize(
+    const std::string& name, const OpenFn& open) const {
+  MemoSlot* slot;
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    slot = &memo_.try_emplace(name).first->second;  // map nodes are stable
+  }
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->value == nullptr) {
+    PRIX_ASSIGN_OR_RETURN(slot->value, open());
+  }
+  return slot->value;
 }
 
 Status Database::CommitBatch(const std::vector<IndexEntry>& entries,
@@ -624,6 +646,7 @@ Status Database::CommitBatch(const std::vector<IndexEntry>& entries,
 
 void Database::Abandon() {
   std::lock_guard<std::mutex> lock(mu_);
+  current_snapshot_.reset();
   if (pool_ != nullptr) {
     pool_->DiscardAll();  // nothing may be written after a simulated crash
     pool_.reset();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -151,11 +152,15 @@ class Database : public PageAllocator {
   /// torn write the recovered generation is the previous one.
   uint64_t catalog_generation() const;
 
-  /// Opens a read snapshot pinned to the current committed generation. The
+  /// Returns the read snapshot of the current committed generation. The
   /// snapshot holds a copy of that generation's catalog; while any snapshot
   /// of generation g is alive, no page superseded at a generation > g is
   /// recycled, so every page reachable from the snapshot's catalog keeps its
-  /// committed content. The Database must outlive all snapshots it issued.
+  /// committed content. All callers between two commits share ONE snapshot
+  /// (and with it its memo of opened indexes): the Database keeps a
+  /// reference until the next commit, Close or Abandon drops it, so a
+  /// superseded generation stays pinned only while a reader still holds it.
+  /// The Database must outlive all snapshots it issued.
   std::shared_ptr<const Snapshot> OpenSnapshot();
 
   /// Atomically upserts `entries` into the catalog and retires `freed`
@@ -335,6 +340,12 @@ class Database : public PageAllocator {
   bool suspend_reuse_ = false;  ///< true while the free-list blob is written
   std::multiset<uint64_t> pinned_gens_;  ///< generations open snapshots hold
 
+  /// The current generation's shared snapshot, created by the first
+  /// OpenSnapshot after a commit. Guarded by mu_; CommitLocked, Close and
+  /// Abandon reset it. It pins only the current generation, whose commit
+  /// already made every page it freed reusable, so it never blocks reuse.
+  std::shared_ptr<const Snapshot> current_snapshot_;
+
   /// Opaque per-writer ingest cache owned by database_ingest.cc (trie
   /// mirror + open trees), rebuilt when its stamped generation goes stale.
   std::mutex ingest_mu_;
@@ -346,6 +357,10 @@ class Database : public PageAllocator {
 /// concurrent writer's commits never change what an in-flight query sees.
 /// Obtained from Database::OpenSnapshot(); releasing the last shared_ptr
 /// unpins the generation and lets its superseded pages be recycled.
+///
+/// A snapshot also memoizes read-only objects opened out of its generation
+/// (the PRIX indexes SnapshotView serves), so every reader of one
+/// generation shares one open instead of decoding the index catalog again.
 class Snapshot {
  public:
   uint64_t generation() const { return generation_; }
@@ -367,12 +382,29 @@ class Snapshot {
     return out;
   }
 
+  /// Returns the object memoized under `name`, calling `open` only when
+  /// there is none yet. Type-erased because the engines that open objects
+  /// live above this library. Concurrent first callers for one name wait
+  /// for a single open; a failed open memoizes nothing, so the next caller
+  /// retries. The object lives as long as the snapshot and must be safe
+  /// for concurrent readers.
+  using OpenFn = std::function<Result<std::shared_ptr<const void>>()>;
+  Result<std::shared_ptr<const void>> Memoize(const std::string& name,
+                                              const OpenFn& open) const;
+
  private:
   friend class Database;
   Snapshot() = default;
 
+  struct MemoSlot {
+    std::mutex mu;  ///< held across the first open of this name
+    std::shared_ptr<const void> value;
+  };
+
   uint64_t generation_ = 0;
   std::map<std::string, Database::IndexEntry> catalog_;
+  mutable std::mutex memo_mu_;  ///< guards the map, not the slots
+  mutable std::map<std::string, MemoSlot> memo_;
 };
 
 }  // namespace prix

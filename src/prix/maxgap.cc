@@ -34,6 +34,7 @@ Result<MaxGapTable> MaxGapTable::Deserialize(const char** p,
     return Status::Corruption("truncated MaxGap table");
   }
   MaxGapTable table;
+  table.table_.reserve(count);
   for (uint32_t i = 0; i < count; ++i, *p += 8) {
     table.table_[GetU32(*p)] = GetU32(*p + 4);
   }

@@ -52,7 +52,7 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
       leaves = CollectLeaves(original);
       for (NodeId v = 0; v < original.num_nodes(); ++v) {
         if (original.is_leaf(v)) {
-          index->childless_labels_.insert(original.label(v));
+          index->childless_labels_.push_back(original.label(v));
         }
       }
     }
@@ -61,6 +61,10 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     trie.Insert(seq.lps, d);
     sequences.push_back(std::move(seq.lps));
   }
+  std::vector<LabelId>& childless = index->childless_labels_;
+  std::sort(childless.begin(), childless.end());
+  childless.erase(std::unique(childless.begin(), childless.end()),
+                  childless.end());
   stats->trie_nodes = trie.num_nodes();
   for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
     const auto& node = trie.node(v);
@@ -221,14 +225,20 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   uint32_t childless = GetU32(p);
   p += 4;
   PRIX_RETURN_NOT_OK(need(4ull * childless));
-  for (uint32_t i = 0; i < childless; ++i, p += 4) {
-    index->childless_labels_.insert(GetU32(p));
+  std::vector<LabelId>& labels = index->childless_labels_;
+  labels.resize(childless);
+  for (uint32_t i = 0; i < childless; ++i, p += 4) labels[i] = GetU32(p);
+  // Catalogs written by earlier builds list the labels in hash order.
+  if (!std::is_sorted(labels.begin(), labels.end())) {
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
   }
   // Optional tombstone section (absent in blobs from before ingest).
   if (static_cast<size_t>(end - p) >= 4) {
     uint32_t dead = GetU32(p);
     p += 4;
     PRIX_RETURN_NOT_OK(need(4ull * dead));
+    index->tombstones_.reserve(dead);
     for (uint32_t i = 0; i < dead; ++i, p += 4) {
       DocId d = GetU32(p);
       if (d >= index->docs_->num_docs()) {

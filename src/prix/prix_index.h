@@ -1,6 +1,7 @@
 #ifndef PRIX_PRIX_PRIX_INDEX_H_
 #define PRIX_PRIX_PRIX_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -132,7 +133,9 @@ class PrixIndex {
                  SalvageStats* stats) const;
 
   SymbolTree& symbol_index() { return *symbol_index_; }
+  const SymbolTree& symbol_index() const { return *symbol_index_; }
   DocTree& docid_index() { return *docid_index_; }
+  const DocTree& docid_index() const { return *docid_index_; }
   const DocStore& docs() const { return *docs_; }
   const MaxGapTable& maxgap() const { return maxgap_; }
 
@@ -162,7 +165,13 @@ class PrixIndex {
 
   DocStore& docs_mut() { return *docs_; }
   MaxGapTable& maxgap_mut() { return maxgap_; }
-  void AddChildlessLabel(LabelId label) { childless_labels_.insert(label); }
+  void AddChildlessLabel(LabelId label) {
+    auto it = std::lower_bound(childless_labels_.begin(),
+                               childless_labels_.end(), label);
+    if (it == childless_labels_.end() || *it != label) {
+      childless_labels_.insert(it, label);
+    }
+  }
   void set_root_range(RangeLabel range) { root_range_ = range; }
 
   /// Serializes the full index catalog (format tag, options, tree roots,
@@ -192,7 +201,8 @@ class PrixIndex {
   /// treatment): any matching data node is guaranteed a deletion recording
   /// its label.
   bool LabelOccursChildless(LabelId label) const {
-    return childless_labels_.find(label) != childless_labels_.end();
+    return std::binary_search(childless_labels_.begin(),
+                              childless_labels_.end(), label);
   }
 
  private:
@@ -204,7 +214,9 @@ class PrixIndex {
   std::unique_ptr<DocStore> docs_;
   MaxGapTable maxgap_;
   RangeLabel root_range_;
-  std::unordered_set<LabelId> childless_labels_;
+  /// Sorted and distinct, so an open decodes it with one copy: a large
+  /// collection has tens of thousands of childless (value) labels.
+  std::vector<LabelId> childless_labels_;
   std::unordered_set<DocId> tombstones_;
 };
 

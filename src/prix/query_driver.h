@@ -36,7 +36,8 @@ struct BatchResult {
 /// is O(1) in query count.
 class QueryDriver {
  public:
-  QueryDriver(Database& db, PrixIndex* rp, PrixIndex* ep, size_t num_threads)
+  QueryDriver(Database& db, const PrixIndex* rp, const PrixIndex* ep,
+              size_t num_threads)
       : db_(&db), processor_(db, rp, ep), pool_(num_threads) {}
 
   /// Executes `patterns[i]` into `results[i]`. All queries run to

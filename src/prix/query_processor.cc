@@ -64,8 +64,8 @@ Result<QueryResult> QueryProcessor::ExecuteXPath(
   return result;
 }
 
-PrixIndex* QueryProcessor::ChooseIndex(const EffectiveTwig& twig,
-                                       const QueryOptions& options) const {
+const PrixIndex* QueryProcessor::ChooseIndex(
+    const EffectiveTwig& twig, const QueryOptions& options) const {
   switch (options.index) {
     case QueryOptions::IndexChoice::kRegular:
       return rp_;
@@ -114,7 +114,7 @@ Result<QueryResult> QueryProcessor::Execute(const TwigPattern& pattern,
   ExecContext ctx;
 
   EffectiveTwig base = EffectiveTwig::Build(pattern);
-  PrixIndex* index = ChooseIndex(base, options);
+  const PrixIndex* index = ChooseIndex(base, options);
   if (index == nullptr) {
     return Status::InvalidArgument("no index available for this query");
   }
@@ -262,9 +262,10 @@ std::vector<uint32_t> ChooseSpine(const EffectiveTwig& twig, bool extended) {
 }  // namespace
 
 Status QueryProcessor::RunArrangement(
-    PrixIndex* index, const EffectiveTwig& twig, const QueryOptions& options,
-    bool generalized, ExecContext* ctx, std::vector<TwigMatch>* matches,
-    std::vector<DocId>* candidates, QueryStats* stats) const {
+    const PrixIndex* index, const EffectiveTwig& twig,
+    const QueryOptions& options, bool generalized, ExecContext* ctx,
+    std::vector<TwigMatch>* matches, std::vector<DocId>* candidates,
+    QueryStats* stats) const {
   // Sec. 4.4 leaf treatment on regular indexes: give a query element leaf a
   // dummy (so its label is checked during subsequence matching) whenever
   // its label never occurs childless in the collection. Value and '*'
@@ -341,7 +342,7 @@ Status QueryProcessor::RunArrangement(
   return st;
 }
 
-Status QueryProcessor::ScanSingleNode(PrixIndex* index,
+Status QueryProcessor::ScanSingleNode(const PrixIndex* index,
                                       const EffectiveTwig& twig,
                                       ExecContext* ctx,
                                       std::vector<TwigMatch>* matches,
@@ -376,7 +377,7 @@ Status QueryProcessor::ScanSingleNode(PrixIndex* index,
   return Status::OK();
 }
 
-Result<const RefinableDoc*> QueryProcessor::LoadDoc(PrixIndex* index,
+Result<const RefinableDoc*> QueryProcessor::LoadDoc(const PrixIndex* index,
                                                     DocId doc,
                                                     ExecContext* ctx,
                                                     QueryStats* stats) {

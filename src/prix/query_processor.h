@@ -127,7 +127,7 @@ class QueryProcessor {
   /// and backed by `db`'s buffer pool. Execute opens a thread-local
   /// MetricsContext around each query, so the I/O counters in QueryStats
   /// are exact per query even under concurrent execution.
-  QueryProcessor(Database& db, PrixIndex* rp, PrixIndex* ep)
+  QueryProcessor(Database& db, const PrixIndex* rp, const PrixIndex* ep)
       : db_(&db), rp_(rp), ep_(ep) {}
 
   Result<QueryResult> Execute(const TwigPattern& pattern,
@@ -145,30 +145,30 @@ class QueryProcessor {
     std::unordered_map<DocId, RefinableDoc> doc_cache;
   };
 
-  PrixIndex* ChooseIndex(const EffectiveTwig& twig,
-                         const QueryOptions& options) const;
+  const PrixIndex* ChooseIndex(const EffectiveTwig& twig,
+                               const QueryOptions& options) const;
 
   /// Runs one arrangement through filter + refine. Exact queries append
   /// matches directly; generalized queries record candidate documents into
   /// `candidates` for later verification.
-  Status RunArrangement(PrixIndex* index, const EffectiveTwig& twig,
+  Status RunArrangement(const PrixIndex* index, const EffectiveTwig& twig,
                         const QueryOptions& options, bool generalized,
                         ExecContext* ctx, std::vector<TwigMatch>* matches,
                         std::vector<DocId>* candidates,
                         QueryStats* stats) const;
 
   /// Single-node queries: scan the document store (see DESIGN.md).
-  Status ScanSingleNode(PrixIndex* index, const EffectiveTwig& twig,
+  Status ScanSingleNode(const PrixIndex* index, const EffectiveTwig& twig,
                         ExecContext* ctx, std::vector<TwigMatch>* matches,
                         QueryStats* stats) const;
 
-  static Result<const RefinableDoc*> LoadDoc(PrixIndex* index, DocId doc,
-                                             ExecContext* ctx,
+  static Result<const RefinableDoc*> LoadDoc(const PrixIndex* index,
+                                             DocId doc, ExecContext* ctx,
                                              QueryStats* stats);
 
   Database* db_;
-  PrixIndex* rp_;
-  PrixIndex* ep_;
+  const PrixIndex* rp_;
+  const PrixIndex* ep_;
 };
 
 }  // namespace prix

@@ -19,18 +19,17 @@ namespace prix {
 /// result set of any query run through the view is exactly the pinned
 /// generation's answer, never a mix of generations.
 ///
-/// Thread safety: one SnapshotView (like one PrixIndex) serves one reader
-/// thread; concurrent readers each open their own view. Opening is cheap —
-/// a catalog-map copy plus the index-catalog blob read.
+/// The index itself is memoized in the snapshot: the first view of a name
+/// at a generation decodes the index catalog (milliseconds on a large
+/// collection), every later view of that generation shares the same
+/// read-only PrixIndex. Views and the index they share are safe to use
+/// from any number of reader threads at once.
 class SnapshotView {
  public:
-  /// Pins the current committed generation of `db` and opens the named PRIX
-  /// index out of it. The Database must outlive the view.
-  static Result<SnapshotView> Open(Database* db,
-                                   const std::string& index_name);
-
-  /// Opens the named index out of an already-pinned snapshot (several views
-  /// can share one snapshot when a batch queries multiple indexes).
+  /// Opens the named index out of a pinned snapshot (several views share
+  /// one snapshot when a batch queries multiple indexes), decoding it only
+  /// if no earlier view of this snapshot did. The Database must outlive
+  /// the view.
   static Result<SnapshotView> OpenAt(Database* db,
                                      std::shared_ptr<const Snapshot> snapshot,
                                      const std::string& index_name);
@@ -38,17 +37,17 @@ class SnapshotView {
   SnapshotView(SnapshotView&&) = default;
   SnapshotView& operator=(SnapshotView&&) = default;
 
-  PrixIndex* index() { return index_.get(); }
+  const PrixIndex* index() const { return index_.get(); }
   const Snapshot& snapshot() const { return *snapshot_; }
   uint64_t generation() const { return snapshot_->generation(); }
 
  private:
   SnapshotView(std::shared_ptr<const Snapshot> snapshot,
-               std::unique_ptr<PrixIndex> index)
+               std::shared_ptr<const PrixIndex> index)
       : snapshot_(std::move(snapshot)), index_(std::move(index)) {}
 
   std::shared_ptr<const Snapshot> snapshot_;  ///< pin released on destruction
-  std::unique_ptr<PrixIndex> index_;
+  std::shared_ptr<const PrixIndex> index_;    ///< owned by snapshot_'s memo
 };
 
 }  // namespace prix

@@ -72,7 +72,8 @@ class SubsequenceMatcher {
   /// single-node '//' branches whose connecting paths enter the same child
   /// subtree (see DESIGN.md on branch coincidence) — and suppress zero-gap
   /// MaxGap pruning accordingly.
-  SubsequenceMatcher(PrixIndex* index, bool use_maxgap, bool generalized)
+  SubsequenceMatcher(const PrixIndex* index, bool use_maxgap,
+                     bool generalized)
       : index_(index), use_maxgap_(use_maxgap), generalized_(generalized) {}
 
   /// Runs the search for `q` (q.lps must be non-empty).
@@ -84,7 +85,7 @@ class SubsequenceMatcher {
                  std::vector<uint32_t>& positions, const EmitFn& emit,
                  MatcherStats* stats);
 
-  PrixIndex* index_;
+  const PrixIndex* index_;
   bool use_maxgap_;
   bool generalized_;
 };

@@ -20,6 +20,7 @@
 #include "prix/prix_index.h"
 #include "prix/query_driver.h"
 #include "prix/query_processor.h"
+#include "prix/snapshot_view.h"
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
@@ -272,16 +273,30 @@ TEST_F(IngestTest, FreeListGrowsPersistsAndPagesAreReused) {
   ASSERT_TRUE(db_.Reopen().ok());
   EXPECT_GT(db_->free_page_count(), 0u);
 
+  // A reader that took and released a view leaves the current generation's
+  // snapshot (and its memoized index) held by the Database. That reference
+  // pins only the current generation, so it must not hold reuse back.
+  {
+    auto view = SnapshotView::OpenAt(&db_.db(), db_->OpenSnapshot(), "rp");
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+  }
+
   // With no snapshot pinning an old generation, further commits recycle
-  // retired pages instead of extending the file.
+  // retired pages instead of extending the file. They recycle more pages
+  // than the list held before them: the surplus was freed inside the loop,
+  // which a lingering pin on the view's generation would have blocked.
+  const size_t free_before = db_->free_page_count();
+  MetricCounter& reused =
+      MetricsRegistry::Global().counter("prix.db.pages_reused");
+  const uint64_t reused_before = reused.value();
   for (int i = 0; i < 10; ++i) {
     Document doc = DocFromSexp("(book (title))", 0, &dict_);
     auto id = db_->UpdateDocument("rp", current, doc);
     ASSERT_TRUE(id.ok()) << id.status().ToString();
     current = *id;
   }
-  EXPECT_GT(MetricsRegistry::Global().counter("prix.db.pages_reused").value(),
-            0u);
+  EXPECT_GT(reused.value(), 0u);
+  EXPECT_GT(reused.value() - reused_before, free_before);
   MetricsRegistry::Global().set_enabled(false);
   EXPECT_EQ(Query("rp", "//book/title"), (std::vector<DocId>{current}));
 }
@@ -313,6 +328,53 @@ TEST_F(IngestTest, SnapshotKeepsAnsweringTheGenerationItPinned) {
   auto old_result = qp.ExecuteXPath("//book/title", &dict_);
   ASSERT_TRUE(old_result.ok()) << old_result.status().ToString();
   EXPECT_EQ(old_result->docs, (std::vector<DocId>{0}));
+}
+
+TEST_F(IngestTest, ViewsOfOneGenerationShareOneOpenedIndex) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.set_enabled(true);
+  reg.Reset();
+  Seed("rp", {"(book (title))", "(article (journal))", "(book (year))"});
+  auto first = SnapshotView::OpenAt(&db_.db(), db_->OpenSnapshot(), "rp");
+  auto second = SnapshotView::OpenAt(&db_.db(), db_->OpenSnapshot(), "rp");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(&first->snapshot(), &second->snapshot());
+  EXPECT_EQ(first->index(), second->index());
+  EXPECT_EQ(reg.counter("prix.db.index_opens").value(), 1u);
+
+  // The memoized index holds no page pins: a cold start succeeds with it
+  // alive and reads exactly what a freshly opened index reads.
+  QueryProcessor memo_qp(db_.db(), first->index(), nullptr);
+  ASSERT_TRUE(db_->ColdStart().ok());
+  auto memo_cold = memo_qp.ExecuteXPath("//book/title", &dict_);
+  ASSERT_TRUE(memo_cold.ok()) << memo_cold.status().ToString();
+  auto fresh = PrixIndex::Open(&db_.db(), "rp");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  QueryProcessor fresh_qp(db_.db(), fresh->get(), nullptr);
+  ASSERT_TRUE(db_->ColdStart().ok());
+  auto fresh_cold = fresh_qp.ExecuteXPath("//book/title", &dict_);
+  ASSERT_TRUE(fresh_cold.ok()) << fresh_cold.status().ToString();
+  EXPECT_GT(memo_cold->stats.pages_read, 0u);
+  EXPECT_EQ(memo_cold->stats.pages_read, fresh_cold->stats.pages_read);
+  EXPECT_EQ(memo_cold->docs, fresh_cold->docs);
+
+  // A commit starts a new generation with its own index; the old views
+  // keep answering theirs.
+  ASSERT_TRUE(db_->DeleteDocument("rp", 0).ok());
+  auto third = SnapshotView::OpenAt(&db_.db(), db_->OpenSnapshot(), "rp");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third->generation(), first->generation() + 1);
+  EXPECT_NE(third->index(), first->index());
+  EXPECT_EQ(reg.counter("prix.db.index_opens").value(), 2u);
+  reg.set_enabled(false);
+  auto old_answer = memo_qp.ExecuteXPath("//book/title", &dict_);
+  ASSERT_TRUE(old_answer.ok()) << old_answer.status().ToString();
+  EXPECT_EQ(old_answer->docs, (std::vector<DocId>{0}));
+  QueryProcessor new_qp(db_.db(), third->index(), nullptr);
+  auto new_answer = new_qp.ExecuteXPath("//book/title", &dict_);
+  ASSERT_TRUE(new_answer.ok()) << new_answer.status().ToString();
+  EXPECT_TRUE(new_answer->docs.empty());
 }
 
 TEST_F(IngestTest, VerifyReportsLiveAndDeadDocuments) {

@@ -8,9 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
@@ -277,6 +280,58 @@ TEST_F(ParallelQueryTest, XPathBatchParsesInsideWorkers) {
   // All duplicated fresh tags interned to one id apiece.
   for (int i = 0; i < 6; ++i) {
     EXPECT_NE(dict_.Find("fresh" + std::to_string(i)), kInvalidLabel);
+  }
+}
+
+TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
+  // Four batches race into a generation no reader has opened yet, the
+  // served path's first miss after a commit. The snapshot memo must open
+  // each index once and hand every batch the same answers; under TSan this
+  // guards the memo's first-open latch.
+  ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
+  ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
+  const std::vector<std::string> xpaths = {
+      "//tag0//tag1", "//tag0[./tag1]/tag2", "//tag2", "//tag1/tag0",
+      "//tag0[.//tag2]//tag1"};
+  std::vector<std::vector<DocId>> oracle;
+  for (const std::string& xpath : xpaths) {
+    auto pattern = ParseXPath(xpath, &dict_);
+    ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+    EffectiveTwig twig = EffectiveTwig::Build(*pattern);
+    std::vector<DocId> docs;
+    for (const Document& doc : docs_) {
+      if (!NaiveMatch(doc, twig, MatchSemantics::kOrdered).empty()) {
+        docs.push_back(doc.doc_id());
+      }
+    }
+    oracle.push_back(std::move(docs));
+  }
+
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.set_enabled(true);
+  reg.Reset();
+  constexpr int kThreads = 4;
+  QueryDriver driver(db_.db(), nullptr, nullptr, kThreads);
+  std::latch start(kThreads);
+  std::vector<Result<BatchResult>> got(kThreads,
+                                       Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = driver.ExecuteXPathBatchSnapshot("rp", "ep", xpaths, &dict_);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(reg.counter("prix.db.index_opens").value(), 2u);
+  reg.set_enabled(false);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(got[t].ok()) << got[t].status().ToString();
+    EXPECT_EQ(got[t]->generation, db_.db().catalog_generation());
+    for (size_t i = 0; i < xpaths.size(); ++i) {
+      EXPECT_EQ(got[t]->results[i].docs, oracle[i])
+          << xpaths[i] << " on thread " << t;
+    }
   }
 }
 

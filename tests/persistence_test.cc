@@ -151,6 +151,45 @@ TEST(PersistenceTest, VistIndexSurvivesProcessRestart) {
   }
 }
 
+TEST(PersistenceTest, OpenAcceptsChildlessLabelsInAnyOrder) {
+  // Catalogs written by earlier builds list the childless labels in hash
+  // order; Open must answer LabelOccursChildless exactly as the built index.
+  TagDictionary dict;
+  Random rng(78);
+  std::vector<Document> docs = RandomCollection(rng, 40, &dict);
+  TempDb db(Database::Options{.pool_pages = 256});
+  auto rp = PrixIndex::Build(docs, db.pool(), PrixIndexOptions{});
+  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+  std::vector<LabelId> childless;
+  for (LabelId l = 0; l < dict.size(); ++l) {
+    if ((*rp)->LabelOccursChildless(l)) childless.push_back(l);
+  }
+  ASSERT_GE(childless.size(), 2u);
+
+  // The catalog ends with the childless section (count, labels) and an
+  // empty tombstone section (count 0). Reverse the labels in place.
+  std::vector<char> blob;
+  (*rp)->SerializeCatalog(&blob);
+  char* labels = blob.data() + blob.size() - 4 - 4 * childless.size();
+  ASSERT_EQ(GetU32(labels - 4), childless.size());
+  for (size_t i = 0, j = childless.size() - 1; i < j; ++i, --j) {
+    std::swap_ranges(labels + 4 * i, labels + 4 * i + 4, labels + 4 * j);
+  }
+  auto root = WriteBlob(db.pool(), blob);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  Database::IndexEntry entry;
+  entry.name = "rp";
+  entry.kind = Database::IndexKind::kPrixRegular;
+  entry.root = *root;
+  auto reopened = PrixIndex::OpenFromEntry(db.pool(), entry);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  for (LabelId l = 0; l <= dict.size(); ++l) {
+    EXPECT_EQ((*reopened)->LabelOccursChildless(l),
+              (*rp)->LabelOccursChildless(l))
+        << "label " << l;
+  }
+}
+
 TEST(PersistenceTest, OpenRejectsGarbageCatalog) {
   TempDb db(Database::Options{.pool_pages = 64});
   std::vector<char> junk(100, 'z');

@@ -112,6 +112,9 @@ class ServeTest : public ::testing::Test {
 TEST_F(ServeTest, QueryRoundTripMatchesOracleAndCaches) {
   Seed({"(book (author (name)) (title))", "(article (author (name)))",
         "(book (editor (name)))"});
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.set_enabled(true);
+  reg.Reset();
   auto server = StartServer();
   ASSERT_NE(server, nullptr);
 
@@ -142,6 +145,22 @@ TEST_F(ServeTest, QueryRoundTripMatchesOracleAndCaches) {
   EXPECT_TRUE(resp->cached);
   EXPECT_EQ(resp->docs[0], Oracle("//book/author"));
   EXPECT_GT(server->cache().hits(), 0u);
+
+  // More distinct misses at the same generation reuse the index the first
+  // miss opened: one open per generation, not per request.
+  for (const char* xpath : {"//book/title", "//editor/name"}) {
+    QueryRequest miss;
+    miss.request_id = 3;
+    miss.xpaths = {xpath};
+    frame = Exchange(fd, &dec, EncodeQuery(miss));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    resp = DecodeResult(*frame);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_FALSE(resp->cached) << xpath;
+    EXPECT_EQ(resp->docs[0], Oracle(xpath));
+  }
+  EXPECT_EQ(reg.counter("prix.db.index_opens").value(), 1u);
+  reg.set_enabled(false);
 
   // Ping still works on the same connection.
   std::vector<char> ping;
