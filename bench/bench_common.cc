@@ -95,8 +95,7 @@ Status EngineSet::Build() {
   if (engines_.find("twigstack") != std::string::npos) {
     PRIX_ASSIGN_OR_RETURN(streams_,
                           StreamStore::Build(coll_.documents, db_->pool()));
-    PRIX_ASSIGN_OR_RETURN(forest_,
-                          XbForest::Build(streams_.get(), coll_.dictionary));
+    PRIX_ASSIGN_OR_RETURN(forest_, XbForest::Build(streams_.get()));
   }
   auto t1 = std::chrono::steady_clock::now();
   std::fprintf(

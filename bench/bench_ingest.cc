@@ -215,7 +215,7 @@ int main() {
       std::fprintf(stderr, "tri stream build failed\n");
       return 1;
     }
-    auto forest = XbForest::Build(streams->get(), coll.dictionary);
+    auto forest = XbForest::Build(streams->get());
     if (!forest.ok() || !(*forest)->Save(tdb->get(), "xb").ok()) {
       std::fprintf(stderr, "tri forest build failed\n");
       return 1;

@@ -38,7 +38,7 @@ int main() {
   auto vist = VistIndex::Build(coll.documents, &pool);
   auto streams = StreamStore::Build(coll.documents, &pool);
   if (!rp.ok() || !ep.ok() || !vist.ok() || !streams.ok()) return 1;
-  auto forest = XbForest::Build(streams->get(), coll.dictionary);
+  auto forest = XbForest::Build(streams->get());
   if (!forest.ok()) return 1;
 
   QueryProcessor prix_qp(**db, rp->get(), ep->get());

@@ -6,10 +6,10 @@ namespace prix {
 
 namespace deadline_internal {
 #if defined(__ELF__) && (defined(__GNUC__) || defined(__clang__))
-thread_local const Deadline* tls_deadline
+thread_local constinit const Deadline* tls_deadline
     __attribute__((tls_model("initial-exec"))) = nullptr;
 #else
-thread_local const Deadline* tls_deadline = nullptr;
+thread_local constinit const Deadline* tls_deadline = nullptr;
 #endif
 }  // namespace deadline_internal
 

@@ -90,11 +90,12 @@ namespace deadline_internal {
 /// The innermost installed deadline of this thread (nullptr when none).
 /// Initial-exec TLS for the same reason as metrics_internal::tls_context:
 /// the checkpoint hook must stay a single %fs-relative load + branch.
+/// `constinit` likewise (see there).
 #if defined(__ELF__) && (defined(__GNUC__) || defined(__clang__))
-extern thread_local const Deadline* tls_deadline
+extern thread_local constinit const Deadline* tls_deadline
     __attribute__((tls_model("initial-exec")));
 #else
-extern thread_local const Deadline* tls_deadline;
+extern thread_local constinit const Deadline* tls_deadline;
 #endif
 }  // namespace deadline_internal
 

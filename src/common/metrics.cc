@@ -12,7 +12,7 @@
 namespace prix {
 
 namespace metrics_internal {
-thread_local MetricsContext* tls_context = nullptr;
+thread_local constinit MetricsContext* tls_context = nullptr;
 }  // namespace metrics_internal
 
 uint64_t MetricsContext::NowMicros() {

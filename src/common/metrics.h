@@ -65,11 +65,16 @@ namespace metrics_internal {
 /// initial-exec TLS model keeps that load a single %fs-relative move
 /// instead of a __tls_get_addr call (we only ever link statically; the
 /// overhead guard in tools/check_metrics_overhead.sh holds it to <=2%).
+/// `constinit` tells every includer that the variable needs no dynamic
+/// initialization, so no access goes through a weak TLS-init-function
+/// check. Without it, GCC 12 under -fsanitize=undefined could branch on that
+/// check's flags (the function is absent, so "null") where it meant to test
+/// the variable's address, and report "load of null pointer".
 #if defined(__ELF__) && (defined(__GNUC__) || defined(__clang__))
-extern thread_local MetricsContext* tls_context
+extern thread_local constinit MetricsContext* tls_context
     __attribute__((tls_model("initial-exec")));
 #else
-extern thread_local MetricsContext* tls_context;
+extern thread_local constinit MetricsContext* tls_context;
 #endif
 }  // namespace metrics_internal
 

@@ -47,8 +47,7 @@ std::vector<ElementPos> ComputeRegions(const Document& doc) {
 Result<std::unique_ptr<StreamStore>> StreamStore::Build(
     const std::vector<Document>& documents, BufferPool* pool) {
   auto store = std::unique_ptr<StreamStore>(new StreamStore(pool));
-  // Gather entries per label. Documents are processed in DocId order and
-  // nodes in preorder, so each label's list is already (doc, left)-sorted.
+  // Gather entries per label, in label order.
   std::map<LabelId, std::vector<ElementPos>> by_label;
   for (const Document& doc : documents) {
     std::vector<ElementPos> regions = ComputeRegions(doc);
@@ -56,6 +55,10 @@ Result<std::unique_ptr<StreamStore>> StreamStore::Build(
       by_label[doc.label(v)].push_back(regions[v]);
     }
   }
+  // Pack the streams back to back in label order: `page` is the page being
+  // filled (null when the last one filled up) and `slot` its next free slot.
+  Page* page = nullptr;
+  uint32_t slot = 0;
   for (auto& [label, entries] : by_label) {
     // Documents arrive in DocId order but nodes in arena order, which need
     // not be preorder; sort each stream by (doc, left).
@@ -65,34 +68,51 @@ Result<std::unique_ptr<StreamStore>> StreamStore::Build(
               });
     StreamInfo info;
     info.count = static_cast<uint32_t>(entries.size());
+    info.first_slot = page == nullptr ? 0 : slot;
     size_t i = 0;
     while (i < entries.size()) {
-      PRIX_ASSIGN_OR_RETURN(Page * page, pool->NewPage());
-      size_t chunk = std::min(kEntriesPerPage, entries.size() - i);
-      std::memcpy(page->data(), entries.data() + i,
-                  chunk * sizeof(ElementPos));
-      SetPageType(page->data(), PageType::kStream);
-      info.pages.push_back(page->page_id());
-      pool->UnpinPage(page->page_id(), /*dirty=*/true);
+      if (page == nullptr) {
+        PRIX_ASSIGN_OR_RETURN(page, pool->NewPage());
+        SetPageType(page->data(), PageType::kStream);
+        slot = 0;
+      }
+      if (info.pages.empty() || info.pages.back() != page->page_id()) {
+        info.pages.push_back(page->page_id());
+      }
+      size_t chunk = std::min(kEntriesPerPage - slot, entries.size() - i);
+      std::memcpy(page->data() + slot * sizeof(ElementPos),
+                  entries.data() + i, chunk * sizeof(ElementPos));
+      slot += static_cast<uint32_t>(chunk);
       i += chunk;
+      if (slot == kEntriesPerPage) {
+        pool->UnpinPage(page->page_id(), /*dirty=*/true);
+        page = nullptr;
+      }
     }
     store->total_entries_ += info.count;
-    store->total_pages_ += info.pages.size();
+    store->CountPages(info);
     store->streams_.emplace(label, std::move(info));
   }
+  if (page != nullptr) pool->UnpinPage(page->page_id(), /*dirty=*/true);
   store->num_docs_ = static_cast<uint32_t>(documents.size());
   PRIX_RETURN_NOT_OK(pool->FlushAll());
   return store;
+}
+
+void StreamStore::CountPages(const StreamInfo& info) {
+  for (PageId page : info.pages) ++page_streams_[page];
 }
 
 namespace {
 constexpr uint32_t kStreamCatalogMagic = 0x54574753;  // "TWGS"
 /// v1: streams section only (pre-ingest binaries). v2 prepends the document
 /// count and the tombstone set so the store can participate in ingest
-/// commits. v1 blobs still open (as legacy()) so old databases stay
-/// readable.
+/// commits. v3 stores each stream's first_slot (packed streams); in v1 and
+/// v2 every stream starts a page of its own, i.e. first_slot is 0. v1 blobs
+/// still open (as legacy()) so old databases stay readable.
 constexpr uint32_t kStreamCatalogVersionLegacy = 1;
-constexpr uint32_t kStreamCatalogVersion = 2;
+constexpr uint32_t kStreamCatalogVersionUnpacked = 2;
+constexpr uint32_t kStreamCatalogVersion = 3;
 }  // namespace
 
 void StreamStore::SerializeCatalog(std::vector<char>* blob) const {
@@ -105,6 +125,7 @@ void StreamStore::SerializeCatalog(std::vector<char>* blob) const {
   for (const auto& [label, info] : streams_) {
     PutU32(blob, label);
     PutU32(blob, info.count);
+    PutU32(blob, info.first_slot);
     PutU32(blob, static_cast<uint32_t>(info.pages.size()));
     for (PageId page : info.pages) PutU32(blob, page);
   }
@@ -160,6 +181,7 @@ Result<std::unique_ptr<StreamStore>> StreamStore::OpenFromEntry(
   p += 4;
   uint32_t version = GetU32(p);
   if (version != kStreamCatalogVersionLegacy &&
+      version != kStreamCatalogVersionUnpacked &&
       version != kStreamCatalogVersion) {
     return Status::Corruption("unsupported stream-store catalog version");
   }
@@ -187,19 +209,29 @@ Result<std::unique_ptr<StreamStore>> StreamStore::OpenFromEntry(
   PRIX_RETURN_NOT_OK(need(4));
   uint32_t num_streams = GetU32(p);
   p += 4;
+  const bool packed = version == kStreamCatalogVersion;
   for (uint32_t i = 0; i < num_streams; ++i) {
-    PRIX_RETURN_NOT_OK(need(12));
+    PRIX_RETURN_NOT_OK(need(packed ? 16 : 12));
     LabelId label = GetU32(p);
     p += 4;
     StreamInfo info;
     info.count = GetU32(p);
     p += 4;
+    if (packed) {
+      info.first_slot = GetU32(p);
+      p += 4;
+      if (info.first_slot >= kEntriesPerPage) {
+        return Status::Corruption("stream-store catalog: first slot " +
+                                  std::to_string(info.first_slot) +
+                                  " beyond a page");
+      }
+    }
     uint32_t num_pages = GetU32(p);
     p += 4;
-    // The entry count must fit the page list, or ReadEntry would index
-    // past it; every page must exist in the file.
+    // The entries must fit the page list, or ReadEntry would index past it;
+    // every page must exist in the file.
     uint64_t needed_pages =
-        (static_cast<uint64_t>(info.count) + kEntriesPerPage - 1) /
+        (uint64_t{info.first_slot} + info.count + kEntriesPerPage - 1) /
         kEntriesPerPage;
     if (needed_pages > num_pages) {
       return Status::Corruption("stream-store catalog: stream with " +
@@ -220,7 +252,7 @@ Result<std::unique_ptr<StreamStore>> StreamStore::OpenFromEntry(
       }
     }
     store->total_entries_ += info.count;
-    store->total_pages_ += info.pages.size();
+    store->CountPages(info);
     store->streams_.emplace(label, std::move(info));
   }
   return store;
@@ -231,20 +263,20 @@ Status StreamStore::AppendEntries(StreamInfo* info,
                                   CowContext* cow) {
   size_t i = 0;
   while (i < entries.size()) {
-    uint32_t used = info->count % kEntriesPerPage;
-    if (info->count > 0 && used == 0) used = kEntriesPerPage;
-    if (info->pages.empty() || used == kEntriesPerPage) {
-      // Tail full (or no pages yet): open a fresh page.
+    // Where the next entry goes: its page index is past the list (and its
+    // slot 0) when the tail page is full or there are no pages yet.
+    const PageRun next = Locate(*info, info->count);
+    if (next.page == info->pages.size()) {
       PRIX_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
       SetPageType(page->data(), PageType::kStream);
-      if (cow != nullptr) cow->MarkFresh(page->page_id());
+      cow->MarkFresh(page->page_id());
       info->pages.push_back(page->page_id());
+      page_streams_[page->page_id()] = 1;
       pool_->UnpinPage(page->page_id(), /*dirty=*/true);
-      ++total_pages_;
-      used = 0;
-    } else if (cow != nullptr && !cow->IsFresh(info->pages.back())) {
-      // The partial tail page belongs to a committed generation: copy on
-      // write before extending it.
+    } else if (!cow->IsFresh(info->pages.back())) {
+      // The partial tail page belongs to a committed generation, and
+      // possibly to other streams too: copy on write before extending it.
+      // The old page is superseded once its last stream has moved off.
       PRIX_ASSIGN_OR_RETURN(Page * copy, pool_->NewPage());
       PageId old_id = info->pages.back();
       {
@@ -254,15 +286,19 @@ Status StreamStore::AppendEntries(StreamInfo* info,
       }
       SetPageType(copy->data(), PageType::kStream);
       cow->MarkFresh(copy->page_id());
-      cow->MarkFreed(old_id);
+      if (--page_streams_[old_id] == 0) {
+        page_streams_.erase(old_id);
+        cow->MarkFreed(old_id);
+      }
       info->pages.back() = copy->page_id();
+      page_streams_[copy->page_id()] = 1;
       pool_->UnpinPage(copy->page_id(), /*dirty=*/true);
     }
-    PageId tail = info->pages.back();
-    size_t chunk = std::min(kEntriesPerPage - used, entries.size() - i);
+    const PageId tail = info->pages.back();
+    size_t chunk = std::min(kEntriesPerPage - next.slot, entries.size() - i);
     PRIX_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(tail));
-    std::memcpy(page->data() + used * sizeof(ElementPos), entries.data() + i,
-                chunk * sizeof(ElementPos));
+    std::memcpy(page->data() + next.slot * sizeof(ElementPos),
+                entries.data() + i, chunk * sizeof(ElementPos));
     pool_->UnpinPage(tail, /*dirty=*/true);
     info->count += static_cast<uint32_t>(chunk);
     total_entries_ += chunk;
@@ -307,13 +343,13 @@ Result<ElementPos> StreamStore::ReadEntry(const StreamInfo& info,
   if (index >= info.count) {
     return Status::OutOfRange("stream entry out of range");
   }
-  uint32_t page_idx = index / kEntriesPerPage;
-  uint32_t offset = index % kEntriesPerPage;
-  PRIX_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(info.pages[page_idx]));
+  const PageRun run = Locate(info, index);
+  const PageId id = info.pages[run.page];
+  PRIX_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(id));
   ElementPos out;
-  std::memcpy(&out, page->data() + offset * sizeof(ElementPos),
+  std::memcpy(&out, page->data() + run.slot * sizeof(ElementPos),
               sizeof(ElementPos));
-  pool_->UnpinPage(info.pages[page_idx], /*dirty=*/false);
+  pool_->UnpinPage(id, /*dirty=*/false);
   return out;
 }
 
@@ -322,20 +358,18 @@ Status SimpleStreamCursor::LoadCurrent() {
   // append-only); the cursor hides them so consumers only ever see live
   // elements.
   while (!Eof()) {
-    uint32_t page_idx = index_ / StreamStore::kEntriesPerPage;
-    if (page_idx != buffer_page_) {
-      PRIX_ASSIGN_OR_RETURN(
-          Page * page, store_->pool()->FetchPage(info_->pages[page_idx]));
-      uint32_t remaining = std::min<uint32_t>(
-          StreamStore::kEntriesPerPage,
-          info_->count - page_idx * StreamStore::kEntriesPerPage);
-      buffer_.resize(remaining);
-      std::memcpy(buffer_.data(), page->data(),
-                  remaining * sizeof(ElementPos));
-      store_->pool()->UnpinPage(info_->pages[page_idx], /*dirty=*/false);
-      buffer_page_ = page_idx;
+    if (index_ >= buffer_first_ + buffer_.size()) {
+      const StreamStore::PageRun run = StreamStore::Locate(*info_, index_);
+      const PageId id = info_->pages[run.page];
+      PRIX_ASSIGN_OR_RETURN(Page * page, store_->pool()->FetchPage(id));
+      buffer_.resize(run.count);
+      std::memcpy(buffer_.data(),
+                  page->data() + run.slot * sizeof(ElementPos),
+                  run.count * sizeof(ElementPos));
+      store_->pool()->UnpinPage(id, /*dirty=*/false);
+      buffer_first_ = index_;
     }
-    current_ = buffer_[index_ % StreamStore::kEntriesPerPage];
+    current_ = buffer_[index_ - buffer_first_];
     if (!store_->IsDeleted(current_.doc)) break;
     ++index_;
   }

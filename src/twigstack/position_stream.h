@@ -1,12 +1,12 @@
 #ifndef PRIX_TWIGSTACK_POSITION_STREAM_H_
 #define PRIX_TWIGSTACK_POSITION_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
-
 #include <unordered_set>
+#include <vector>
 
 #include "common/result.h"
 #include "db/database.h"
@@ -41,18 +41,53 @@ inline constexpr uint64_t kInfiniteKey = ~uint64_t{0};
 /// Per-tag sorted streams of element positions, stored on 8 KB pages.
 /// TwigStack consumes them through SimpleStreamCursor; TwigStackXB through
 /// the XB-tree (xb_tree.h).
+///
+/// Streams are packed: Build lays them back to back over shared pages, so a
+/// page may hold the tail of one stream, several whole streams and the head
+/// of the next. A stream's entry 0 sits at slot `first_slot` of `pages[0]`
+/// and the rest follow contiguously (Locate has the arithmetic).
 class StreamStore {
  public:
   struct StreamInfo {
     std::vector<PageId> pages;
     uint32_t count = 0;
+    /// Slot of entry 0 on pages[0].
+    uint32_t first_slot = 0;
   };
 
   static constexpr size_t kEntriesPerPage = kPageUsable / sizeof(ElementPos);
 
+  /// A run of a stream's entries on one of its pages.
+  struct PageRun {
+    uint32_t page;   ///< index into StreamInfo::pages
+    uint32_t slot;   ///< slot of the run's first entry on that page
+    uint32_t count;  ///< entries in the run
+  };
+  /// The layout's slot arithmetic, the one place it lives: entry `index` is
+  /// at slot (first_slot + index) % kEntriesPerPage of
+  /// pages[(first_slot + index) / kEntriesPerPage]; the run goes on to the
+  /// end of that page or of the stream. `index` may equal count (the run is
+  /// then empty and names where the next append goes).
+  static PageRun Locate(const StreamInfo& info, uint32_t index) {
+    const uint64_t pos = uint64_t{info.first_slot} + index;
+    const auto slot = static_cast<uint32_t>(pos % kEntriesPerPage);
+    return PageRun{static_cast<uint32_t>(pos / kEntriesPerPage), slot,
+                   std::min(static_cast<uint32_t>(kEntriesPerPage) - slot,
+                            info.count - index)};
+  }
+  /// The stream's whole run on pages[page].
+  static PageRun RunOnPage(const StreamInfo& info, uint32_t page) {
+    const uint32_t first =
+        page == 0 ? 0
+                  : page * static_cast<uint32_t>(kEntriesPerPage) -
+                        info.first_slot;
+    return Locate(info, first);
+  }
+
   /// Builds streams for every label in the collection. Every node of every
   /// document (elements and values alike) contributes one entry to its
-  /// label's stream; streams are sorted by (doc, left).
+  /// label's stream; streams are sorted by (doc, left) and packed in label
+  /// order.
   static Result<std::unique_ptr<StreamStore>> Build(
       const std::vector<Document>& documents, BufferPool* pool);
 
@@ -76,13 +111,20 @@ class StreamStore {
   // to the tail of each touched tag stream (DocIds are assigned
   // monotonically, so (doc, left) order is preserved), and a delete
   // tombstones the DocId — cursors skip dead entries, nothing is compacted
-  // in place. Catalog v2 persists the document count and the tombstone set;
-  // v1 blobs (older binaries) reopen read-only as `legacy()` and are left
-  // out of ingest commits, so they still go stale the old way.
+  // in place. Catalog v2 persists the document count and the tombstone set,
+  // v3 adds each stream's first_slot; v1 blobs (older binaries) reopen
+  // read-only as `legacy()` and are left out of ingest commits, so they
+  // still go stale the old way.
+  //
+  // An append never writes into a committed page: a committed tail page
+  // (shared with other streams or not) is copied first, and the old page is
+  // reported freed only once no stream lists it any more. Pages ingest
+  // allocates are private to one stream and are extended in place.
 
   /// Appends every node of `doc` to its label's stream under DocId
   /// `assigned` (which must equal num_docs()). New and COW-copied tail
-  /// pages are reported to `cow`; each touched label is appended to
+  /// pages are reported to `cow` (required), as are committed pages the
+  /// last of their streams moved off; each touched label is appended to
   /// `touched` (for the paired XB-forest's incremental rebuild).
   Status AppendDocument(const Document& doc, DocId assigned, CowContext* cow,
                         std::vector<LabelId>* touched);
@@ -113,7 +155,8 @@ class StreamStore {
   }
   BufferPool* pool() const { return pool_; }
   uint64_t total_entries() const { return total_entries_; }
-  uint64_t total_pages() const { return total_pages_; }
+  /// Distinct pages the streams occupy.
+  uint64_t total_pages() const { return page_streams_.size(); }
   /// All streams by label (the verifier's enumeration; queries use Find).
   const std::unordered_map<LabelId, StreamInfo>& streams() const {
     return streams_;
@@ -129,6 +172,8 @@ class StreamStore {
   /// non-fresh partial tail page first.
   Status AppendEntries(StreamInfo* info, const std::vector<ElementPos>& entries,
                        CowContext* cow);
+  /// Records one stream's page list in page_streams_.
+  void CountPages(const StreamInfo& info);
 
   BufferPool* pool_;
   std::unordered_map<LabelId, StreamInfo> streams_;
@@ -136,7 +181,9 @@ class StreamStore {
   uint32_t num_docs_ = 0;
   bool legacy_ = false;
   uint64_t total_entries_ = 0;
-  uint64_t total_pages_ = 0;
+  /// Number of streams listing each page (in memory only; rebuilt from the
+  /// catalog at open). Decides when a copied-away page may be freed.
+  std::unordered_map<PageId, uint32_t> page_streams_;
 };
 
 /// Sequential cursor over one tag stream with page-granular buffering: each
@@ -172,9 +219,10 @@ class SimpleStreamCursor {
   const StreamStore::StreamInfo* info_;
   uint32_t index_ = 0;
   ElementPos current_{};
-  // One-page read-ahead buffer.
+  // One-page read-ahead buffer: the stream's entries [buffer_first_,
+  // buffer_first_ + buffer_.size()).
   std::vector<ElementPos> buffer_;
-  uint32_t buffer_page_ = 0xffffffffu;
+  uint32_t buffer_first_ = 0;
 };
 
 /// Computes the region encoding of `doc`: out[node] = its ElementPos. Left

@@ -8,28 +8,21 @@
 
 namespace prix {
 
-Result<std::unique_ptr<XbForest>> XbForest::Build(const StreamStore* store,
-                                                  const TagDictionary& dict) {
-  auto forest = std::make_unique<XbForest>();
-  for (LabelId label = 0; label < dict.size(); ++label) {
-    const StreamStore::StreamInfo* info = store->Find(label);
-    if (info == nullptr) continue;
-    PRIX_ASSIGN_OR_RETURN(std::unique_ptr<XbTree> tree,
-                          XbTree::Build(store, info));
-    forest->internal_pages_ += tree->internal_pages();
-    forest->trees_.emplace(label, std::move(tree));
-  }
-  return forest;
-}
-
 Result<std::unique_ptr<XbForest>> XbForest::Build(const StreamStore* store) {
+  // Labels in ascending order, so the forest's pages are laid out the same
+  // way on every build.
+  std::vector<LabelId> labels;
+  labels.reserve(store->streams().size());
+  for (const auto& [label, info] : store->streams()) labels.push_back(label);
+  std::sort(labels.begin(), labels.end());
   auto forest = std::make_unique<XbForest>();
-  for (const auto& [label, info] : store->streams()) {
+  for (LabelId label : labels) {
     PRIX_ASSIGN_OR_RETURN(std::unique_ptr<XbTree> tree,
-                          XbTree::Build(store, &info));
+                          XbTree::Build(store, store->Find(label)));
     forest->internal_pages_ += tree->internal_pages();
     forest->trees_.emplace(label, std::move(tree));
   }
+  PRIX_RETURN_NOT_OK(store->pool()->FlushAll());
   return forest;
 }
 

@@ -18,12 +18,17 @@ namespace prix {
 /// indexing time, like the streams themselves).
 class XbForest {
  public:
-  static Result<std::unique_ptr<XbForest>> Build(const StreamStore* store,
-                                                 const TagDictionary& dict);
-
-  /// Builds one tree per stream the store actually holds — the salvage
-  /// path, where no tag dictionary is at hand.
+  /// Builds one tree per stream the store holds, in ascending label order,
+  /// and flushes the pool once at the end.
   static Result<std::unique_ptr<XbForest>> Build(const StreamStore* store);
+
+  /// The same build; kept for callers that still pass their dictionary
+  /// (perfbench/hold.cc). Every stream's label is in the dictionary.
+  static Result<std::unique_ptr<XbForest>> Build(const StreamStore* store,
+                                                 const TagDictionary& dict) {
+    (void)dict;
+    return Build(store);
+  }
 
   /// Registers the forest's level directory in `db`'s catalog under `name`
   /// (kind kXbForest). The internal pages were written at Build time.

@@ -23,25 +23,29 @@ Result<std::unique_ptr<XbTree>> XbTree::Build(
   auto tree = std::unique_ptr<XbTree>(new XbTree(store, info));
   if (info == nullptr || info->count == 0) return tree;
 
-  // Summaries of the current level, starting with the stream pages. The
+  // Summaries of the current level, starting with the stream pages: one
+  // fetch per page, over the run of this stream's entries on it. The
   // max-end of a page is taken over its live entries only: a page whose
   // entries are all tombstoned summarizes to max_end 0, which no query
   // range reaches, so the whole page is skipped without a drill-down.
   std::vector<RawEntry> summaries;
   summaries.reserve(info->pages.size());
-  for (size_t p = 0; p < info->pages.size(); ++p) {
-    uint32_t first = static_cast<uint32_t>(p * StreamStore::kEntriesPerPage);
-    uint32_t last = std::min<uint32_t>(
-        first + StreamStore::kEntriesPerPage, info->count);
-    PRIX_ASSIGN_OR_RETURN(ElementPos first_elem,
-                          store->ReadEntry(*info, first));
-    uint64_t max_end = 0;
-    for (uint32_t i = first; i < last; ++i) {
-      PRIX_ASSIGN_OR_RETURN(ElementPos e, store->ReadEntry(*info, i));
+  for (uint32_t i = 0; i < info->count;) {
+    const StreamStore::PageRun run = StreamStore::Locate(*info, i);
+    const PageId id = info->pages[run.page];
+    PRIX_ASSIGN_OR_RETURN(Page * page, store->pool()->FetchPage(id));
+    const char* at = page->data() + run.slot * sizeof(ElementPos);
+    RawEntry summary{0, 0};
+    for (uint32_t j = 0; j < run.count; ++j, at += sizeof(ElementPos)) {
+      ElementPos e;
+      std::memcpy(&e, at, sizeof(ElementPos));
+      if (j == 0) summary.begin = e.BeginKey();
       if (store->IsDeleted(e.doc)) continue;
-      max_end = std::max(max_end, e.EndKey());
+      summary.max_end = std::max(summary.max_end, e.EndKey());
     }
-    summaries.push_back(RawEntry{first_elem.BeginKey(), max_end});
+    store->pool()->UnpinPage(id, /*dirty=*/false);
+    summaries.push_back(summary);
+    i += run.count;
   }
 
   // Stack levels until one page holds everything.
@@ -67,9 +71,6 @@ Result<std::unique_ptr<XbTree>> XbTree::Build(
     tree->internal_pages_ += level.pages.size();
     tree->levels_.push_back(std::move(level));
     summaries = std::move(next);
-  }
-  if (cow == nullptr) {
-    PRIX_RETURN_NOT_OK(store->pool()->FlushAll());
   }
   return tree;
 }
@@ -101,16 +102,10 @@ Status XbCursor::Init() {
   return SettleLive();
 }
 
-uint32_t XbCursor::LevelEntryTotal(int level) const {
-  if (level == 0) return tree_->stream()->count;
-  return tree_->levels()[level - 1].entry_count;
-}
-
 uint32_t XbCursor::NodeEntryCount(int level, uint32_t node) const {
-  uint32_t per_node = level == 0
-                          ? static_cast<uint32_t>(StreamStore::kEntriesPerPage)
-                          : static_cast<uint32_t>(XbTree::kFanout);
-  uint32_t total = LevelEntryTotal(level);
+  if (level == 0) return StreamStore::RunOnPage(*tree_->stream(), node).count;
+  const auto per_node = static_cast<uint32_t>(XbTree::kFanout);
+  uint32_t total = tree_->levels()[level - 1].entry_count;
   uint32_t first = node * per_node;
   PRIX_DCHECK(first < total);
   return std::min(per_node, total - first);
@@ -138,8 +133,7 @@ Status XbCursor::AdvanceRaw() {
       eof_ = true;
       return Status::OK();
     }
-    uint32_t per_parent = static_cast<uint32_t>(
-        level_ + 1 == 0 ? StreamStore::kEntriesPerPage : XbTree::kFanout);
+    const auto per_parent = static_cast<uint32_t>(XbTree::kFanout);
     entry_ = node_ % per_parent;
     node_ = node_ / per_parent;
     ++level_;
@@ -169,13 +163,9 @@ Status XbCursor::Advance() {
 Status XbCursor::DrillDown() {
   if (eof_ || level_ == 0) return Status::OK();
   ++drilldowns_;
-  uint32_t per_node = level_ - 1 == 0
-                          ? static_cast<uint32_t>(StreamStore::kEntriesPerPage)
-                          : static_cast<uint32_t>(XbTree::kFanout);
   // Child node index at level_-1: this node's first child is node_*fanout,
   // plus entry_ — children are contiguous by construction.
   uint32_t child = node_ * static_cast<uint32_t>(XbTree::kFanout) + entry_;
-  (void)per_node;
   --level_;
   node_ = child;
   entry_ = 0;
@@ -204,7 +194,9 @@ Status XbCursor::LoadEntry() {
     buffered_node_ = node_;
   }
   if (level_ == 0) {
-    std::memcpy(&element_, buffer_.data() + entry_ * sizeof(ElementPos),
+    const uint32_t slot =
+        StreamStore::RunOnPage(*tree_->stream(), node_).slot + entry_;
+    std::memcpy(&element_, buffer_.data() + slot * sizeof(ElementPos),
                 sizeof(ElementPos));
   } else {
     RawEntry raw;

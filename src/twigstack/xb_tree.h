@@ -64,9 +64,10 @@ class XbTree {
 
   /// Builds the internal levels above `info`'s pages. `info` may be null.
   /// Summaries cover only LIVE entries (tombstoned documents are excluded
-  /// from max-end), so skipping is exact for the current tombstone set;
-  /// within an ingest transaction the new pages are registered with `cow`
-  /// (and flushing is left to the commit) instead of FlushAll'd here.
+  /// from max-end), so skipping is exact for the current tombstone set.
+  /// Within an ingest transaction the new pages are registered with `cow`.
+  /// Nothing is flushed here: XbForest::Build flushes once per forest, an
+  /// ingest commit flushes its own pages.
   static Result<std::unique_ptr<XbTree>> Build(
       const StreamStore* store, const StreamStore::StreamInfo* info,
       CowContext* cow = nullptr);
@@ -120,7 +121,6 @@ class XbCursor final : public TagCursor {
  private:
   /// Number of entries in node `node` of `level`.
   uint32_t NodeEntryCount(int level, uint32_t node) const;
-  uint32_t LevelEntryTotal(int level) const;
   Status LoadEntry();
   /// Advance without the dead-entry settle (the raw Bruno et al. move).
   Status AdvanceRaw();

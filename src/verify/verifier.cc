@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <unordered_set>
 
 #include "common/macros.h"
 #include "db/database.h"
@@ -137,9 +138,15 @@ void VerifyStreamsEntry(Database* db, const Database::IndexEntry& entry,
     AddIssue(report, entry.root, entry.name, "stream catalog", store.status());
     return;
   }
-  // Fetching each page runs it through the pool's CRC verification.
+  // Fetching each page that holds entries runs it through the pool's CRC
+  // verification; a page shared by several streams is fetched once.
+  std::unordered_set<PageId> fetched_pages;
   for (const auto& [label, info] : (*store)->streams()) {
-    for (PageId page : info.pages) {
+    for (uint32_t i = 0; i < info.count;) {
+      const StreamStore::PageRun run = StreamStore::Locate(info, i);
+      i += run.count;
+      const PageId page = info.pages[run.page];
+      if (!fetched_pages.insert(page).second) continue;
       Result<Page*> fetched = db->pool()->FetchPage(page);
       if (!fetched.ok()) {
         AddIssue(report, page, entry.name,

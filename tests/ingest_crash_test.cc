@@ -124,7 +124,7 @@ class IngestCrashTest : public ::testing::Test {
         return last_ok;
       }
       last_ok = (*db)->catalog_generation();
-      auto forest = XbForest::Build(streams->get(), dict_);
+      auto forest = XbForest::Build(streams->get());
       gen_docs_[last_ok + 1] = 0;
       st = forest.ok() ? (*forest)->Save(db->get(), "xb") : forest.status();
       if (!st.ok()) {

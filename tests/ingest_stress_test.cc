@@ -132,7 +132,7 @@ TEST_F(IngestStressTest, EveryBatchEqualsExactlyOneGenerationsOracle) {
   auto streams = StreamStore::Build(seed, db_.pool());
   ASSERT_TRUE(streams.ok()) << streams.status().ToString();
   ASSERT_TRUE((*streams)->Save(&db_.db(), "ts").ok());
-  auto forest = XbForest::Build(streams->get(), dict_);
+  auto forest = XbForest::Build(streams->get());
   ASSERT_TRUE(forest.ok()) << forest.status().ToString();
   ASSERT_TRUE((*forest)->Save(&db_.db(), "xb").ok());
 

@@ -53,7 +53,7 @@ class StaleIndexTest : public ::testing::Test {
     auto streams = StreamStore::Build(docs_, db_.pool());
     ASSERT_TRUE(streams.ok()) << streams.status().ToString();
     ASSERT_TRUE((*streams)->Save(&db_.db(), "ts").ok());
-    auto forest = XbForest::Build(streams->get(), dict_);
+    auto forest = XbForest::Build(streams->get());
     ASSERT_TRUE(forest.ok()) << forest.status().ToString();
     ASSERT_TRUE((*forest)->Save(&db_.db(), "xb").ok());
   }

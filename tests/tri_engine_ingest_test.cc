@@ -21,6 +21,7 @@
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
+#include "storage/cow.h"
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
@@ -63,7 +64,7 @@ class TriEngineIngestTest : public ::testing::Test {
     auto streams = StreamStore::Build(docs, db_.pool());
     ASSERT_TRUE(streams.ok()) << streams.status().ToString();
     ASSERT_TRUE((*streams)->Save(&db_.db(), "ts").ok());
-    auto forest = XbForest::Build(streams->get(), dict_);
+    auto forest = XbForest::Build(streams->get());
     ASSERT_TRUE(forest.ok()) << forest.status().ToString();
     ASSERT_TRUE((*forest)->Save(&db_.db(), "xb").ok());
   }
@@ -170,7 +171,7 @@ TEST_F(TriEngineIngestTest, GrownEnginesEqualBulkRebuildsAndPrix) {
   ASSERT_TRUE(bulk_vist.ok()) << bulk_vist.status().ToString();
   auto bulk_streams = StreamStore::Build(bulk_docs, db_.pool());
   ASSERT_TRUE(bulk_streams.ok()) << bulk_streams.status().ToString();
-  auto bulk_forest = XbForest::Build(bulk_streams->get(), dict_);
+  auto bulk_forest = XbForest::Build(bulk_streams->get());
   ASSERT_TRUE(bulk_forest.ok()) << bulk_forest.status().ToString();
   auto translate = [&](std::vector<DocId> docs) {
     for (DocId& d : docs) d = live_ids[d];
@@ -377,6 +378,109 @@ TEST_F(TriEngineIngestTest, LockstepPrixPairCarriesDerivedEnginesOnce) {
   EXPECT_EQ(Canon(tr2->docs), (std::vector<DocId>{2}));
   for (const char* name : {"rp", "ep", "v", "ts", "xb"}) {
     EXPECT_EQ(StaleGen(name), 0u) << name;
+  }
+}
+
+TEST_F(TriEngineIngestTest, SharedTailPageIsCopiedAndFreedWithItsLastStream) {
+  // One small document packs every stream onto one page. Each transaction
+  // below appends to one stream: the page is copied each time, and only
+  // the transaction that moves its last stream off supersedes it.
+  std::vector<Document> docs = {DocFromSexp("(a (b) (c))", 0, &dict_)};
+  auto store = StreamStore::Build(docs, db_.pool());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const std::vector<LabelId> labels = {dict_.Find("a"), dict_.Find("b"),
+                                       dict_.Find("c")};
+  const PageId shared = (*store)->Find(labels[0])->pages[0];
+  for (LabelId label : labels) {
+    ASSERT_EQ((*store)->Find(label)->pages, std::vector<PageId>{shared});
+  }
+  const std::vector<std::string> appended = {"(a)", "(b)", "(c)"};
+  for (size_t k = 0; k < labels.size(); ++k) {
+    SCOPED_TRACE("append to stream " + std::to_string(k));
+    const DocId d = static_cast<DocId>(k + 1);
+    CowContext cow;
+    ASSERT_TRUE((*store)
+                    ->AppendDocument(DocFromSexp(appended[k], d, &dict_), d,
+                                     &cow, nullptr)
+                    .ok());
+    const StreamStore::StreamInfo* moved = (*store)->Find(labels[k]);
+    ASSERT_EQ(moved->pages.size(), 1u);
+    EXPECT_NE(moved->pages[0], shared);
+    EXPECT_TRUE(cow.IsFresh(moved->pages[0]));
+    EXPECT_EQ(cow.freed, k + 1 < labels.size() ? std::vector<PageId>{}
+                                               : std::vector<PageId>{shared});
+    // Every stream still reads its own entries: the moved ones from their
+    // copies, the others from the shared page.
+    for (size_t m = 0; m < labels.size(); ++m) {
+      const StreamStore::StreamInfo* info = (*store)->Find(labels[m]);
+      EXPECT_EQ(info->pages[0] == shared, m > k) << "stream " << m;
+      std::vector<DocId> seen;
+      SimpleStreamCursor cursor(store->get(), info);
+      ASSERT_TRUE(cursor.Init().ok());
+      while (!cursor.Eof()) {
+        seen.push_back(cursor.Current().doc);
+        ASSERT_TRUE(cursor.Advance().ok());
+      }
+      const std::vector<DocId> expected =
+          m <= k ? std::vector<DocId>{0, DocId(m + 1)} : std::vector<DocId>{0};
+      EXPECT_EQ(seen, expected) << "stream " << m;
+    }
+  }
+}
+
+TEST_F(TriEngineIngestTest, SharedPageStreamsAnswerAtOldAndNewGeneration) {
+  std::vector<Document> docs;
+  docs.push_back(DocFromSexp("(book (author) (title))", 0, &dict_));
+  docs.push_back(DocFromSexp("(book (author))", 1, &dict_));
+  BuildEngines(docs);
+  const LabelId author = dict_.Find("author");
+  const LabelId title = dict_.Find("title");
+  auto built = StreamStore::Open(&db_.db(), "ts");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const PageId shared = (*built)->Find(author)->pages[0];
+  ASSERT_EQ((*built)->Find(title)->pages[0], shared);
+
+  std::shared_ptr<const Snapshot> old_gen = db_->OpenSnapshot();
+  auto id = db_->InsertDocument("rp", DocFromSexp("(book (title))", 2, &dict_));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  auto ts_old = old_gen->GetIndex("ts");
+  auto xb_old = old_gen->GetIndex("xb");
+  ASSERT_TRUE(ts_old.ok() && xb_old.ok());
+  auto streams_old = StreamStore::OpenFromEntry(db_.pool(), *ts_old);
+  ASSERT_TRUE(streams_old.ok()) << streams_old.status().ToString();
+  auto forest_old =
+      XbForest::OpenFromEntry(db_.pool(), *xb_old, streams_old->get());
+  ASSERT_TRUE(forest_old.ok()) << forest_old.status().ToString();
+  auto streams_new = StreamStore::Open(&db_.db(), "ts");
+  ASSERT_TRUE(streams_new.ok()) << streams_new.status().ToString();
+  auto forest_new = XbForest::Open(&db_.db(), "xb", streams_new->get());
+  ASSERT_TRUE(forest_new.ok()) << forest_new.status().ToString();
+  // The insert moved "title" off the shared page; "author" stays on it.
+  EXPECT_EQ((*streams_new)->Find(author)->pages[0], shared);
+  EXPECT_NE((*streams_new)->Find(title)->pages[0], shared);
+
+  auto answer = [&](const StreamStore* store, const XbForest* forest,
+                    const char* xpath) {
+    auto pattern = ParseXPath(xpath, &dict_);
+    EXPECT_TRUE(pattern.ok());
+    auto result = TwigStackEngine(store, forest).Execute(*pattern);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? Canon(result->docs) : std::vector<DocId>{};
+  };
+  for (const XbForest* forest :
+       std::vector<const XbForest*>{nullptr, forest_old->get()}) {
+    EXPECT_EQ(answer(streams_old->get(), forest, "//book/author"),
+              (std::vector<DocId>{0, 1}));
+    EXPECT_EQ(answer(streams_old->get(), forest, "//book/title"),
+              (std::vector<DocId>{0}));
+  }
+  for (const XbForest* forest :
+       std::vector<const XbForest*>{nullptr, forest_new->get()}) {
+    EXPECT_EQ(answer(streams_new->get(), forest, "//book/author"),
+              (std::vector<DocId>{0, 1}));
+    EXPECT_EQ(answer(streams_new->get(), forest, "//book/title"),
+              (std::vector<DocId>{0, 2}));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <unordered_set>
 
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
@@ -40,11 +41,11 @@ TEST(RegionsTest, ContainmentAndLevels) {
 
 class TwigStackTest : public ::testing::Test {
  protected:
-  void Build(const std::vector<Document>& docs, const TagDictionary& dict) {
+  void Build(const std::vector<Document>& docs) {
     auto store = StreamStore::Build(docs, db_.pool());
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     store_ = std::move(*store);
-    auto forest = XbForest::Build(store_.get(), dict);
+    auto forest = XbForest::Build(store_.get());
     ASSERT_TRUE(forest.ok()) << forest.status().ToString();
     forest_ = std::move(*forest);
   }
@@ -77,7 +78,7 @@ TEST_F(TwigStackTest, SimplePathQuery) {
   std::vector<Document> docs;
   docs.push_back(DocFromSexp("(a (b (c)) (c))", 0, &dict));
   docs.push_back(DocFromSexp("(a (c))", 1, &dict));
-  Build(docs, dict);
+  Build(docs);
   auto pattern = ParseXPath("//a/b/c", &dict);
   ASSERT_TRUE(pattern.ok());
   ExpectAgreesWithOracle(docs, *pattern, dict);
@@ -92,7 +93,7 @@ TEST_F(TwigStackTest, BranchingTwig) {
   std::vector<Document> docs;
   docs.push_back(DocFromSexp("(P (Q) (R))", 0, &dict));
   docs.push_back(DocFromSexp("(P (x (Q)) (y (R)))", 1, &dict));
-  Build(docs, dict);
+  Build(docs);
   // Parent-child: only doc 0. Ancestor-descendant: both.
   auto pc = ParseXPath("//P[./Q][./R]", &dict);
   ExpectAgreesWithOracle(docs, *pc, dict);
@@ -117,7 +118,7 @@ TEST_F(TwigStackTest, SuboptimalityProducesWastedPathSolutions) {
         DocFromSexp(d == 0 ? "(P (Q) (R))" : "(P (x (Q)) (y (R)))", d,
                     &dict));
   }
-  Build(docs, dict);
+  Build(docs);
   auto pattern = ParseXPath("//P[./Q][./R]", &dict);
   TwigStackEngine engine(store_.get(), nullptr);
   auto result = engine.Execute(*pattern);
@@ -132,7 +133,7 @@ TEST_F(TwigStackTest, RandomizedAgreement) {
   RandomDocOptions opts;
   opts.max_nodes = 25;
   std::vector<Document> docs = RandomCollection(rng, 40, &dict, opts);
-  Build(docs, dict);
+  Build(docs);
   int checked = 0;
   for (int trial = 0; trial < 40; ++trial) {
     RandomTwigOptions twig_opts;
@@ -145,6 +146,43 @@ TEST_F(TwigStackTest, RandomizedAgreement) {
     ExpectAgreesWithOracle(docs, pattern, dict);
   }
   EXPECT_GT(checked, 15);
+}
+
+TEST_F(TwigStackTest, ManyLabelsPackIntoFewPagesAndStillAgree) {
+  // Hundreds of short streams (DBLP's values are labels): they share pages,
+  // so the streams take no more pages than their entries fill.
+  TagDictionary dict;
+  Random rng(606);
+  RandomDocOptions opts;
+  opts.alphabet = 300;
+  opts.value_alphabet = 500;
+  std::vector<Document> docs = RandomCollection(rng, 250, &dict, opts);
+  Build(docs);
+  std::unordered_set<PageId> pages;
+  uint64_t entries = 0;
+  for (const auto& [label, info] : store_->streams()) {
+    pages.insert(info.pages.begin(), info.pages.end());
+    entries += info.count;
+  }
+  const uint64_t packed = (entries + StreamStore::kEntriesPerPage - 1) /
+                          StreamStore::kEntriesPerPage;
+  ASSERT_GT(store_->streams().size(), 10 * packed);
+  EXPECT_LE(pages.size(), packed);
+  EXPECT_EQ(store_->total_pages(), pages.size());
+  EXPECT_EQ(store_->total_entries(), entries);
+
+  int checked = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    RandomTwigOptions twig_opts;
+    twig_opts.descendant_prob = 0.4;
+    TwigPattern pattern =
+        RandomTwig(rng, docs[rng.Uniform(docs.size())], &dict, twig_opts);
+    if (pattern.num_nodes() < 2) continue;
+    ++checked;
+    SCOPED_TRACE(TwigToString(pattern, dict));
+    ExpectAgreesWithOracle(docs, pattern, dict);
+  }
+  EXPECT_GT(checked, 10);
 }
 
 TEST_F(TwigStackTest, XbSkipsElements) {
@@ -160,7 +198,7 @@ TEST_F(TwigStackTest, XbSkipsElements) {
       docs.push_back(DocFromSexp("(a (b (c)) (b (c)) (b))", d, &dict));
     }
   }
-  Build(docs, dict);
+  Build(docs);
   auto pattern = ParseXPath("//a[./rare]/b", &dict);
   ASSERT_TRUE(pattern.ok());
   TwigStackEngine plain(store_.get(), nullptr);
@@ -178,7 +216,7 @@ TEST_F(TwigStackTest, StarQueriesRejected) {
   TagDictionary dict;
   std::vector<Document> docs;
   docs.push_back(DocFromSexp("(a (b))", 0, &dict));
-  Build(docs, dict);
+  Build(docs);
   auto pattern = ParseXPath("//a/*", &dict);
   TwigStackEngine engine(store_.get(), nullptr);
   EXPECT_EQ(engine.Execute(*pattern).status().code(),
@@ -189,7 +227,7 @@ TEST_F(TwigStackTest, ExactAnchor) {
   TagDictionary dict;
   std::vector<Document> docs;
   docs.push_back(DocFromSexp("(a (a (b)))", 0, &dict));
-  Build(docs, dict);
+  Build(docs);
   auto pattern = ParseXPath("/a/a/b", &dict);
   ASSERT_TRUE(pattern.ok());
   ExpectAgreesWithOracle(docs, *pattern, dict);
@@ -199,7 +237,7 @@ TEST_F(TwigStackTest, PathStackMatchesTwigStackOnPaths) {
   TagDictionary dict;
   Random rng(505);
   std::vector<Document> docs = RandomCollection(rng, 30, &dict);
-  Build(docs, dict);
+  Build(docs);
   int checked = 0;
   for (int trial = 0; trial < 30; ++trial) {
     RandomTwigOptions twig_opts;

@@ -131,5 +131,74 @@ TEST_F(XbTreeTest, SinglePageStreamHasNoInternalLevels) {
   EXPECT_TRUE(cursor.Eof());
 }
 
+TEST_F(XbTreeTest, StreamStartingMidPageReadsTheSameEveryWay) {
+  // "head" (100 entries) is packed first, so "body" (900 entries) starts at
+  // slot 100 of the shared first page and runs over two page boundaries.
+  TagDictionary dict;
+  const LabelId head = dict.Intern("head");
+  const LabelId body = dict.Intern("body");
+  std::vector<Document> docs;
+  for (DocId d = 0; d < 4; ++d) {
+    Document doc(d);
+    const LabelId label = d == 0 ? head : body;
+    NodeId root = doc.AddRoot(label);
+    for (int i = 0; i < (d == 0 ? 99 : 299); ++i) doc.AddChild(root, label);
+    docs.push_back(std::move(doc));
+  }
+  auto store = StreamStore::Build(docs, db_.pool());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  store_ = std::move(*store);
+  const auto* info = store_->Find(body);
+  ASSERT_NE(info, nullptr);
+  ASSERT_EQ(info->count, 900u);
+  EXPECT_EQ(info->first_slot, 100u);
+  ASSERT_EQ(info->pages.size(), 3u);
+  EXPECT_EQ(info->pages[0], store_->Find(head)->pages[0]);
+  EXPECT_EQ(store_->total_pages(), 3u);
+
+  std::vector<ElementPos> expected;
+  for (const Document& doc : docs) {
+    std::vector<ElementPos> regions = ComputeRegions(doc);
+    for (NodeId v = 0; v < doc.num_nodes(); ++v) {
+      if (doc.label(v) == body) expected.push_back(regions[v]);
+    }
+  }
+  auto same = [](const ElementPos& a, const ElementPos& b) {
+    return a.doc == b.doc && a.left == b.left && a.right == b.right &&
+           a.level == b.level && a.post == b.post;
+  };
+  for (uint32_t i = 0; i < info->count; ++i) {
+    auto e = store_->ReadEntry(*info, i);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    ASSERT_TRUE(same(*e, expected[i])) << "ReadEntry " << i;
+  }
+  SimpleStreamCursor plain(store_.get(), info);
+  ASSERT_TRUE(plain.Init().ok());
+  for (const ElementPos& e : expected) {
+    ASSERT_FALSE(plain.Eof());
+    ASSERT_TRUE(same(plain.Current(), e));
+    ASSERT_TRUE(plain.Advance().ok());
+  }
+  EXPECT_TRUE(plain.Eof());
+
+  auto tree = XbTree::Build(store_.get(), info);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  ASSERT_EQ((*tree)->levels().size(), 1u);
+  EXPECT_EQ((*tree)->levels()[0].entry_count, 3u);
+  XbCursor cursor(tree->get());
+  ASSERT_TRUE(cursor.Init().ok());
+  // The root summarizes each page by its first begin key.
+  EXPECT_EQ(cursor.NextL(), expected[0].BeginKey());
+  size_t seen = 0;
+  while (!cursor.Eof()) {
+    ASSERT_TRUE(cursor.EnsureElement().ok());
+    ASSERT_LT(seen, expected.size());
+    ASSERT_TRUE(same(cursor.Current(), expected[seen])) << "XbCursor " << seen;
+    ++seen;
+    ASSERT_TRUE(cursor.Advance().ok());
+  }
+  EXPECT_EQ(seen, expected.size());
+}
+
 }  // namespace
 }  // namespace prix

@@ -215,18 +215,29 @@ int CmdIndex(const std::string& path, bool compress, int argc, char** argv) {
 
   auto db = Database::Create(path);
   if (!db.ok()) return Fail(db.status().ToString());
+  // Pages each index took, as file growth across its build (and, for v, ts
+  // and xb, its save) — the same deltas perfbench reports as space.*_pages.
+  uint64_t mark = (*db)->disk()->num_pages();
+  auto grown = [&] {
+    const uint64_t now = (*db)->disk()->num_pages();
+    const uint64_t delta = now - mark;
+    mark = now;
+    return (unsigned long long)delta;
+  };
   PrixIndexBuildStats rp_stats, ep_stats;
   PrixIndexOptions rp_opts;
   rp_opts.compress = compress;
   auto rp = PrixIndex::Build(coll.documents, (*db)->pool(), rp_opts,
                              &rp_stats);
   if (!rp.ok()) return Fail(rp.status().ToString());
+  const auto rp_pages = grown();
   PrixIndexOptions ep_opts;
   ep_opts.extended = true;
   ep_opts.compress = compress;
   auto ep =
       PrixIndex::Build(coll.documents, (*db)->pool(), ep_opts, &ep_stats);
   if (!ep.ok()) return Fail(ep.status().ToString());
+  const auto ep_pages = grown();
   if (auto s = (*rp)->Save(db->get(), "rp"); !s.ok()) {
     return Fail(s.ToString());
   }
@@ -237,31 +248,37 @@ int CmdIndex(const std::string& path, bool compress, int argc, char** argv) {
   // TwigStack streams + XB-forest ("ts"/"xb"). Online ingest carries all of
   // them in the same commit as rp/ep (DESIGN.md §5k), so they stay
   // answer-identical at every generation.
+  grown();  // the rp/ep catalogs are not counted, as in perfbench
   auto vist = VistIndex::Build(coll.documents, (*db)->pool());
   if (!vist.ok()) return Fail(vist.status().ToString());
   if (auto s = (*vist)->Save(db->get(), "v"); !s.ok()) {
     return Fail(s.ToString());
   }
+  const auto v_pages = grown();
   auto streams = StreamStore::Build(coll.documents, (*db)->pool());
   if (!streams.ok()) return Fail(streams.status().ToString());
   if (auto s = (*streams)->Save(db->get(), "ts"); !s.ok()) {
     return Fail(s.ToString());
   }
-  auto forest = XbForest::Build(streams->get(), coll.dictionary);
+  const auto ts_pages = grown();
+  auto forest = XbForest::Build(streams->get());
   if (!forest.ok()) return Fail(forest.status().ToString());
   if (auto s = (*forest)->Save(db->get(), "xb"); !s.ok()) {
     return Fail(s.ToString());
   }
+  const auto xb_pages = grown();
   if (auto s = SaveDictionary(db->get(), coll.dictionary); !s.ok()) {
     return Fail(s.ToString());
   }
   if (auto s = (*db)->Close(); !s.ok()) return Fail(s.ToString());
   std::printf(
       "Indexed: RP trie %llu nodes (%llu B+-tree entries), EP trie %llu "
-      "nodes; database %s.\n",
+      "nodes; database %s.\n"
+      "Pages: rp %llu, ep %llu, v %llu, ts %llu, xb %llu.\n",
       (unsigned long long)rp_stats.trie_nodes,
       (unsigned long long)rp_stats.symbol_entries,
-      (unsigned long long)ep_stats.trie_nodes, path.c_str());
+      (unsigned long long)ep_stats.trie_nodes, path.c_str(), rp_pages,
+      ep_pages, v_pages, ts_pages, xb_pages);
   return 0;
 }
 
