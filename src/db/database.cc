@@ -16,10 +16,11 @@ namespace prix {
 namespace {
 
 constexpr uint32_t kDbMagic = 0x50524442;  // "PRDB"
-/// Format 2 added the per-page CRC trailer (storage/page.h); format-1 files
-/// carry no trailers and would drown in checksum mismatches, so they are
-/// rejected up front by version, with a rebuild hint. The number itself
-/// lives in common/build_info.h so the --version stamp cannot drift.
+/// Format 2 added the per-page CRC trailer (storage/page.h); format 3 made
+/// the free-list head and the replication cursor fixed payload fields.
+/// Older files are rejected up front by version, with a rebuild hint. The
+/// number itself lives in common/build_info.h so the --version stamp cannot
+/// drift.
 constexpr uint32_t kDbVersion = kDbFormatVersion;
 constexpr PageId kHeaderSlots[2] = {0, 1};
 /// magic + version + generation + payload_len + checksum.
@@ -253,15 +254,12 @@ Database::SlotState Database::ParseHeader(
     const char* page, uint64_t* generation, uint32_t* version,
     std::map<std::string, IndexEntry>* entries, PageId* free_head,
     uint64_t* repl_gen, uint32_t* repl_manifest) {
-  *free_head = kInvalidPage;
-  *repl_gen = 0;
-  *repl_manifest = 0;
   const char* p = page;
   if (GetU32(p) != kDbMagic) return SlotState::kBadMagic;
   p += 4;
-  // Version is judged before the checksum: a format-1 slot has a valid
-  // magic but fails format-2 validation everywhere else, and "old format"
-  // is a far more useful answer than "torn slot".
+  // Version is judged before the checksum: an older slot has a valid magic
+  // but fails this format's validation elsewhere, and "old format" is a far
+  // more useful answer than "torn slot".
   *version = GetU32(p);
   if (*version != kDbVersion) return SlotState::kOldVersion;
   p += 4;
@@ -302,41 +300,16 @@ Database::SlotState Database::ParseHeader(
     p += opt_len;
     out.emplace(entry.name, std::move(entry));
   }
-  // Optional trailer (absent in headers written before the free list
-  // existed): the free-page-list blob head.
-  if (have(4)) {
-    *free_head = GetU32(p);
-    p += 4;
-  }
-  // Second optional trailer: stale-generation stamps for derived indexes
-  // (headers written before staleness tracking simply end here). A name not
-  // in the catalog is ignored, not an error: the entry may have been
-  // dropped by the same commit that wrote the stamp list.
-  if (have(4)) {
-    uint32_t stale_count = GetU32(p);
-    p += 4;
-    for (uint32_t i = 0; i < stale_count; ++i) {
-      if (!have(4)) return SlotState::kTorn;
-      uint32_t name_len = GetU32(p);
-      p += 4;
-      if (!have(static_cast<size_t>(name_len) + 8)) return SlotState::kTorn;
-      std::string name(p, name_len);
-      p += name_len;
-      uint64_t stale_gen = GetU64(p);
-      p += 8;
-      auto it = out.find(name);
-      if (it != out.end()) it->second.stale_as_of_gen = stale_gen;
-    }
-  }
-  // Third optional trailer: the replication cursor — the leader position
-  // (generation + manifest) a follower has applied through. Headers written
-  // before replication existed simply end here.
-  if (have(12)) {
-    *repl_gen = GetU64(p);
-    p += 8;
-    *repl_manifest = GetU32(p);
-    p += 4;
-  }
+  // Fixed fields after the entries: the free-page-list blob head, then the
+  // replication cursor (the leader generation + manifest a follower has
+  // applied through).
+  if (!have(4 + 8 + 4)) return SlotState::kTorn;
+  *free_head = GetU32(p);
+  p += 4;
+  *repl_gen = GetU64(p);
+  p += 8;
+  *repl_manifest = GetU32(p);
+  p += 4;
   *generation = gen;
   *entries = std::move(out);
   return SlotState::kValid;
@@ -408,24 +381,8 @@ Status Database::CommitLocked() {
     return head.status();
   }
   PutU32(&payload, *head);
-  // Stale-generation trailer (parsed as the second optional trailer): only
-  // stamped entries are listed, so fresh catalogs pay four bytes.
-  {
-    uint32_t stale_count = 0;
-    for (const auto& [name, entry] : catalog_) {
-      if (entry.stale_as_of_gen != 0) ++stale_count;
-    }
-    PutU32(&payload, stale_count);
-    for (const auto& [name, entry] : catalog_) {
-      if (entry.stale_as_of_gen == 0) continue;
-      PutU32(&payload, static_cast<uint32_t>(name.size()));
-      payload.insert(payload.end(), name.begin(), name.end());
-      PutU64(&payload, entry.stale_as_of_gen);
-    }
-  }
-  // Replication-cursor trailer (third optional trailer): committing it with
-  // the catalog makes "which leader generation this follower reflects"
-  // atomic with the applied state itself.
+  // The replication cursor commits with the catalog, so "which leader
+  // generation this follower reflects" is atomic with the applied state.
   PutU64(&payload, repl_source_gen_);
   PutU32(&payload, repl_source_manifest_);
   if (payload.size() > kPayloadCapacity) {
@@ -592,33 +549,6 @@ Status Database::CommitBatch(const std::vector<IndexEntry>& entries,
     for (PageId id : freed) free_pages_.push_back(FreedPage{id, commit_gen});
   }
   for (const IndexEntry& e : entries) catalog_[e.name] = e;
-  // ROADMAP item 4 stopgap: online ingest rewrites only the PRIX index it
-  // targets, so any co-resident derived index (ViST, TwigStack streams,
-  // XB-forest) not part of this batch stops reflecting the collection at
-  // this commit. Stamp it with the first generation it missed; the stamp
-  // survives until a rebuild republishes the entry with a fresh one. The
-  // rollback below restores old_catalog, which undoes the stamps too.
-  bool mutates_documents = false;
-  for (const IndexEntry& e : entries) {
-    if (e.kind == IndexKind::kPrixRegular ||
-        e.kind == IndexKind::kPrixExtended) {
-      mutates_documents = true;
-    }
-  }
-  if (mutates_documents) {
-    for (auto& [name, entry] : catalog_) {
-      if (entry.kind != IndexKind::kVist &&
-          entry.kind != IndexKind::kTwigStreams &&
-          entry.kind != IndexKind::kXbForest) {
-        continue;
-      }
-      bool in_batch = false;
-      for (const IndexEntry& e : entries) in_batch |= e.name == name;
-      if (!in_batch && entry.stale_as_of_gen == 0) {
-        entry.stale_as_of_gen = commit_gen;
-      }
-    }
-  }
   Status st = CommitLocked();
   if (!st.ok()) {
     // The transaction did not publish: its superseded pages are still live
@@ -717,13 +647,7 @@ Status Database::PutIndex(const IndexEntry& entry) {
     return Status::InvalidArgument("catalog entry needs a name");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  // A successful Save publishes an index that is current by definition, so
-  // it supersedes any staleness stamp — including one the caller copied in
-  // from a stale entry it was rebuilding over. Only CommitBatch (which sees
-  // which engines a document mutation carried along) may stamp.
-  IndexEntry fresh = entry;
-  fresh.stale_as_of_gen = 0;
-  catalog_[entry.name] = std::move(fresh);
+  catalog_[entry.name] = entry;
   // Stage this publish's oplog record. A blob entry travels by value (the
   // follower rewrites the bytes into its own page chain); an engine publish
   // is a barrier — its page roots mean nothing in another file, so a

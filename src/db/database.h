@@ -90,13 +90,6 @@ class Database : public PageAllocator {
     IndexKind kind = IndexKind::kBlob;
     PageId root = kInvalidPage;
     std::vector<char> options;
-    /// Nonzero for a derived (ViST/TwigStack) index whose collection was
-    /// mutated by online ingest after the index was built: the value is the
-    /// first catalog generation at which it stopped reflecting the
-    /// documents. CommitBatch stamps it (see DESIGN.md §5i); the engines'
-    /// Open functions refuse stale entries with FailedPrecondition, and a
-    /// rebuild (PutIndex with a fresh entry) clears it. 0 = in sync.
-    uint64_t stale_as_of_gen = 0;
   };
 
   ~Database();
@@ -215,8 +208,8 @@ class Database : public PageAllocator {
   OpLog* oplog() { return &oplog_; }
 
   /// Follower-side: records the leader position (leader generation +
-  /// manifest) this node has applied through. Sticky — persisted in a header
-  /// trailer by every subsequent commit, so calling this immediately before
+  /// manifest) this node has applied through. Sticky — persisted in the
+  /// header by every subsequent commit, so calling this immediately before
   /// applying a record makes cursor and applied state land in ONE commit.
   void StageReplCursor(uint64_t source_gen, uint32_t source_manifest);
 
@@ -296,10 +289,9 @@ class Database : public PageAllocator {
   enum class SlotState { kValid, kTorn, kBadMagic, kOldVersion };
 
   /// Parses one header slot's page image. On kValid fills generation,
-  /// entries, the free-list blob head (kInvalidPage for headers written
-  /// before the free list existed — trailing payload bytes are optional),
-  /// and the replication cursor trailer (zeros when absent); on kOldVersion
-  /// fills only *version.
+  /// entries, the free-list blob head (kInvalidPage when the list was never
+  /// persisted), and the replication cursor; on kOldVersion fills only
+  /// *version.
   static SlotState ParseHeader(const char* page, uint64_t* generation,
                                uint32_t* version,
                                std::map<std::string, IndexEntry>* entries,
@@ -321,7 +313,7 @@ class Database : public PageAllocator {
   bool pending_op_set_ = false;
   OpKind pending_op_kind_ = OpKind::kNoop;
   std::vector<char> pending_op_payload_;
-  /// Replication cursor persisted as the third optional header trailer.
+  /// Replication cursor, persisted in the header after the free-list head.
   uint64_t repl_source_gen_ = 0;
   uint32_t repl_source_manifest_ = 0;
 

@@ -32,10 +32,11 @@
 //   - XB-forests re-bucket only the touched tag streams: each touched
 //     label's tree is rebuilt over the stream's current pages with live-only
 //     max-end summaries.
-// An engine ingest cannot carry along — a v1 stream store, a ViST whose trie
-// fails to mirror, a misaligned document count (all products of older
-// binaries or external tampering) — is left out of the commit, which is
-// exactly the case Database::CommitBatch still stamps stale_as_of_gen for.
+// A derived engine that cannot ride the commit — one that fails to load or
+// to pair with a stream store, or whose document count is out of step with
+// the PRIX index — fails the write with Corruption naming it, and nothing
+// commits. `prix verify` reports such a database CORRUPT, and
+// `prix verify --salvage` rebuilds the derived entries from the documents.
 //
 // Labeling. New sequences are absorbed by the pre-allocated slack the
 // dynamic labeler leaves in every range (Sec. 5.2.1); see
@@ -146,7 +147,6 @@ struct VistEngine {
   std::vector<PageId> catalog_pages;
   DynamicTrie trie;
   bool dirty = false;  ///< mutated since the last publish
-  bool dead = false;   ///< misaligned with the documents; left to be stamped
 };
 
 /// One co-resident TwigStack stream store.
@@ -158,7 +158,6 @@ struct StreamEngine {
   /// paired forest's bounded re-bucket).
   std::vector<LabelId> touched;
   bool dirty = false;
-  bool dead = false;
 };
 
 /// One co-resident XB-forest, paired with the stream store it summarizes.
@@ -168,7 +167,6 @@ struct ForestEngine {
   std::vector<PageId> catalog_pages;
   StreamEngine* paired = nullptr;
   bool dirty = false;
-  bool dead = false;
 };
 
 /// The opaque object behind Database::ingest_state_. Stamped with the
@@ -239,37 +237,41 @@ Status BuildVistMirror(VistEngine* ve) {
   return Status::OK();
 }
 
-/// Loads every co-resident derived index the writer can carry along. An
-/// entry that fails to load (already stamped, legacy format, unwalkable) is
-/// simply not tracked: it stays out of every commit batch, so CommitBatch
-/// stamps it stale on the first document mutation — the behaviour older
-/// binaries' indexes always get.
-void LoadDerived(Database* db, IngestState* state) {
-  if (state->derived_loaded) return;
-  state->derived_loaded = true;
+/// The error for a derived index that cannot ride a write.
+Status DerivedCorruption(const std::string& name, const std::string& why) {
+  return Status::Corruption("derived index '" + name + "' " + why +
+                            "; rebuild it with prix verify --salvage");
+}
+
+/// Loads every co-resident derived index so each write carries it along.
+/// One that cannot be loaded fails the write: committing without it would
+/// leave it describing an older collection.
+Status LoadDerived(Database* db, IngestState* state) {
+  if (state->derived_loaded) return Status::OK();
+  auto unloadable = [](const Database::IndexEntry& entry, const Status& st) {
+    return DerivedCorruption(entry.name, "cannot be loaded into the writer: " +
+                                             std::string(st.message()));
+  };
   std::vector<Database::IndexEntry> forest_entries;
   for (const Database::IndexEntry& entry : db->ListIndexes()) {
-    if (entry.stale_as_of_gen != 0) continue;  // already stale: stays so
     if (entry.kind == Database::IndexKind::kVist) {
       auto opened = VistIndex::OpenFromEntry(db->pool(), entry);
-      if (!opened.ok()) continue;
+      if (!opened.ok()) return unloadable(entry, opened.status());
       auto ve = std::make_unique<VistEngine>();
       ve->entry = entry;
       ve->index = std::move(*opened);
-      if (!ReadBlobPages(db->pool(), entry.root, &ve->catalog_pages).ok()) {
-        continue;
-      }
-      if (!BuildVistMirror(ve.get()).ok()) continue;
+      Status st = ReadBlobPages(db->pool(), entry.root, &ve->catalog_pages);
+      if (st.ok()) st = BuildVistMirror(ve.get());
+      if (!st.ok()) return unloadable(entry, st);
       state->vists.push_back(std::move(ve));
     } else if (entry.kind == Database::IndexKind::kTwigStreams) {
       auto opened = StreamStore::OpenFromEntry(db->pool(), entry);
-      if (!opened.ok() || (*opened)->legacy()) continue;
+      if (!opened.ok()) return unloadable(entry, opened.status());
       auto se = std::make_unique<StreamEngine>();
       se->entry = entry;
       se->store = std::move(*opened);
-      if (!ReadBlobPages(db->pool(), entry.root, &se->catalog_pages).ok()) {
-        continue;
-      }
+      Status st = ReadBlobPages(db->pool(), entry.root, &se->catalog_pages);
+      if (!st.ok()) return unloadable(entry, st);
       state->streams.push_back(std::move(se));
     } else if (entry.kind == Database::IndexKind::kXbForest) {
       forest_entries.push_back(entry);  // needs the stores loaded first
@@ -287,12 +289,39 @@ void LoadDerived(Database* db, IngestState* state) {
         break;
       }
     }
-    if (fe->forest == nullptr) continue;
-    if (!ReadBlobPages(db->pool(), entry.root, &fe->catalog_pages).ok()) {
-      continue;
+    if (fe->forest == nullptr) {
+      return DerivedCorruption(entry.name,
+                               "pairs with no stream store in the catalog");
     }
+    Status st = ReadBlobPages(db->pool(), entry.root, &fe->catalog_pages);
+    if (!st.ok()) return unloadable(entry, st);
     state->forests.push_back(std::move(fe));
   }
+  state->derived_loaded = true;
+  return Status::OK();
+}
+
+/// Every derived index rides each write DocId for DocId, so it must hold as
+/// many documents as the PRIX index being written — or one more, when that
+/// index is the lockstep twin of one the current document already went into
+/// (the CLI inserts each document into an RP and an EP index back to back).
+Status CheckAligned(const IngestState& state, const std::string& name,
+                    const PrixIndex& index) {
+  const uint64_t want = index.num_docs();
+  auto check = [&](const Database::IndexEntry& entry, uint64_t have) {
+    if (have == want || have == want + 1) return Status::OK();
+    return DerivedCorruption(
+        entry.name, "holds " + std::to_string(have) +
+                        " document(s), out of step with PRIX index '" + name +
+                        "' (" + std::to_string(want) + ")");
+  };
+  for (const auto& ve : state.vists) {
+    PRIX_RETURN_NOT_OK(check(ve->entry, ve->index->num_docs()));
+  }
+  for (const auto& se : state.streams) {
+    PRIX_RETURN_NOT_OK(check(se->entry, se->store->num_docs()));
+  }
+  return Status::OK();
 }
 
 /// Returns the cached writer state for `name`, (re)building it when the
@@ -306,7 +335,10 @@ Result<OpenIndex*> AcquireIngest(Database* db, std::shared_ptr<void>* slot,
     state->generation = db->catalog_generation();
     *slot = state;
   }
-  LoadDerived(db, state.get());
+  if (Status st = LoadDerived(db, state.get()); !st.ok()) {
+    slot->reset();  // a partial load must not be mistaken for a full one
+    return st;
+  }
   auto it = state->indexes.find(name);
   if (it == state->indexes.end()) {
     auto oi = std::make_unique<OpenIndex>();
@@ -317,6 +349,7 @@ Result<OpenIndex*> AcquireIngest(Database* db, std::shared_ptr<void>* slot,
     PRIX_RETURN_NOT_OK(BuildPrixMirror(oi.get()));
     it = state->indexes.emplace(name, std::move(oi)).first;
   }
+  PRIX_RETURN_NOT_OK(CheckAligned(*state, name, *it->second->index));
   return it->second.get();
 }
 
@@ -379,15 +412,9 @@ Status StageDelete(OpenIndex* oi, DocId doc) {
 }
 
 /// Stages `doc` into one ViST engine under DocId `d`. A second lockstep
-/// call for the same document (the CLI inserts into an RP and an EP index
-/// back to back) sees num_docs == d+1 and no-ops; any other misalignment
-/// marks the engine dead so it falls out of the commit and gets stamped.
+/// call for the same document sees num_docs == d+1 and no-ops.
 Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
-  if (ve->dead) return Status::OK();
-  const size_t have = ve->index->num_docs();
-  if (have == static_cast<size_t>(d) + 1) return Status::OK();
-  if (have != d) {
-    ve->dead = true;
+  if (ve->index->num_docs() == static_cast<size_t>(d) + 1) {
     return Status::OK();
   }
   const std::vector<VistItem> seq =
@@ -421,11 +448,6 @@ Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
 /// orphaned trie nodes are unreachable, not wrong. Already-deleted docs
 /// no-op (the second lockstep call).
 Status StageVistDelete(VistEngine* ve, DocId doc) {
-  if (ve->dead) return Status::OK();
-  if (doc >= ve->index->num_docs()) {
-    ve->dead = true;
-    return Status::OK();
-  }
   if (!ve->trie.HasDoc(doc)) return Status::OK();
   VistTrieOps ops{ve->index.get()};
   PRIX_RETURN_NOT_OK(ve->trie.DeleteDocEntry(doc, ops));
@@ -435,13 +457,7 @@ Status StageVistDelete(VistEngine* ve, DocId doc) {
 
 Status StageStreamInsert(StreamEngine* se, const Document& doc, DocId d,
                          CowContext* cow) {
-  if (se->dead) return Status::OK();
-  const uint32_t have = se->store->num_docs();
-  if (have == d + 1) return Status::OK();  // second lockstep call
-  if (have != d) {
-    se->dead = true;
-    return Status::OK();
-  }
+  if (se->store->num_docs() == d + 1) return Status::OK();  // lockstep twin
   PRIX_RETURN_NOT_OK(se->store->AppendDocument(doc, d, cow, &se->touched));
   se->dirty = true;
   return Status::OK();
@@ -453,11 +469,6 @@ Status StageStreamInsert(StreamEngine* se, const Document& doc, DocId d,
 /// safe (a too-large max-end only costs extra drill-downs; the leaf cursor
 /// hides the dead entries either way).
 Status StageStreamDelete(StreamEngine* se, const OpenIndex* oi, DocId doc) {
-  if (se->dead) return Status::OK();
-  if (doc >= se->store->num_docs()) {
-    se->dead = true;
-    return Status::OK();
-  }
   if (se->store->IsDeleted(doc)) return Status::OK();
   Result<Document> re = oi->index->ReconstructDocument(doc);
   if (re.ok()) {
@@ -519,9 +530,6 @@ Status StageEnginePublish(Database* db, CowContext* cow,
                         WriteBlob(db->pool(), blob, &new_pages));
   for (const PageId p : new_pages) cow->MarkFresh(p);
   entry.root = head;
-  // A freshly published engine is current by construction; this also
-  // retires any stamp a pre-§5k binary left on an otherwise healthy index.
-  entry.stale_as_of_gen = 0;
   entries->push_back(entry);
   freed->insert(freed->end(), pages_slot->begin(), pages_slot->end());
   pending->push_back(
@@ -530,14 +538,12 @@ Status StageEnginePublish(Database* db, CowContext* cow,
 }
 
 /// Publishes the staged transaction: re-bucket the touched XB-trees,
-/// serialize every dirty engine's catalog into a new blob chain, include
-/// every clean-but-live derived entry unchanged (presence in the batch is
-/// what exempts it from staleness stamping), and commit the whole set plus
-/// the superseded pages as one new generation.
+/// serialize every dirty engine's catalog into a new blob chain, and commit
+/// those entries plus the superseded pages as one new generation. A clean
+/// engine's entry stays as it is in the catalog.
 Status PublishAll(Database* db, const std::string& name, OpenIndex* oi,
                   IngestState* state, CowContext* cow) {
   for (auto& fe : state->forests) {
-    if (fe->dead || fe->paired == nullptr || fe->paired->dead) continue;
     if (fe->paired->touched.empty()) continue;
     std::vector<LabelId> labels = fe->paired->touched;
     std::sort(labels.begin(), labels.end());
@@ -565,11 +571,7 @@ Status PublishAll(Database* db, const std::string& name, OpenIndex* oi,
                                           &entries, &freed, &pending));
   }
   for (auto& ve : state->vists) {
-    if (ve->dead) continue;
-    if (!ve->dirty) {
-      entries.push_back(ve->entry);
-      continue;
-    }
+    if (!ve->dirty) continue;
     std::vector<char> blob;
     ve->index->SerializeCatalog(&blob);
     PRIX_RETURN_NOT_OK(StageEnginePublish(db, cow, blob, ve->entry,
@@ -577,11 +579,7 @@ Status PublishAll(Database* db, const std::string& name, OpenIndex* oi,
                                           &entries, &freed, &pending));
   }
   for (auto& se : state->streams) {
-    if (se->dead) continue;
-    if (!se->dirty) {
-      entries.push_back(se->entry);
-      continue;
-    }
+    if (!se->dirty) continue;
     std::vector<char> blob;
     se->store->SerializeCatalog(&blob);
     PRIX_RETURN_NOT_OK(StageEnginePublish(db, cow, blob, se->entry,
@@ -589,11 +587,7 @@ Status PublishAll(Database* db, const std::string& name, OpenIndex* oi,
                                           &entries, &freed, &pending));
   }
   for (auto& fe : state->forests) {
-    if (fe->dead || fe->paired == nullptr || fe->paired->dead) continue;
-    if (!fe->dirty) {
-      entries.push_back(fe->entry);
-      continue;
-    }
+    if (!fe->dirty) continue;
     std::vector<char> blob;
     fe->forest->SerializeCatalog(&blob);
     PRIX_RETURN_NOT_OK(StageEnginePublish(db, cow, blob, fe->entry,
@@ -620,9 +614,7 @@ Status PublishAll(Database* db, const std::string& name, OpenIndex* oi,
 /// transaction (stream stores take it per call instead).
 void SetCowAll(OpenIndex* oi, IngestState* state, CowContext* cow) {
   oi->index->SetCow(cow);
-  for (auto& ve : state->vists) {
-    if (!ve->dead) ve->index->SetCow(cow);
-  }
+  for (auto& ve : state->vists) ve->index->SetCow(cow);
 }
 
 /// Abort path: evict every page this transaction allocated WITHOUT writing
@@ -653,6 +645,7 @@ Result<uint32_t> Database::InsertDocument(const std::string& index_name,
   if (doc.num_nodes() == 0) {
     return Status::InvalidArgument("cannot insert an empty document");
   }
+  PRIX_RETURN_NOT_OK(CheckDocumentDepth(doc));
   PRIX_ASSIGN_OR_RETURN(OpenIndex * oi,
                         AcquireIngest(this, &ingest_state_, index_name));
   auto state = std::static_pointer_cast<IngestState>(ingest_state_).get();
@@ -687,6 +680,7 @@ Result<uint32_t> Database::UpdateDocument(const std::string& index_name,
   if (new_doc.num_nodes() == 0) {
     return Status::InvalidArgument("cannot update to an empty document");
   }
+  PRIX_RETURN_NOT_OK(CheckDocumentDepth(new_doc));
   PRIX_ASSIGN_OR_RETURN(OpenIndex * oi,
                         AcquireIngest(this, &ingest_state_, index_name));
   auto state = std::static_pointer_cast<IngestState>(ingest_state_).get();

@@ -105,13 +105,10 @@ void StreamStore::CountPages(const StreamInfo& info) {
 
 namespace {
 constexpr uint32_t kStreamCatalogMagic = 0x54574753;  // "TWGS"
-/// v1: streams section only (pre-ingest binaries). v2 prepends the document
-/// count and the tombstone set so the store can participate in ingest
-/// commits. v3 stores each stream's first_slot (packed streams); in v1 and
-/// v2 every stream starts a page of its own, i.e. first_slot is 0. v1 blobs
-/// still open (as legacy()) so old databases stay readable.
-constexpr uint32_t kStreamCatalogVersionLegacy = 1;
-constexpr uint32_t kStreamCatalogVersionUnpacked = 2;
+/// Version 3: the document count and tombstone set, then per stream its
+/// label, entry count, first_slot (streams are packed) and page list.
+/// Versions 1 and 2 only ever existed in format-2 database files, which
+/// Database::Open refuses.
 constexpr uint32_t kStreamCatalogVersion = 3;
 }  // namespace
 
@@ -154,16 +151,6 @@ Result<std::unique_ptr<StreamStore>> StreamStore::OpenFromEntry(
     return Status::InvalidArgument("catalog entry '" + entry.name +
                                    "' is not a stream store");
   }
-  if (entry.stale_as_of_gen != 0) {
-    // Stamped by Database::CommitBatch when online ingest outran this
-    // derived structure (only possible for stores ingest cannot carry
-    // along, e.g. legacy v1 blobs); see the matching check in
-    // VistIndex::OpenFromEntry.
-    return Status::FailedPrecondition(
-        "index '" + entry.name + "' is stale as of generation " +
-        std::to_string(entry.stale_as_of_gen) +
-        ", rebuild or query the PRIX index");
-  }
   std::vector<char> blob;
   PRIX_RETURN_NOT_OK(ReadBlob(pool, entry.root, &blob));
   const char* p = blob.data();
@@ -179,52 +166,43 @@ Result<std::unique_ptr<StreamStore>> StreamStore::OpenFromEntry(
     return Status::Corruption("not a stream-store catalog");
   }
   p += 4;
-  uint32_t version = GetU32(p);
-  if (version != kStreamCatalogVersionLegacy &&
-      version != kStreamCatalogVersionUnpacked &&
-      version != kStreamCatalogVersion) {
+  if (GetU32(p) != kStreamCatalogVersion) {
     return Status::Corruption("unsupported stream-store catalog version");
   }
   p += 4;
   auto store = std::unique_ptr<StreamStore>(new StreamStore(pool));
-  store->legacy_ = version == kStreamCatalogVersionLegacy;
-  if (!store->legacy_) {
-    PRIX_RETURN_NOT_OK(need(8));
-    store->num_docs_ = GetU32(p);
-    p += 4;
-    uint32_t dead = GetU32(p);
-    p += 4;
-    PRIX_RETURN_NOT_OK(need(4ull * dead));
-    for (uint32_t i = 0; i < dead; ++i, p += 4) {
-      DocId d = GetU32(p);
-      if (d >= store->num_docs_) {
-        return Status::Corruption(
-            "stream-store tombstone for DocId " + std::to_string(d) +
-            " beyond the store's " + std::to_string(store->num_docs_) +
-            " documents");
-      }
-      store->tombstones_.insert(d);
+  PRIX_RETURN_NOT_OK(need(8));
+  store->num_docs_ = GetU32(p);
+  p += 4;
+  uint32_t dead = GetU32(p);
+  p += 4;
+  PRIX_RETURN_NOT_OK(need(4ull * dead));
+  for (uint32_t i = 0; i < dead; ++i, p += 4) {
+    DocId d = GetU32(p);
+    if (d >= store->num_docs_) {
+      return Status::Corruption(
+          "stream-store tombstone for DocId " + std::to_string(d) +
+          " beyond the store's " + std::to_string(store->num_docs_) +
+          " documents");
     }
+    store->tombstones_.insert(d);
   }
   PRIX_RETURN_NOT_OK(need(4));
   uint32_t num_streams = GetU32(p);
   p += 4;
-  const bool packed = version == kStreamCatalogVersion;
   for (uint32_t i = 0; i < num_streams; ++i) {
-    PRIX_RETURN_NOT_OK(need(packed ? 16 : 12));
+    PRIX_RETURN_NOT_OK(need(16));
     LabelId label = GetU32(p);
     p += 4;
     StreamInfo info;
     info.count = GetU32(p);
     p += 4;
-    if (packed) {
-      info.first_slot = GetU32(p);
-      p += 4;
-      if (info.first_slot >= kEntriesPerPage) {
-        return Status::Corruption("stream-store catalog: first slot " +
-                                  std::to_string(info.first_slot) +
-                                  " beyond a page");
-      }
+    info.first_slot = GetU32(p);
+    p += 4;
+    if (info.first_slot >= kEntriesPerPage) {
+      return Status::Corruption("stream-store catalog: first slot " +
+                                std::to_string(info.first_slot) +
+                                " beyond a page");
     }
     uint32_t num_pages = GetU32(p);
     p += 4;
@@ -310,10 +288,6 @@ Status StreamStore::AppendEntries(StreamInfo* info,
 Status StreamStore::AppendDocument(const Document& doc, DocId assigned,
                                    CowContext* cow,
                                    std::vector<LabelId>* touched) {
-  if (legacy_) {
-    return Status::FailedPrecondition(
-        "stream store predates ingest support (catalog v1); rebuild it");
-  }
   if (assigned != num_docs_) {
     return Status::InvalidArgument(
         "stream append out of order: DocId " + std::to_string(assigned) +

@@ -100,8 +100,8 @@ class StreamStore {
                                                    const std::string& name);
 
   /// Reopens a stream store from a catalog entry directly — the snapshot
-  /// read path and the ingest acquire path. Kind and staleness checks
-  /// happen here; Open delegates.
+  /// read path and the ingest acquire path. The kind check happens here;
+  /// Open delegates.
   static Result<std::unique_ptr<StreamStore>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry);
 
@@ -111,10 +111,8 @@ class StreamStore {
   // to the tail of each touched tag stream (DocIds are assigned
   // monotonically, so (doc, left) order is preserved), and a delete
   // tombstones the DocId — cursors skip dead entries, nothing is compacted
-  // in place. Catalog v2 persists the document count and the tombstone set,
-  // v3 adds each stream's first_slot; v1 blobs (older binaries) reopen
-  // read-only as `legacy()` and are left out of ingest commits, so they
-  // still go stale the old way.
+  // in place. The catalog persists the document count and the tombstone
+  // set.
   //
   // An append never writes into a committed page: a committed tail page
   // (shared with other streams or not) is copied first, and the old page is
@@ -134,11 +132,8 @@ class StreamStore {
   }
   void Tombstone(DocId doc) { tombstones_.insert(doc); }
   const std::unordered_set<DocId>& tombstones() const { return tombstones_; }
-  /// Documents ever appended (incl. tombstoned); 0 for legacy v1 stores.
+  /// Documents ever appended (incl. tombstoned).
   uint32_t num_docs() const { return num_docs_; }
-  /// True when the store was persisted by a pre-ingest binary (catalog v1):
-  /// no document count, no tombstones, excluded from ingest commits.
-  bool legacy() const { return legacy_; }
 
   /// Serializes the stream directory into `blob` — what Save writes,
   /// exposed so a write transaction can publish through
@@ -179,7 +174,6 @@ class StreamStore {
   std::unordered_map<LabelId, StreamInfo> streams_;
   std::unordered_set<DocId> tombstones_;
   uint32_t num_docs_ = 0;
-  bool legacy_ = false;
   uint64_t total_entries_ = 0;
   /// Number of streams listing each page (in memory only; rebuilt from the
   /// catalog at open). Decides when a copied-away page may be freed.

@@ -91,14 +91,6 @@ Result<std::unique_ptr<XbForest>> XbForest::OpenFromEntry(
     return Status::InvalidArgument("catalog entry '" + entry.name +
                                    "' is not an XB-forest");
   }
-  if (entry.stale_as_of_gen != 0) {
-    // Stamped by Database::CommitBatch when online ingest outran this
-    // derived structure; see the matching check in VistIndex::OpenFromEntry.
-    return Status::FailedPrecondition(
-        "index '" + entry.name + "' is stale as of generation " +
-        std::to_string(entry.stale_as_of_gen) +
-        ", rebuild or query the PRIX index");
-  }
   std::vector<char> blob;
   PRIX_RETURN_NOT_OK(ReadBlob(pool, entry.root, &blob));
   const char* p = blob.data();

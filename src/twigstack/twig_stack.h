@@ -41,8 +41,8 @@ class XbForest {
                                                 const StreamStore* store);
 
   /// Reopens a forest from a catalog entry directly — the snapshot read
-  /// path and the ingest acquire path. Kind and staleness checks happen
-  /// here; Open delegates.
+  /// path and the ingest acquire path. The kind check happens here; Open
+  /// delegates.
   static Result<std::unique_ptr<XbForest>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry,
       const StreamStore* store);

@@ -4,9 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <unordered_set>
 
 #include "common/macros.h"
@@ -157,23 +159,25 @@ void VerifyStreamsEntry(Database* db, const Database::IndexEntry& entry,
       db->pool()->UnpinPage(page, /*dirty=*/false);
     }
   }
-  if (!(*store)->legacy()) {
-    IndexDocStats ds;
-    ds.index = entry.name;
-    ds.dead_docs = (*store)->tombstones().size();
-    ds.live_docs = (*store)->num_docs() - ds.dead_docs;
-    report->doc_stats.push_back(std::move(ds));
-  }
+  IndexDocStats ds;
+  ds.index = entry.name;
+  ds.dead_docs = (*store)->tombstones().size();
+  ds.live_docs = (*store)->num_docs() - ds.dead_docs;
+  report->doc_stats.push_back(std::move(ds));
 }
 
 void VerifyForestEntry(Database* db, const Database::IndexEntry& entry,
                        VerifyReport* report) {
   // The forest catalog references a stream store but does not name it; pair
   // with the database's (sole, in every producer of kXbForest) stream store
-  // when one opens, else fall back to checking the catalog blob chain.
+  // when one opens, else fall back to checking the catalog blob chain (the
+  // store's own fault is reported against the store). A forest with no
+  // stream store at all cannot be written past.
   std::unique_ptr<StreamStore> store;
+  bool any_store = false;
   for (const auto& other : db->ListIndexes()) {
     if (other.kind != Database::IndexKind::kTwigStreams) continue;
+    any_store = true;
     auto opened = StreamStore::Open(db, other.name);
     if (opened.ok()) {
       store = std::move(*opened);
@@ -186,6 +190,13 @@ void VerifyForestEntry(Database* db, const Database::IndexEntry& entry,
       AddIssue(report, entry.root, entry.name, "forest catalog",
                forest.status());
     }
+    return;
+  }
+  if (!any_store) {
+    AddIssue(report, entry.root, entry.name, "forest pairing",
+             Status::Corruption("no stream store in the catalog to pair "
+                                "with; rebuild it with prix verify "
+                                "--salvage"));
     return;
   }
   std::vector<char> blob;
@@ -329,18 +340,20 @@ Status VerifyDatabase(const std::string& path, VerifyReport* report) {
     return Status::OK();
   }
   report->free_pages = (*db)->free_page_count();
-  for (const auto& entry : (*db)->ListIndexes()) {
+  // PRIX entries go first: every ViST and stream store must hold as many
+  // documents (tombstones included) as some PRIX index, since online ingest
+  // carries each derived index along DocId for DocId.
+  auto is_prix = [](const Database::IndexEntry& entry) {
+    return entry.kind == Database::IndexKind::kPrixRegular ||
+           entry.kind == Database::IndexKind::kPrixExtended;
+  };
+  std::vector<Database::IndexEntry> entries = (*db)->ListIndexes();
+  std::stable_partition(entries.begin(), entries.end(), is_prix);
+  std::set<uint64_t> prix_doc_counts;
+  for (const auto& entry : entries) {
     ++report->indexes_checked;
-    if (entry.stale_as_of_gen != 0) {
-      // Stale derived index (online ingest outran it): its pages are still
-      // covered by the phase-1 CRC scrub, but the engine Open functions
-      // refuse it by design, so the structural walk is skipped. Staleness
-      // is reported separately — it is dead weight, not corruption.
-      report->stale_indexes.push_back(
-          StaleIndexNote{entry.name, entry.stale_as_of_gen});
-      continue;
-    }
     size_t before = report->issues.size();
+    size_t stats_before = report->doc_stats.size();
     switch (entry.kind) {
       case Database::IndexKind::kPrixRegular:
       case Database::IndexKind::kPrixExtended:
@@ -358,6 +371,21 @@ Status VerifyDatabase(const std::string& path, VerifyReport* report) {
       case Database::IndexKind::kBlob:
         VerifyBlobEntry(db->get(), entry, report);
         break;
+    }
+    if (report->doc_stats.size() > stats_before) {
+      const IndexDocStats& ds = report->doc_stats.back();
+      const uint64_t docs = ds.live_docs + ds.dead_docs;
+      if (is_prix(entry)) {
+        prix_doc_counts.insert(docs);
+      } else if (!prix_doc_counts.empty() &&
+                 prix_doc_counts.count(docs) == 0) {
+        AddIssue(report, kInvalidPage, entry.name, "document count",
+                 Status::Corruption(
+                     "holds " + std::to_string(docs) +
+                     " document(s), matching no PRIX index; online ingest "
+                     "refuses to write past it, rebuild it with prix "
+                     "verify --salvage"));
+      }
     }
     if (report->issues.size() > before) ++report->indexes_bad;
   }
@@ -385,6 +413,7 @@ Status SalvageDatabase(const std::string& src, const std::string& dst,
   Status fatal;
   std::unique_ptr<PrixIndex> doc_source;  // reconstruction source for below
   std::vector<Database::IndexEntry> derived;
+  std::vector<Database::IndexEntry> vists;
   for (const auto& entry : (*sdb)->ListIndexes()) {
     switch (entry.kind) {
       case Database::IndexKind::kPrixRegular:
@@ -400,19 +429,9 @@ Status SalvageDatabase(const std::string& src, const std::string& dst,
         if (doc_source == nullptr) doc_source = std::move(*index);
         break;
       }
-      case Database::IndexKind::kVist: {
-        auto index = VistIndex::Open(sdb->get(), entry.name);
-        if (!index.ok()) {
-          // Unwalkable as an index, but still recoverable from the
-          // documents: rebuild it below instead of dropping it.
-          derived.push_back(entry);
-          break;
-        }
-        fatal = (*index)->Salvage(ddb->get(), entry.name, &report->stats);
-        if (!fatal.ok()) break;
-        ++report->indexes_salvaged;
+      case Database::IndexKind::kVist:
+        vists.push_back(entry);  // once the reconstruction source is known
         break;
-      }
       case Database::IndexKind::kBlob: {
         std::vector<char> blob;
         if (!ReadBlob((*sdb)->pool(), entry.root, &blob).ok()) {
@@ -438,6 +457,19 @@ Status SalvageDatabase(const std::string& src, const std::string& dst,
         break;
     }
     if (!fatal.ok()) break;
+  }
+  for (const auto& entry : vists) {
+    if (!fatal.ok()) break;
+    // A ViST that cannot be walked, or that is out of step with the
+    // documents, is still recoverable from them: rebuild it below.
+    auto index = VistIndex::Open(sdb->get(), entry.name);
+    if (!index.ok() || (doc_source != nullptr &&
+                        (*index)->num_docs() != doc_source->num_docs())) {
+      derived.push_back(entry);
+      continue;
+    }
+    fatal = (*index)->Salvage(ddb->get(), entry.name, &report->stats);
+    if (fatal.ok()) ++report->indexes_salvaged;
   }
   if (fatal.ok() && !derived.empty()) {
     fatal = RebuildDerivedEntries(doc_source.get(), ddb->get(), derived,

@@ -26,24 +26,11 @@ struct VerifyIssue {
 /// tombstoned-but-unreclaimed (deleted documents keep their append-only
 /// records until a compaction rewrites the index; they are dead weight, not
 /// corruption). Reported for PRIX entries, for ViST entries (live = Docid
-/// entries remaining), and for v2 stream stores (dead = tombstone count) —
-/// co-resident engines ride every ingest commit, so live/dead accounting,
-/// not staleness, is the interesting number per engine.
+/// entries remaining), and for stream stores (dead = tombstone count).
 struct IndexDocStats {
   std::string index;
   uint64_t live_docs = 0;
   uint64_t dead_docs = 0;
-};
-
-/// A derived (ViST/TwigStack) index stamped stale: its structure is intact
-/// but describes an older generation of the documents. Co-resident derived
-/// indexes now ride every ingest commit, so stamps only appear on indexes a
-/// pre-§5k binary ingested past (or that failed to load at ingest time).
-/// Like dead documents this is dead weight, not corruption — it never makes
-/// the report unclean.
-struct StaleIndexNote {
-  std::string index;
-  uint64_t stale_as_of_gen = 0;  ///< first generation the index missed
 };
 
 /// Accumulated result of ScrubPages and/or VerifyDatabase. A database is
@@ -56,7 +43,6 @@ struct VerifyReport {
   uint64_t free_pages = 0;       ///< persistent free-list entries at open
   std::vector<VerifyIssue> issues;
   std::vector<IndexDocStats> doc_stats;  ///< per document-bearing entry
-  std::vector<StaleIndexNote> stale_indexes;  ///< stamped by older binaries
 
   bool clean() const { return issues.empty(); }
 };
@@ -72,9 +58,12 @@ Status ScrubPages(const std::string& path, VerifyReport* report);
 /// Phase 2 of `prix verify`: opens the database and structurally walks
 /// every catalog entry — B+-trees via WalkReachable (reporting the node
 /// path of each fault), document/sequence records, stream pages, and blob
-/// chains. The database is opened for the walk and abandoned without
-/// committing anything. Open failures (bad superblock, old format) become
-/// issues, not errors; non-OK means the walk infrastructure itself failed.
+/// chains. A ViST or stream store whose document count matches no PRIX
+/// index is an issue, as is an XB-forest with no stream store: online ingest
+/// refuses to write past either. The database is opened for the walk and
+/// abandoned without committing anything. Open failures (bad superblock,
+/// old format) become issues, not errors; non-OK means the walk
+/// infrastructure itself failed.
 Status VerifyDatabase(const std::string& path, VerifyReport* report);
 
 /// Result of one SalvageDatabase run.
@@ -82,8 +71,9 @@ struct SalvageReport {
   SalvageStats stats;                  ///< summed over all salvaged indexes
   uint64_t indexes_salvaged = 0;       ///< entries rebuilt into `dst`
   std::vector<std::string> dropped;    ///< entries lost or not salvageable
-  /// Derived entries (stream stores, XB-forests, unwalkable ViSTs) rebuilt
-  /// from the salvaged documents rather than copied from the source.
+  /// Derived entries (stream stores, XB-forests, unwalkable or misaligned
+  /// ViSTs) rebuilt from the salvaged documents rather than copied from the
+  /// source.
   std::vector<std::string> rebuilt;
 };
 
@@ -91,12 +81,13 @@ struct SalvageReport {
 /// into a fresh database file at `dst` (which must not be `src`), skipping
 /// poisoned subtrees, and copies readable blob entries (e.g. the tag
 /// dictionary). Derived entries — stream stores, XB-forests, and any ViST
-/// whose own structure cannot be walked — are rebuilt from the documents
-/// reconstructed out of the first salvageable PRIX index (tombstoned or
-/// unreadable documents become empty placeholders, tombstoned again where
-/// the format supports it) and listed in `report->rebuilt`; only when no
-/// PRIX index survives to reconstruct from are they dropped. Fails when
-/// `src`'s catalog cannot be opened at all or `dst` cannot be written.
+/// that cannot be walked or holds a different number of documents — are
+/// rebuilt from the documents reconstructed out of the first salvageable
+/// PRIX index (tombstoned or unreadable documents become empty
+/// placeholders, tombstoned again where the format supports it) and listed
+/// in `report->rebuilt`; only when no PRIX index survives to reconstruct
+/// from are they dropped. Fails when `src`'s catalog cannot be opened at
+/// all or `dst` cannot be written.
 Status SalvageDatabase(const std::string& src, const std::string& dst,
                        SalvageReport* report);
 

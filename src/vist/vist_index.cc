@@ -201,16 +201,6 @@ Result<std::unique_ptr<VistIndex>> VistIndex::OpenFromEntry(
     return Status::InvalidArgument("catalog entry '" + entry.name +
                                    "' is not a ViST index");
   }
-  if (entry.stale_as_of_gen != 0) {
-    // The index was built by an older binary and a later ingest commit
-    // mutated the collection without carrying it along (current binaries
-    // keep co-resident ViST indexes live in the same commit). Its answers
-    // would silently miss or resurrect documents, so refuse to open it.
-    return Status::FailedPrecondition(
-        "index '" + entry.name + "' is stale as of generation " +
-        std::to_string(entry.stale_as_of_gen) +
-        ", rebuild or query the PRIX index");
-  }
   std::vector<char> blob;
   Status blob_st = ReadBlob(pool, entry.root, &blob);
   if (!blob_st.ok()) {

@@ -91,8 +91,8 @@ class VistIndex {
                  SalvageStats* stats) const;
 
   /// Reopens an index from a catalog entry directly — the snapshot read
-  /// path (entry from a pinned Snapshot) and the ingest acquire path. Kind
-  /// and staleness checks happen here; Open delegates.
+  /// path (entry from a pinned Snapshot) and the ingest acquire path. The
+  /// kind check happens here; Open delegates.
   static Result<std::unique_ptr<VistIndex>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry);
 

@@ -62,6 +62,14 @@ uint32_t Document::MaxDepth() const {
   return depths.empty() ? 0 : *std::max_element(depths.begin(), depths.end());
 }
 
+Status CheckDocumentDepth(const Document& doc) {
+  const uint32_t depth = doc.MaxDepth();
+  if (depth <= kMaxDocumentDepth) return Status::OK();
+  return Status::InvalidArgument(
+      "document is " + std::to_string(depth) + " levels deep; at most " +
+      std::to_string(kMaxDocumentDepth) + " are accepted");
+}
+
 size_t Document::CountElements() const {
   size_t n = 0;
   for (const auto& node : nodes_) n += node.kind == NodeKind::kElement;

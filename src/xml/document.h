@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/status.h"
 #include "xml/tag_dictionary.h"
 
 namespace prix {
@@ -17,6 +18,11 @@ inline constexpr NodeId kInvalidNode = 0xffffffffu;
 
 /// Identifier of a document within a collection.
 using DocId = uint32_t;
+
+/// The deepest document accepted, counted in nodes on a root-to-leaf path
+/// (root = 1, attribute and value nodes included). Tree builders and matchers
+/// walk documents recursively, so parsing and ingest refuse anything deeper.
+inline constexpr uint32_t kMaxDocumentDepth = 8192;
 
 /// Whether a node is an element (tag label) or a value (character data).
 enum class NodeKind : uint8_t { kElement, kValue };
@@ -111,6 +117,9 @@ struct DocumentCollection {
 /// a monolithic dataset file (e.g. the whole DBLP tree) into its collection
 /// of 328858 record documents.
 std::vector<Document> SplitIntoRecords(const Document& doc);
+
+/// InvalidArgument when `doc` is deeper than kMaxDocumentDepth.
+Status CheckDocumentDepth(const Document& doc);
 
 }  // namespace prix
 

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -36,10 +38,11 @@ Result<Document> XmlParser::Parse(std::string_view text) {
   if (AtEnd() || Peek() != '<') {
     return Error("expected root element");
   }
-  PRIX_RETURN_NOT_OK(ParseElement(kInvalidNode));
+  PRIX_RETURN_NOT_OK(ParseElement());
   PRIX_RETURN_NOT_OK(SkipMisc());
   SkipWhitespace();
   if (!AtEnd()) return Error("trailing content after root element");
+  PRIX_RETURN_NOT_OK(CheckDocumentDepth(doc_));
   return std::move(doc_);
 }
 
@@ -71,26 +74,72 @@ Status XmlParser::SkipMisc() {
   }
 }
 
-Status XmlParser::ParseElement(NodeId parent) {
+Status XmlParser::ParseElement() {
   PRIX_DCHECK(Peek() == '<');
-  ++pos_;  // consume '<'
-  PRIX_ASSIGN_OR_RETURN(std::string name, ParseName());
-  LabelId label = dict_->Intern(name);
-  NodeId element = parent == kInvalidNode ? doc_.AddRoot(label)
-                                          : doc_.AddChild(parent, label);
-  bool self_closing = false;
-  PRIX_RETURN_NOT_OK(ParseAttributes(element, &self_closing));
-  if (self_closing) return Status::OK();
-  PRIX_RETURN_NOT_OK(ParseContent(element));
-  // ParseContent stops at "</"; consume the end tag.
-  pos_ += 2;
-  PRIX_ASSIGN_OR_RETURN(std::string end_name, ParseName());
-  if (end_name != name) {
-    return Error("mismatched end tag </" + end_name + "> for <" + name + ">");
+  // Iterative, so input nesting cannot exhaust the call stack: `open` holds
+  // the elements whose end tag is still to come, innermost last.
+  struct OpenElement {
+    NodeId node;
+    std::string name;
+    std::string pending_text;  ///< character data not yet flushed
+  };
+  std::vector<OpenElement> open;
+  // Parses the start tag at pos_ and opens the element unless self-closing.
+  auto start_tag = [&]() -> Status {
+    ++pos_;  // consume '<'
+    PRIX_ASSIGN_OR_RETURN(std::string name, ParseName());
+    LabelId label = dict_->Intern(name);
+    NodeId element = open.empty() ? doc_.AddRoot(label)
+                                  : doc_.AddChild(open.back().node, label);
+    bool self_closing = false;
+    PRIX_RETURN_NOT_OK(ParseAttributes(element, &self_closing));
+    if (!self_closing) {
+      open.push_back(OpenElement{element, std::move(name), {}});
+    }
+    return Status::OK();
+  };
+  auto flush_text = [&](OpenElement* top) -> Status {
+    if (top->pending_text.empty()) return Status::OK();
+    PRIX_ASSIGN_OR_RETURN(std::string decoded, DecodeText(top->pending_text));
+    AddTextNode(top->node, decoded);
+    top->pending_text.clear();
+    return Status::OK();
+  };
+  PRIX_RETURN_NOT_OK(start_tag());
+  while (!open.empty()) {
+    OpenElement* top = &open.back();
+    if (AtEnd()) return Error("unexpected end of input in element content");
+    if (Consume("</")) {
+      PRIX_RETURN_NOT_OK(flush_text(top));
+      PRIX_ASSIGN_OR_RETURN(std::string end_name, ParseName());
+      if (end_name != top->name) {
+        return Error("mismatched end tag </" + end_name + "> for <" +
+                     top->name + ">");
+      }
+      SkipWhitespace();
+      if (AtEnd() || Peek() != '>') return Error("expected '>' in end tag");
+      ++pos_;
+      open.pop_back();
+    } else if (Lookahead("<!--")) {
+      PRIX_RETURN_NOT_OK(SkipComment());
+    } else if (Lookahead("<![CDATA[")) {
+      pos_ += 9;
+      size_t end = text_.find("]]>", pos_);
+      if (end == std::string_view::npos) return Error("unterminated CDATA");
+      // CDATA content is literal; bypass entity decoding by adding directly.
+      PRIX_RETURN_NOT_OK(flush_text(top));
+      AddTextNode(top->node, text_.substr(pos_, end - pos_));
+      pos_ = end + 3;
+    } else if (Lookahead("<?")) {
+      PRIX_RETURN_NOT_OK(SkipProcessingInstruction());
+    } else if (Peek() == '<') {
+      PRIX_RETURN_NOT_OK(flush_text(top));
+      PRIX_RETURN_NOT_OK(start_tag());
+    } else {
+      top->pending_text += Peek();
+      ++pos_;
+    }
   }
-  SkipWhitespace();
-  if (AtEnd() || Peek() != '>') return Error("expected '>' in end tag");
-  ++pos_;
   return Status::OK();
 }
 
@@ -117,49 +166,6 @@ Status XmlParser::ParseAttributes(NodeId element, bool* self_closing) {
       NodeId attr_node = doc_.AddChild(element, dict_->Intern("@" + attr_name));
       doc_.AddChild(attr_node, dict_->Intern(value), NodeKind::kValue);
     }
-  }
-}
-
-Status XmlParser::ParseContent(NodeId element) {
-  std::string pending_text;
-  auto flush_text = [&]() -> Status {
-    if (pending_text.empty()) return Status::OK();
-    PRIX_ASSIGN_OR_RETURN(std::string decoded, DecodeText(pending_text));
-    AddTextNode(element, decoded);
-    pending_text.clear();
-    return Status::OK();
-  };
-  while (true) {
-    if (AtEnd()) return Error("unexpected end of input in element content");
-    if (Lookahead("</")) {
-      PRIX_RETURN_NOT_OK(flush_text());
-      return Status::OK();
-    }
-    if (Lookahead("<!--")) {
-      PRIX_RETURN_NOT_OK(SkipComment());
-      continue;
-    }
-    if (Lookahead("<![CDATA[")) {
-      pos_ += 9;
-      size_t end = text_.find("]]>", pos_);
-      if (end == std::string_view::npos) return Error("unterminated CDATA");
-      // CDATA content is literal; bypass entity decoding by adding directly.
-      PRIX_RETURN_NOT_OK(flush_text());
-      AddTextNode(element, text_.substr(pos_, end - pos_));
-      pos_ = end + 3;
-      continue;
-    }
-    if (Lookahead("<?")) {
-      PRIX_RETURN_NOT_OK(SkipProcessingInstruction());
-      continue;
-    }
-    if (Peek() == '<') {
-      PRIX_RETURN_NOT_OK(flush_text());
-      PRIX_RETURN_NOT_OK(ParseElement(element));
-      continue;
-    }
-    pending_text += Peek();
-    ++pos_;
   }
 }
 

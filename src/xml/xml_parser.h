@@ -18,11 +18,13 @@ struct XmlParseOptions {
   bool keep_whitespace_text = false;
 };
 
-/// A recursive-descent, non-validating XML parser producing a Document whose
-/// labels are interned in `dict`. Supports elements, attributes, character
-/// data, CDATA sections, comments, processing instructions, a DOCTYPE
-/// declaration, and the predefined + numeric character entities. Namespaces
-/// are kept verbatim in tag names (prefix:local).
+/// A non-validating XML parser producing a Document whose labels are
+/// interned in `dict`. Supports elements, attributes, character data, CDATA
+/// sections, comments, processing instructions, a DOCTYPE declaration, and
+/// the predefined + numeric character entities. Namespaces are kept verbatim
+/// in tag names (prefix:local). Open elements live on an explicit stack, so
+/// nesting costs heap, not call stack; a document deeper than
+/// kMaxDocumentDepth is refused with InvalidArgument.
 class XmlParser {
  public:
   explicit XmlParser(TagDictionary* dict, XmlParseOptions options = {})
@@ -33,8 +35,8 @@ class XmlParser {
 
  private:
   Status ParseProlog();
-  Status ParseElement(NodeId parent);
-  Status ParseContent(NodeId element);
+  /// Parses the root element and everything inside it.
+  Status ParseElement();
   Status ParseAttributes(NodeId element, bool* self_closing);
   Status SkipMisc();
   Status SkipComment();

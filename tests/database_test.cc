@@ -259,33 +259,38 @@ TEST(DatabaseTest, BothSlotsTornIsUnrecoverable) {
       << reopened.status().ToString();
 }
 
-TEST(DatabaseTest, V1FormatFileIsRejectedWithMigrationHint) {
-  // Migration guard: a file written by the format-1 layout (no page
-  // trailers) must not be half-read; the error tells the operator to
-  // rebuild rather than reporting generic corruption. A v1 slot is
-  // simulated by patching the version field of both header slots — the
-  // magic survives, so version is judged before anything else.
-  testutil::TempDb db(Database::Options{.pool_pages = 64});
-  ASSERT_TRUE(db.CloseHandle().ok());
-  for (int slot = 0; slot < 2; ++slot) {
-    std::FILE* f = std::fopen(db.path().c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    uint32_t v1 = 1;
-    std::fseek(f, static_cast<long>(slot) * kPageSize + 4, SEEK_SET);
-    ASSERT_EQ(std::fwrite(&v1, 1, sizeof(v1), f), sizeof(v1));
-    std::fclose(f);
+TEST(DatabaseTest, OlderFormatFilesAreRejectedWithMigrationHint) {
+  // Migration guard: a file written by an older layout (format 1 has no
+  // page trailers, format 2 has optional header trailers and stale stamps)
+  // must not be half-read; the error tells the operator to rebuild rather
+  // than reporting generic corruption. An old slot is simulated by patching
+  // the version field of both header slots — the magic survives, so version
+  // is judged before anything else.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("format " + std::to_string(version));
+    testutil::TempDb db(Database::Options{.pool_pages = 64});
+    ASSERT_TRUE(db.CloseHandle().ok());
+    for (int slot = 0; slot < 2; ++slot) {
+      std::FILE* f = std::fopen(db.path().c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      std::fseek(f, static_cast<long>(slot) * kPageSize + 4, SEEK_SET);
+      ASSERT_EQ(std::fwrite(&version, 1, sizeof(version), f),
+                sizeof(version));
+      std::fclose(f);
+    }
+    auto reopened = Database::Open(db.path());
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument)
+        << reopened.status().ToString();
+    EXPECT_NE(reopened.status().ToString().find(
+                  "format version " + std::to_string(version) +
+                  " unsupported"),
+              std::string::npos)
+        << reopened.status().ToString();
+    EXPECT_NE(reopened.status().ToString().find("rebuild index"),
+              std::string::npos)
+        << reopened.status().ToString();
   }
-  auto reopened = Database::Open(db.path());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_EQ(reopened.status().code(), StatusCode::kInvalidArgument)
-      << reopened.status().ToString();
-  EXPECT_NE(
-      reopened.status().ToString().find("format version 1 unsupported"),
-      std::string::npos)
-      << reopened.status().ToString();
-  EXPECT_NE(reopened.status().ToString().find("rebuild index"),
-            std::string::npos)
-      << reopened.status().ToString();
 }
 
 TEST(DatabaseTest, OpenMissingFileIsNotFound) {

@@ -152,6 +152,33 @@ TEST_F(IngestTest, ErrorsLeaveTheIndexUntouched) {
   EXPECT_EQ((*index)->num_live_docs(), 0u);
 }
 
+TEST_F(IngestTest, DepthLimitAppliesToInsertAndUpdate) {
+  Seed("rp", {"(book (title))"});
+  // `<r>` over a chain of `<a>`: `depth` levels of nodes in all.
+  auto chain = [&](uint32_t depth, DocId id) {
+    Document doc(id);
+    NodeId node = doc.AddRoot(dict_.Intern("r"));
+    for (uint32_t level = 2; level <= depth; ++level) {
+      node = doc.AddChild(node, dict_.Intern("a"));
+    }
+    return doc;
+  };
+  const uint64_t gen = db_->catalog_generation();
+  for (DocId id : {1u, 2u}) {
+    Document over = chain(kMaxDocumentDepth + 1, id);
+    EXPECT_EQ(db_->InsertDocument("rp", over).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db_->UpdateDocument("rp", 0, over).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(db_->catalog_generation(), gen);
+
+  auto id = db_->InsertDocument("rp", chain(kMaxDocumentDepth, 1));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(db_->catalog_generation(), gen + 1);
+  EXPECT_EQ(Query("rp", "/r/a"), (std::vector<DocId>{*id}));
+}
+
 TEST_F(IngestTest, ExactLabeledIndexGrowsItsRangesAndRelabels) {
   // An exact-labeled trie has zero slack everywhere, so the very first
   // insert that extends a path must go through the relabel machinery.

@@ -69,10 +69,31 @@ class TriEngineIngestTest : public ::testing::Test {
     ASSERT_TRUE((*forest)->Save(&db_.db(), "xb").ok());
   }
 
-  uint64_t StaleGen(const std::string& name) {
-    auto entry = db_.db().GetIndex(name);
-    EXPECT_TRUE(entry.ok()) << entry.status().ToString();
-    return entry.ok() ? entry->stale_as_of_gen : ~0ull;
+  // Closes the database, runs `prix verify`'s structural walk over it and
+  // reopens it. The walk must find no issue (a ViST or stream store out of
+  // step with the PRIX indexes is one, since the next write would refuse
+  // it), and every engine in `names` must hold the same number of
+  // documents.
+  void ExpectVerifiesAligned(const std::vector<std::string>& names) {
+    const std::string path = db_.path();
+    ASSERT_TRUE(db_.CloseHandle().ok());
+    VerifyReport report;
+    ASSERT_TRUE(VerifyDatabase(path, &report).ok());
+    for (const VerifyIssue& issue : report.issues) {
+      ADD_FAILURE() << issue.index << " (" << issue.context
+                    << "): " << issue.message;
+    }
+    std::map<std::string, uint64_t> docs;
+    for (const IndexDocStats& ds : report.doc_stats) {
+      docs[ds.index] = ds.live_docs + ds.dead_docs;
+    }
+    for (const std::string& name : names) {
+      ASSERT_EQ(docs.count(name), 1u) << name;
+      EXPECT_EQ(docs[name], docs[names.front()]) << name;
+    }
+    auto reopened = Database::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    db_.Adopt(std::move(*reopened));
   }
 
   // Doc-level oracle: live documents with at least one embedding under
@@ -141,11 +162,9 @@ TEST_F(TriEngineIngestTest, GrownEnginesEqualBulkRebuildsAndPrix) {
   ASSERT_GT(deletes, 3) << "workload never deleted; retune the seed";
   ASSERT_GT(updates, 3) << "workload never updated; retune the seed";
 
-  // No engine fell out of any commit: nothing is stamped, every engine
-  // opens at the final generation, and the document spaces line up.
-  for (const char* name : {"rp", "v", "ts", "xb"}) {
-    EXPECT_EQ(StaleGen(name), 0u) << name;
-  }
+  // Every engine rode every commit: the database verifies clean, every
+  // engine opens at the final generation, and the document spaces line up.
+  ExpectVerifiesAligned({"rp", "v", "ts"});
   auto rp = PrixIndex::Open(&db_.db(), "rp");
   auto vist = VistIndex::Open(&db_.db(), "v");
   auto streams = StreamStore::Open(&db_.db(), "ts");
@@ -289,12 +308,8 @@ TEST_F(TriEngineIngestTest, GrownEnginesEqualBulkRebuildsAndPrix) {
   }
   ASSERT_GE(tried, 10u);
 
-  // The grown state is durable and verifiably clean: reopen, re-answer,
-  // then scrub — no issues, no staleness notes, dead-doc accounting only.
+  // The grown state is durable: reopen and re-answer.
   ASSERT_TRUE(db_.Reopen().ok());
-  for (const char* name : {"rp", "v", "ts", "xb"}) {
-    EXPECT_EQ(StaleGen(name), 0u) << name;
-  }
   auto reopened_vist = VistIndex::Open(&db_.db(), "v");
   ASSERT_TRUE(reopened_vist.ok()) << reopened_vist.status().ToString();
   auto pattern = ParseXPath("//tag0//tag1", &dict_);
@@ -304,16 +319,6 @@ TEST_F(TriEngineIngestTest, GrownEnginesEqualBulkRebuildsAndPrix) {
   ASSERT_TRUE(reopened_r.ok()) << reopened_r.status().ToString();
   EXPECT_EQ(Canon(reopened_r->docs),
             Oracle(live, *pattern, MatchSemantics::kOrdered));
-
-  const std::string path = db_.path();
-  ASSERT_TRUE(db_.CloseHandle().ok());
-  VerifyReport report;
-  ASSERT_TRUE(VerifyDatabase(path, &report).ok());
-  EXPECT_TRUE(report.clean());
-  EXPECT_TRUE(report.stale_indexes.empty());
-  auto reopened = Database::Open(path);
-  ASSERT_TRUE(reopened.ok());
-  db_.Adopt(std::move(*reopened));
 }
 
 TEST_F(TriEngineIngestTest, LockstepPrixPairCarriesDerivedEnginesOnce) {
@@ -339,9 +344,7 @@ TEST_F(TriEngineIngestTest, LockstepPrixPairCarriesDerivedEnginesOnce) {
   ASSERT_TRUE(ep_id.ok()) << ep_id.status().ToString();
   EXPECT_EQ(*rp_id, *ep_id);
 
-  for (const char* name : {"rp", "ep", "v", "ts", "xb"}) {
-    EXPECT_EQ(StaleGen(name), 0u) << name;
-  }
+  ExpectVerifiesAligned({"rp", "ep", "v", "ts"});
   auto vist = VistIndex::Open(&db_.db(), "v");
   ASSERT_TRUE(vist.ok()) << vist.status().ToString();
   EXPECT_EQ((*vist)->num_docs(), 3u) << "derived engine double-ingested";
@@ -376,9 +379,7 @@ TEST_F(TriEngineIngestTest, LockstepPrixPairCarriesDerivedEnginesOnce) {
   auto tr2 = ts2.Execute(*pattern);
   ASSERT_TRUE(tr2.ok()) << tr2.status().ToString();
   EXPECT_EQ(Canon(tr2->docs), (std::vector<DocId>{2}));
-  for (const char* name : {"rp", "ep", "v", "ts", "xb"}) {
-    EXPECT_EQ(StaleGen(name), 0u) << name;
-  }
+  ExpectVerifiesAligned({"rp", "ep", "v", "ts"});
 }
 
 TEST_F(TriEngineIngestTest, SharedTailPageIsCopiedAndFreedWithItsLastStream) {

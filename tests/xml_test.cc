@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/document.h"
 #include "xml/tag_dictionary.h"
 #include "xml/xml_parser.h"
@@ -153,6 +155,52 @@ TEST(XmlParserTest, ErrorsCarryLineNumbers) {
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().ToString().find("line 3"), std::string::npos)
       << result.status().ToString();
+}
+
+// `<r>` over a chain of `<a>` elements: `depth` levels of nodes in all.
+std::string Chain(uint32_t depth) {
+  std::string xml = "<r>";
+  for (uint32_t i = 2; i < depth; ++i) xml += "<a>";
+  xml += "<a/>";
+  for (uint32_t i = 2; i < depth; ++i) xml += "</a>";
+  return xml + "</r>";
+}
+
+TEST(XmlParserTest, DepthLimitIsInclusive) {
+  // The 8,000-deep chain used to stress the range descent must still parse.
+  EXPECT_GE(kMaxDocumentDepth, 8192u);
+  TagDictionary dict;
+  auto at_limit = ParseXml(Chain(kMaxDocumentDepth), &dict);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->MaxDepth(), kMaxDocumentDepth);
+
+  auto over = ParseXml(Chain(kMaxDocumentDepth + 1), &dict);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument)
+      << over.status().ToString();
+  EXPECT_NE(over.status().ToString().find(
+                std::to_string(kMaxDocumentDepth + 1) + " levels deep"),
+            std::string::npos)
+      << over.status().ToString();
+
+  // Value and attribute nodes are levels too: a text leaf under the
+  // deepest element of a limit-deep chain goes one past.
+  std::string text_leaf = Chain(kMaxDocumentDepth);
+  text_leaf.replace(text_leaf.find("<a/>"), 4, "<a>x</a>");
+  EXPECT_EQ(ParseXml(text_leaf, &dict).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(XmlParserTest, FarTooDeepInputIsRefusedNotACrash) {
+  TagDictionary dict;
+  auto deep = ParseXml(Chain(200000), &dict);
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument)
+      << deep.status().ToString();
+  // Unbalanced deep input is a parse error, found without recursion.
+  std::string unclosed = Chain(200000);
+  unclosed.resize(unclosed.size() / 2);
+  EXPECT_EQ(ParseXml(unclosed, &dict).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(XmlWriterTest, RoundTripPreservesStructure) {

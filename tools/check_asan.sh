@@ -18,4 +18,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+# The depth limit end to end: the deepest accepted document through every
+# engine's build and ingest paths, sanitized.
+tools/check_depth.sh "$BUILD_DIR"
 echo "ASan/UBSan: all tests passed with zero reports."

@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Depth limit, end to end through the CLI: a document exactly
+# kMaxDocumentDepth levels deep (src/xml/document.h) must index and insert,
+# and one level more must be refused with InvalidArgument (exit 1, no
+# crash) by both `prix index` and `prix insert`, leaving the database
+# intact. Run against a plain build by check_serve.sh and against the
+# sanitized build by check_asan.sh.
+#
+# Usage: tools/check_depth.sh [build-dir]   (default: build; prix_cli built)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+PRIX="${1:-build}/tools/prix"
+LIMIT=$(sed -n 's/.*kMaxDocumentDepth = \([0-9]*\);.*/\1/p' src/xml/document.h)
+[[ -n "$LIMIT" ]] || { echo "kMaxDocumentDepth not found"; exit 1; }
+
+WORK="$(mktemp -d /tmp/prix_depth_ci.XXXXXX)"
+trap 'rm -rf "$WORK"' EXIT
+
+# <r> over a chain of <a> elements: $1 levels of nodes in all.
+chain() {
+  python3 -c "import sys; n = int(sys.argv[1]); \
+print('<r>' + '<a>' * (n - 2) + '<a/>' + '</a>' * (n - 2) + '</r>')" "$1"
+}
+chain "$LIMIT" > "$WORK/at.xml"
+chain $((LIMIT + 1)) > "$WORK/over.xml"
+
+# Fails unless the command exits 1 and names InvalidArgument.
+expect_refused() {
+  local rc=0
+  "$@" > "$WORK/out.txt" 2>&1 || rc=$?
+  if [[ "$rc" -ne 1 ]] || ! grep -q "InvalidArgument" "$WORK/out.txt"; then
+    echo "expected an InvalidArgument refusal (exit 1), got exit $rc:"
+    cat "$WORK/out.txt"
+    exit 1
+  fi
+}
+
+echo "---- depth $LIMIT indexes and inserts, depth $((LIMIT + 1)) is refused ----"
+"$PRIX" index "$WORK/at.prix" "$WORK/at.xml" > /dev/null
+"$PRIX" insert "$WORK/at.prix" "$WORK/at.xml" > /dev/null
+expect_refused "$PRIX" index "$WORK/over.prix" "$WORK/over.xml"
+expect_refused "$PRIX" insert "$WORK/at.prix" "$WORK/over.xml"
+"$PRIX" verify "$WORK/at.prix" > /dev/null
+echo "depth gate: all checks passed."

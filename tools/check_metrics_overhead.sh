@@ -2,14 +2,16 @@
 # Guards the "metrics are free when disabled" contract (DESIGN.md Sec. 5f):
 # with the charge hooks compiled in but no MetricsContext open, the storage
 # hot paths must stay within TOLERANCE percent of a -DPRIX_NO_METRICS=ON
-# build that compiles the hooks out entirely. Compares the median of
+# build that compiles the hooks out entirely. Compares the minimum of
 # repeated runs of bench_micro_core's buffer-pool and B+-tree benchmarks
 # (the paths that charge on every page fetch / node visit) and fails the
 # gate if the instrumented build regresses past the budget.
 #
 # Usage: tools/check_metrics_overhead.sh
 #   TOLERANCE=2   overhead budget in percent
-#   REPS=9        benchmark repetitions (median taken across them)
+#   REPS=5        benchmark repetitions per round
+#   ROUNDS=8      on/off rounds, each pinned to one CPU (minimum taken
+#                 across all of them)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,7 +46,7 @@ build build-nometrics -DPRIX_NO_METRICS=ON "-DCMAKE_CXX_FLAGS=$ALIGN_FLAGS"
 # hook overhead adds to — and tightens as samples accumulate, where means
 # and medians keep jitter from whichever rounds were throttled.
 run() {
-  "$1"/bench/bench_micro_core \
+  taskset -c "$2" "$1"/bench/bench_micro_core \
       --benchmark_filter="$FILTER" \
       --benchmark_repetitions="$REPS" \
       --benchmark_min_time=0.1 \
@@ -54,13 +56,29 @@ run() {
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
+# This host's vCPUs run at speeds 2-4x apart (perfbench/README.md), more
+# than the budget, so an unpinned pair can compare two different CPUs. Both
+# binaries of a round run on one CPU, and the CPU rotates across rounds as
+# perfbench's passes do: each build's minimum then comes from the same set
+# of CPUs. Which binary goes first alternates on each CPU's successive
+# rounds, so neither always runs on a CPU the other has just warmed.
+mapfile -t CPUS < <(python3 -c \
+  'import os; print("\n".join(map(str, sorted(os.sched_getaffinity(0)))))')
+
 measure() {
   local rounds=$1
   rm -f "$tmpdir"/on.*.json "$tmpdir"/off.*.json
-  echo "measuring: $rounds alternating rounds x $REPS repetitions"
+  echo "measuring: $rounds alternating rounds x $REPS repetitions," \
+       "pinned per round across CPUs ${CPUS[*]}"
   for ((i = 0; i < rounds; ++i)); do
-    run build-metrics > "$tmpdir/on.$i.json"
-    run build-nometrics > "$tmpdir/off.$i.json"
+    local cpu=${CPUS[i % ${#CPUS[@]}]}
+    if (((i / ${#CPUS[@]}) % 2)); then
+      run build-nometrics "$cpu" > "$tmpdir/off.$i.json"
+      run build-metrics "$cpu" > "$tmpdir/on.$i.json"
+    else
+      run build-metrics "$cpu" > "$tmpdir/on.$i.json"
+      run build-nometrics "$cpu" > "$tmpdir/off.$i.json"
+    fi
   done
   python3 - "$TOLERANCE" "$rounds" "$tmpdir" <<'EOF'
 import json

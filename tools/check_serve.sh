@@ -13,6 +13,8 @@
 #      (`prix query --engine all`, DESIGN.md §5k)
 #   3. a client killed mid-run (SIGKILL) must leave the server healthy
 #   4. SIGTERM must drain: in-flight work finishes, the process exits 0
+#   5. the document depth limit through `prix index` and `prix insert`
+#      (tools/check_depth.sh)
 #
 # Usage: tools/check_serve.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -129,5 +131,7 @@ grep -q "exited cleanly" "$WORK/server.log"
 
 # The drained database is intact.
 "$PRIX" verify "$WORK/db.prix" >/dev/null
+
+tools/check_depth.sh "$BUILD_DIR"
 
 echo "serve gate: all checks passed."

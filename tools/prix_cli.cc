@@ -1134,11 +1134,6 @@ int CmdVerify(const std::string& path, bool salvage,
                 ds.index.c_str(), (unsigned long long)ds.live_docs,
                 (unsigned long long)ds.dead_docs);
   }
-  for (const StaleIndexNote& sn : walk.stale_indexes) {
-    std::printf("  index '%s': STALE as of generation %llu (an older binary "
-                "ingested past it; rebuild to refresh)\n",
-                sn.index.c_str(), (unsigned long long)sn.stale_as_of_gen);
-  }
   if (walk.free_pages > 0) {
     std::printf("  free list: %llu page(s) awaiting reuse\n",
                 (unsigned long long)walk.free_pages);
