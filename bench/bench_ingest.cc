@@ -23,8 +23,7 @@
 //                     pinned snapshot entries each batch; reports per-engine
 //                     reader p50/p95.
 //
-// Emits BENCH_ingest.json. PRIX_COMPRESS selects the on-disk format;
-// PRIX_BENCH_SCALE scales the collection.
+// Emits BENCH_ingest.json. PRIX_BENCH_SCALE scales the collection.
 
 #include <unistd.h>
 
@@ -94,8 +93,8 @@ int main() {
   const size_t total = coll.documents.size();
   const size_t seed_count = total / 2;
   std::printf("Online ingest bench: DBLP analog, %zu docs (%zu seed + %zu "
-              "ingested), compressed=%d\n",
-              total, seed_count, total - seed_count, CompressFromEnv());
+              "ingested)\n",
+              total, seed_count, total - seed_count);
 
   char dir[] = "/tmp/prix_bench_ingest_XXXXXX";
   if (mkdtemp(dir) == nullptr) {
@@ -359,7 +358,6 @@ int main() {
   w.BeginObject();
   w.Key("bench").String("ingest");
   w.Key("scale").Double(scale);
-  w.Key("compressed").Bool(CompressFromEnv());
   w.Key("total_docs").UInt(total);
   w.Key("seed_docs").UInt(seed_count);
   auto phase = [&](const char* name, const IngestPhase& p) {

@@ -29,7 +29,7 @@ struct BtreeScrubStats {
 /// Counters from one index salvage pass (PrixIndex/VistIndex::Salvage):
 /// what made it into the rebuilt index versus what the corruption took.
 struct SalvageStats {
-  uint64_t entries_recovered = 0;  ///< B+-tree entries re-inserted
+  uint64_t entries_recovered = 0;  ///< B+-tree entries carried over
   uint64_t entries_dropped = 0;    ///< duplicates a corrupt tree yielded
   uint64_t subtrees_skipped = 0;   ///< poisoned subtrees not walked
   uint64_t records_recovered = 0;  ///< document/sequence records copied
@@ -44,20 +44,20 @@ struct SalvageStats {
 /// - Keys are unique; callers needing duplicates append a sequence number to
 ///   the key (all in-tree composite keys do this).
 /// - `Compare` is a strict weak order over Key.
-/// - Supported operations: Insert, Get, Delete (with empty-node unlinking —
-///   freed pages are reported to the CowContext when one is installed),
-///   ordered iteration via Iterator with Seek/Next.
+/// - Supported operations: BulkLoad (builds), Insert, Get, Delete (with
+///   empty-node unlinking — freed pages are reported to the CowContext when
+///   one is installed), ordered iteration via Iterator with Seek/Next.
 ///
 /// Concurrency (DESIGN.md §5c/§5i): the read paths — Get, Seek,
 /// SeekToFirst, and Iterator traversal — are safe from any number of
 /// threads over a thread-safe BufferPool. They hold page pins frame by
 /// frame via PageGuard, keep no shared mutable state (the cached `meta_` is
-/// written only by Create/Open/Insert/Delete), and never write page
-/// payloads. Insert/Delete/Create are NOT safe against concurrent writers
-/// on the same tree (one writer at a time). Readers may run concurrently
-/// with a writer ONLY under the copy-on-write protocol: the writer
-/// installs a CowContext (SetCow) so every mutation lands on pages no
-/// committed generation can reach, while readers traverse from the root
+/// written only by Create/BulkLoad/Open/Insert/Delete), and never write
+/// page payloads. Insert/Delete/Create are NOT safe against concurrent
+/// writers on the same tree (one writer at a time). Readers may run
+/// concurrently with a writer ONLY under the copy-on-write protocol: the
+/// writer installs a CowContext (SetCow) so every mutation lands on pages
+/// no committed generation can reach, while readers traverse from the root
 /// recorded in the generation their snapshot pins. Without a CowContext
 /// (bulk builds) the single-writer rule of old applies: the build must
 /// finish before readers start.
@@ -66,12 +66,13 @@ struct SalvageStats {
 /// the disk changed; the checks here catch bytes that are internally
 /// inconsistent anyway (a stale page a misdirected write put in the wrong
 /// place still has a valid CRC). Every node fetched is validated by
-/// CheckNode — magic, leaf flag/format/level coherence, entry count and
-/// payload length within capacity — and descents track the expected level,
-/// so a corrupt child pointer that jumps across levels (or into a cycle)
-/// fails in at most `height` steps. Compressed-leaf varint decoding is
-/// bounds-checked against the recorded payload length and must consume it
-/// exactly; any mismatch is a Corruption status, never an overread.
+/// CheckNode — magic, leaf flag/format/level coherence, entry count,
+/// payload length and restart offsets within the page — and descents track
+/// the expected level, so a corrupt child pointer that jumps across levels
+/// (or into a cycle) fails in at most `height` steps. Leaf decoding is
+/// bounds-checked against the end of the current restart group, each group
+/// must decode to whole entries in ascending key order; any mismatch is a
+/// Corruption status, never an overread.
 ///
 /// Node layout (within the kPageUsable payload; the page trailer is the
 /// storage layer's):
@@ -79,55 +80,54 @@ struct SalvageStats {
 ///   byte 2      : is_leaf flag
 ///   byte 3      : level (leaves are 0, root is height-1)
 ///   bytes 4..5  : entry count (uint16)
-///   byte 6      : leaf format: 0 = fixed-stride, 1 = compressed (v3).
-///                 Always 0 on internal nodes and on every pre-v3 page.
+///   byte 6      : node format: 1 on leaves (delta-coded), 0 on internal nodes
 ///   byte 7      : reserved
 ///   bytes 8..11 : leaf: next-leaf PageId; internal: leftmost child PageId
-///   bytes 12..13: compressed leaf: encoded payload byte length (uint16);
-///                 reserved (zero) otherwise
-///   bytes 14..15: reserved
+///   bytes 12..13: leaf: entry-stream byte length P (uint16); internal: 0
+///   bytes 14..15: leaf: restart count R (uint16); internal: 0
 ///   bytes 16..  : entries
 ///
-/// Leaf format 0 (fixed): packed (Key, Value) pairs at stride
-/// sizeof(Key)+sizeof(Value); capacity kLeafCapacity, binary-searchable in
-/// place. Internal entries are always fixed (Key, PageId child) pairs where
-/// child holds keys >= Key, so descents keep their in-page binary search.
+/// Internal entries are fixed (Key, PageId child) pairs where child holds
+/// keys >= Key, so descents binary-search them in place.
 ///
-/// Leaf format 1 (compressed, DESIGN.md §5h): entries are delta-coded
-/// against their predecessor. Each (Key, Value) is viewed as kEntryWords
-/// little-endian uint64 words (key words then value words, zero-padded);
-/// each word is stored as the zig-zag LEB128 varint of its delta versus the
-/// same word of the previous entry (the first entry deltas against zero, so
-/// its leading key words are effectively a shared-prefix code for the whole
-/// run). Sorted composite keys make these deltas tiny, so leaf fanout rises
-/// several-fold; the entry count is variable and bounded only by the encoded
-/// payload fitting the page. Mutations decode the whole leaf, edit, and
-/// re-encode; splits cut at the encoded-byte midpoint. Inserts re-encode
-/// only up to kCompressedInsertLimit — one max-size entry of headroom below
-/// the page capacity — because removing an entry can GROW the encoding (its
-/// successor re-deltas against a farther predecessor), and the headroom
-/// guarantees the delete path always has room to re-encode in place.
+/// Leaf entries (DESIGN.md §5h) are delta-coded. Each (Key, Value) is
+/// viewed as kEntryWords little-endian uint64 words (key words then value
+/// words, zero-padded); each word is stored as the zig-zag LEB128 varint of
+/// its delta versus the same word of the previous entry. The P-byte stream
+/// is cut into restart groups of at most kRestartInterval entries; the
+/// first entry of a group deltas against zero, and R uint16 stream offsets
+/// of those restart entries follow the stream (the first is always 0).
+/// Get and Seek binary-search the restart keys and decode at most two
+/// groups; iterators decode forward lazily, one group at a time. Sorted
+/// composite keys make the deltas tiny, so a leaf holds several times the
+/// entries of a fixed-stride one; the entry count is bounded only by the
+/// encoding fitting the page.
+///
+/// Insert and Delete decode and re-encode only the restart group the key
+/// falls in (an insert lets a group grow to kMaxGroup entries, then splits
+/// it); the later groups restart against zero, so their bytes only move.
+/// BulkLoad and Insert fill a leaf only up to kLeafInsertLimit — one
+/// max-size entry of headroom below the page capacity — and past it Insert
+/// re-encodes the whole leaf and splits it at the encoded-byte midpoint.
+/// Removing an entry can grow its group's encoding only by re-coding its
+/// successor (against a farther predecessor, or against zero when the
+/// removed entry was a restart), which is strictly less than one max-size
+/// entry: the headroom guarantees the delete path re-encodes in place.
 template <typename Key, typename Value, typename Compare = std::less<Key>>
 class BPlusTree {
   static_assert(std::is_trivially_copyable_v<Key>);
   static_assert(std::is_trivially_copyable_v<Value>);
 
-  /// One decoded leaf entry (compressed leaves are materialized as runs of
-  /// these; declared up front so Iterator can hold a cache of them).
-  struct LeafEntryKV {
+ public:
+  /// One (key, value) pair: what BulkLoad takes and a decoded leaf holds.
+  struct Entry {
     Key key;
     Value value;
   };
 
- public:
   static constexpr uint32_t kMetaMagic = 0xb7ee3e7au;
 
-  /// Persistent tree metadata, kept in the tree's meta page. The leaf
-  /// format is deliberately NOT stored here: pre-v3 meta pages carry
-  /// indeterminate bytes past the fields below, so a flag added to this
-  /// struct could not be trusted on old files. The format is a property of
-  /// the owning index, recorded in its catalog blob and passed to
-  /// Create/Open; the per-page format byte cross-checks it on every fetch.
+  /// Persistent tree metadata, kept in the tree's meta page.
   struct Meta {
     uint32_t magic = kMetaMagic;
     PageId root = kInvalidPage;
@@ -142,24 +142,17 @@ class BPlusTree {
   BPlusTree& operator=(BPlusTree&&) = default;
 
   /// Creates an empty tree: allocates a meta page and an empty root leaf.
-  /// `compressed_leaves` selects the v3 delta-coded leaf format; it must be
-  /// passed identically to every later Open (the owning index's catalog
-  /// records it). A non-null `cow` registers the new pages as
-  /// transaction-fresh (trees created inside a write transaction).
+  /// A non-null `cow` registers the new pages as transaction-fresh (trees
+  /// created inside a write transaction).
   static Result<BPlusTree> Create(BufferPool* pool, Compare cmp = Compare(),
-                                  bool compressed_leaves = false,
                                   CowContext* cow = nullptr) {
     BPlusTree tree;
     tree.pool_ = pool;
     tree.cmp_ = cmp;
-    tree.compressed_ = compressed_leaves;
     tree.cow_ = cow;
-    PRIX_ASSIGN_OR_RETURN(Page * meta_page, tree.AllocNode());
-    tree.meta_page_id_ = meta_page->page_id();
-    SetPageType(meta_page->data(), PageType::kBtreeMeta);
-    pool->UnpinPage(tree.meta_page_id_, /*dirty=*/true);
+    PRIX_RETURN_NOT_OK(tree.AllocMeta());
     PRIX_ASSIGN_OR_RETURN(Page * root, tree.AllocNode());
-    InitNode(root, /*is_leaf=*/true, /*level=*/0, tree.LeafFormatByte());
+    InitNode(root, /*is_leaf=*/true, /*level=*/0);
     tree.meta_.root = root->page_id();
     tree.meta_.height = 1;
     pool->UnpinPage(root->page_id(), /*dirty=*/true);
@@ -167,17 +160,87 @@ class BPlusTree {
     return tree;
   }
 
-  /// Opens an existing tree whose meta page is `meta_page_id`.
-  /// `compressed_leaves` must match what the tree was created with; a
-  /// mismatch surfaces as Corruption at the first leaf fetch (the per-page
-  /// format byte disagrees), never as silently misread entries.
-  static Result<BPlusTree> Open(BufferPool* pool, PageId meta_page_id,
-                                Compare cmp = Compare(),
-                                bool compressed_leaves = false) {
+  /// Builds a tree over `entries`, which must be in strictly ascending key
+  /// order (InvalidArgument otherwise). Each leaf is encoded once, filled
+  /// up to kLeafInsertLimit, and the leaves are allocated in key order;
+  /// internal levels are packed above them with children spread evenly.
+  /// A build-time operation: no CowContext is involved.
+  static Result<BPlusTree> BulkLoad(BufferPool* pool,
+                                    const std::vector<Entry>& entries,
+                                    Compare cmp = Compare()) {
+    for (size_t i = 1; i < entries.size(); ++i) {
+      if (!cmp(entries[i - 1].key, entries[i].key)) {
+        return Status::InvalidArgument(
+            "B+-tree bulk load: keys not strictly ascending at entry " +
+            std::to_string(i));
+      }
+    }
+    if (entries.empty()) return Create(pool, cmp);
     BPlusTree tree;
     tree.pool_ = pool;
     tree.cmp_ = cmp;
-    tree.compressed_ = compressed_leaves;
+    PRIX_RETURN_NOT_OK(tree.AllocMeta());
+    struct Child {
+      Key first;
+      PageId id;
+    };
+    std::vector<Child> level;
+    PageGuard prev;  // the last leaf, pinned until its successor exists
+    LeafImage image;
+    for (size_t i = 0; i < entries.size();) {
+      const size_t first = i;
+      image.Clear();
+      while (i < entries.size() &&
+             image.Append(entries[i], (i - first) % kRestartInterval == 0,
+                          kLeafInsertLimit)) {
+        ++i;
+      }
+      PRIX_ASSIGN_OR_RETURN(Page * leaf, tree.AllocNode());
+      PageGuard guard(pool, leaf);
+      InitNode(leaf, /*is_leaf=*/true, /*level=*/0);
+      WriteLeaf(leaf, image);
+      guard.MarkDirty();
+      if (prev) SetExtra(prev.get(), leaf->page_id());
+      level.push_back(Child{entries[first].key, leaf->page_id()});
+      prev = std::move(guard);
+    }
+    prev.Release();
+    uint32_t height = 1;
+    const size_t fanout = static_cast<size_t>(kInternalCapacity) + 1;
+    while (level.size() > 1) {
+      const size_t nodes = (level.size() + fanout - 1) / fanout;
+      std::vector<Child> up;
+      up.reserve(nodes);
+      for (size_t k = 0, begin = 0; k < nodes; ++k) {
+        const size_t end = level.size() * (k + 1) / nodes;
+        PRIX_ASSIGN_OR_RETURN(Page * node, tree.AllocNode());
+        InitNode(node, /*is_leaf=*/false, height);
+        SetExtra(node, level[begin].id);
+        SetCount(node, static_cast<int>(end - begin - 1));
+        for (size_t j = begin + 1; j < end; ++j) {
+          WriteInternalEntry(node, static_cast<int>(j - begin - 1),
+                             level[j].first, level[j].id);
+        }
+        up.push_back(Child{level[begin].first, node->page_id()});
+        pool->UnpinPage(node->page_id(), /*dirty=*/true);
+        begin = end;
+      }
+      level = std::move(up);
+      ++height;
+    }
+    tree.meta_.root = level.front().id;
+    tree.meta_.height = height;
+    tree.meta_.num_entries = entries.size();
+    PRIX_RETURN_NOT_OK(tree.SaveMeta());
+    return tree;
+  }
+
+  /// Opens an existing tree whose meta page is `meta_page_id`.
+  static Result<BPlusTree> Open(BufferPool* pool, PageId meta_page_id,
+                                Compare cmp = Compare()) {
+    BPlusTree tree;
+    tree.pool_ = pool;
+    tree.cmp_ = cmp;
     tree.meta_page_id_ = meta_page_id;
     PRIX_ASSIGN_OR_RETURN(Page * meta_page, pool->FetchPage(meta_page_id));
     {
@@ -199,7 +262,6 @@ class BPlusTree {
   PageId meta_page_id() const { return meta_page_id_; }
   uint64_t num_entries() const { return meta_.num_entries; }
   uint32_t height() const { return meta_.height; }
-  bool compressed_leaves() const { return compressed_; }
 
   /// Installs (or, with nullptr, removes) the copy-on-write context. With a
   /// context set, every mutation copies committed pages aside first and the
@@ -230,7 +292,8 @@ class BPlusTree {
     return SaveMeta();
   }
 
-  /// Point lookup. Returns NotFound if absent.
+  /// Point lookup. Returns NotFound if absent. The leaf visit decodes at
+  /// most two restart groups.
   /// Node-visit charges are batched per descent (one TLS access at the
   /// leaf); a fetch error loses that descent's node count, never its I/O.
   Result<Value> Get(const Key& key) const {
@@ -244,20 +307,10 @@ class BPlusTree {
       PRIX_RETURN_NOT_OK(CheckNode(page, node, level));
       if (IsLeaf(page)) {
         ChargeBtreeNodes(visited);
-        if (compressed_) {
-          std::vector<LeafEntryKV> entries;
-          PRIX_RETURN_NOT_OK(DecodeCompressedLeaf(page, node, &entries));
-          auto it = LowerBoundEntries(entries, key);
-          if (it != entries.end() && !cmp_(key, it->key)) return it->value;
-          return Status::NotFound("key not in tree");
-        }
-        int idx = LeafLowerBound(page, key);
-        if (idx < Count(page)) {
-          Key k;
-          Value v;
-          ReadLeafEntry(page, idx, &k, &v);
-          if (!cmp_(key, k) && !cmp_(k, key)) return v;
-        }
+        PRIX_ASSIGN_OR_RETURN(size_t group, FindGroup(page, node, key));
+        LeafCursor c = CursorAt(page, group);
+        PRIX_RETURN_NOT_OK(SkipBelow(Stream(page), &c, node, &key));
+        if (c.valid() && !cmp_(key, c.cur().key)) return c.cur().value;
         return Status::NotFound("key not in tree");
       }
       node = ChildForKey(page, key);
@@ -284,7 +337,7 @@ class BPlusTree {
     if (freed) {
       // The whole tree emptied: recreate the empty root leaf.
       PRIX_ASSIGN_OR_RETURN(Page * root, AllocNode());
-      InitNode(root, /*is_leaf=*/true, /*level=*/0, LeafFormatByte());
+      InitNode(root, /*is_leaf=*/true, /*level=*/0);
       meta_.root = root->page_id();
       meta_.height = 1;
       pool_->UnpinPage(root->page_id(), /*dirty=*/true);
@@ -295,37 +348,59 @@ class BPlusTree {
     return SaveMeta();
   }
 
+ private:
+  /// Entries per restart group as built; an insert lets a group grow to
+  /// kMaxGroup before splitting it. Get and Seek decode at most two groups.
+  static constexpr size_t kRestartInterval = 16;
+  static constexpr size_t kMaxGroup = 2 * kRestartInterval;
+
+  /// Forward decoder over a leaf's entry stream, reading either the page
+  /// in place or an iterator's copy of the stream's tail, one restart
+  /// group at a time into `group`. Positions are stream offsets; the bytes
+  /// passed to NextGroup start at offset `origin`, and the uint16 offsets
+  /// of the groups not yet entered sit at byte `restarts` of that buffer.
+  struct LeafCursor {
+    size_t origin = 0;
+    size_t pos = 0;      ///< stream offset of the next undecoded group
+    size_t limit = 0;    ///< stream length P
+    size_t restarts = 0;  ///< buffer index of the next group's end offset
+    size_t restarts_left = 0;
+    Entry group[kMaxGroup];  ///< the decoded current group
+    size_t len = 0;  ///< entries in `group`
+    size_t idx = 0;  ///< current entry; valid while idx < len
+
+    bool valid() const { return idx < len; }
+    const Entry& cur() const { return group[idx]; }
+  };
+
+ public:
   /// Forward iterator over (key, value) pairs in key order.
   ///
-  /// Each leaf is decoded/copied into an owned cache on arrival and its pin
-  /// dropped immediately, so iteration never holds a page pin across user
-  /// code. Advancing past a leaf does NOT follow the on-page next-leaf
-  /// chain: copy-on-write writers leave those pointers stale by design (a
-  /// superseded leaf's left neighbor still names the old page), so the
-  /// iterator instead remembers, from every internal node it descended
-  /// through, the child subtrees to the right of its path and jumps to the
-  /// nearest such subtree's leftmost leaf. Under the snapshot protocol all
-  /// of those page ids stay valid as long as the reader's snapshot is
-  /// pinned; no page a concurrent writer touches is ever reachable from
-  /// this iterator's root.
+  /// On arrival at a leaf the iterator copies the tail of its entry stream
+  /// (from the restart group it starts in) and drops the pin immediately,
+  /// so iteration never holds a page pin across user code; Next decodes a
+  /// restart group each time it enters one. Advancing past a leaf does NOT
+  /// follow the on-page next-leaf chain: copy-on-write writers leave those
+  /// pointers stale by design (a superseded leaf's left neighbor still
+  /// names the old page), so the iterator instead remembers, from every
+  /// internal node it descended through, the child subtrees to the right
+  /// of its path and jumps to the nearest such subtree's leftmost leaf.
+  /// Under the snapshot protocol all of those page ids stay valid as long
+  /// as the reader's snapshot is pinned; no page a concurrent writer
+  /// touches is ever reachable from this iterator's root.
   class Iterator {
    public:
     Iterator() = default;
 
-    bool Valid() const { return pos_ < cache_.size(); }
-    const Key& key() const { return cache_[pos_].key; }
-    const Value& value() const { return cache_[pos_].value; }
+    bool Valid() const { return cursor_.valid(); }
+    const Key& key() const { return cursor_.cur().key; }
+    const Value& value() const { return cursor_.cur().value; }
 
     /// Advances to the next entry; invalidates at the end.
     Status Next() {
       PRIX_DCHECK(Valid());
-      ++pos_;
-      if (pos_ < cache_.size()) return Status::OK();
-      if (pending_.empty()) {
-        cache_.clear();
-        pos_ = 0;
-        return Status::OK();  // end of tree
-      }
+      PRIX_RETURN_NOT_OK(tree_->Step(tail_.data(), &cursor_, leaf_));
+      if (cursor_.valid() || pending_.empty()) return Status::OK();
       PendingSubtree next = pending_.back();
       pending_.pop_back();
       return DescendFrom(next.id, next.level, /*seek_key=*/nullptr);
@@ -342,15 +417,14 @@ class BPlusTree {
     };
 
     /// Descends from `node` (at `level`) to the leaf holding the first key
-    /// >= *seek_key (the subtree's leftmost leaf when null) and fills the
-    /// cache. Right-sibling children of every internal node on the path are
+    /// >= *seek_key (the subtree's leftmost leaf when null) and positions
+    /// there. Right-sibling children of every internal node on the path are
     /// stacked rightmost-first, so the nearest unexplored subtree ends on
     /// top. If the reached leaf has no entry at or after the position, the
     /// descent continues into the next pending subtree until an entry or
     /// the end of the tree is found.
     Status DescendFrom(PageId node, int level, const Key* seek_key) {
-      cache_.clear();
-      pos_ = 0;
+      cursor_.len = 0;
       while (true) {
         // A corrupt child pointer can form a cycle the per-node checks
         // cannot see (every node in it is individually valid). An honest
@@ -366,19 +440,17 @@ class BPlusTree {
         PageGuard guard(tree_->pool_, page);
         PRIX_RETURN_NOT_OK(tree_->CheckNode(page, node, level));
         if (IsLeaf(page)) {
-          PRIX_RETURN_NOT_OK(tree_->FillCache(page, node, &cache_));
-          guard.Release();
-          pos_ = seek_key == nullptr
-                     ? 0
-                     : static_cast<size_t>(
-                           tree_->LowerBoundEntries(cache_, *seek_key) -
-                           cache_.begin());
-          if (pos_ < cache_.size()) return Status::OK();
-          if (pending_.empty()) {
-            cache_.clear();
-            pos_ = 0;
-            return Status::OK();  // end of tree
+          size_t group = 0;
+          if (seek_key != nullptr) {
+            PRIX_ASSIGN_OR_RETURN(group,
+                                  tree_->FindGroup(page, node, *seek_key));
           }
+          cursor_ = CopyTail(page, group, &tail_);
+          guard.Release();
+          leaf_ = node;
+          PRIX_RETURN_NOT_OK(
+              tree_->SkipBelow(tail_.data(), &cursor_, node, seek_key));
+          if (cursor_.valid() || pending_.empty()) return Status::OK();
           node = pending_.back().id;
           level = pending_.back().level;
           pending_.pop_back();
@@ -399,8 +471,9 @@ class BPlusTree {
     }
 
     const BPlusTree* tree_ = nullptr;
-    std::vector<LeafEntryKV> cache_;  ///< current leaf, copied/decoded out
-    size_t pos_ = 0;                  ///< position within cache_
+    std::vector<char> tail_;  ///< current leaf's stream tail + its restarts
+    LeafCursor cursor_;       ///< position within tail_
+    PageId leaf_ = kInvalidPage;
     std::vector<PendingSubtree> pending_;  ///< unexplored subtrees, nearest last
     uint64_t hops_ = 0;
   };
@@ -431,9 +504,9 @@ class BPlusTree {
   /// node, whose subtree is then skipped rather than aborting the walk. A
   /// visited set makes re-converging (shared or cyclic) child pointers an
   /// issue instead of an infinite walk. Only an `emit` failure (the salvage
-  /// destination broke) aborts with its non-OK Status. A compressed leaf
-  /// whose payload fails to decode is issued and skipped like any other
-  /// invalid node.
+  /// destination broke) aborts with its non-OK Status. A leaf whose entry
+  /// stream fails to decode is issued and skipped like any other invalid
+  /// node.
   template <typename EmitFn, typename IssueFn>
   Status WalkReachable(EmitFn emit, IssueFn issue,
                        BtreeScrubStats* stats) const {
@@ -442,30 +515,49 @@ class BPlusTree {
                     &visited, emit, issue, stats);
   }
 
-  // Exposed for tests.
-  static constexpr int LeafCapacity() { return kLeafCapacity; }
-  static constexpr int InternalCapacity() { return kInternalCapacity; }
-  static constexpr size_t CompressedInsertLimit() {
-    return kCompressedInsertLimit;
+  /// Salvage rebuild: bulk-loads into `pool` every entry WalkReachable
+  /// reaches, skipping poisoned subtrees. A corrupt tree can present one
+  /// key twice through distinct leaves; the first value seen is kept and
+  /// the rest are counted as dropped.
+  Result<BPlusTree> SalvageInto(BufferPool* pool, SalvageStats* stats) const {
+    std::vector<Entry> entries;
+    BtreeScrubStats walk;
+    PRIX_RETURN_NOT_OK(WalkReachable(
+        [&](const Key& k, const Value& v) {
+          entries.push_back(Entry{k, v});
+          return Status::OK();
+        },
+        [](PageId, const Status&, const std::string&) {}, &walk));
+    std::stable_sort(entries.begin(), entries.end(),
+                     [this](const Entry& a, const Entry& b) {
+                       return cmp_(a.key, b.key);
+                     });
+    auto kept = std::unique(entries.begin(), entries.end(),
+                            [this](const Entry& a, const Entry& b) {
+                              return !cmp_(a.key, b.key);
+                            });
+    stats->entries_dropped += static_cast<uint64_t>(entries.end() - kept);
+    entries.erase(kept, entries.end());
+    stats->entries_recovered += entries.size();
+    stats->subtrees_skipped += walk.subtrees_skipped;
+    return BulkLoad(pool, entries, cmp_);
   }
-  static constexpr size_t MaxEntryEncoded() { return kMaxEntryEncoded; }
+
+  // Exposed for tests.
+  static constexpr size_t LeafInsertLimit() { return kLeafInsertLimit; }
+  static constexpr size_t RestartInterval() { return kRestartInterval; }
 
  private:
   static constexpr uint16_t kNodeMagic = 0xb7e3;
   static constexpr size_t kHeaderSize = 16;
-  static constexpr size_t kLeafStride = sizeof(Key) + sizeof(Value);
   static constexpr size_t kInternalStride = sizeof(Key) + sizeof(PageId);
-  static constexpr int kLeafCapacity =
-      static_cast<int>((kPageUsable - kHeaderSize) / kLeafStride);
   static constexpr int kInternalCapacity =
       static_cast<int>((kPageUsable - kHeaderSize) / kInternalStride);
-  static_assert(kLeafCapacity >= 4, "key/value too large for a page");
   static_assert(kInternalCapacity >= 4, "key too large for a page");
 
-  // ---- compressed (v3) leaf format ----
-  static constexpr uint8_t kLeafFormatFixed = 0;
-  static constexpr uint8_t kLeafFormatCompressed = 1;
-  /// Bytes available to the encoded entry stream.
+  // ---- delta-coded leaf format ----
+  static constexpr uint8_t kLeafFormat = 1;
+  /// Bytes available to the entry stream plus its restart offsets.
   static constexpr size_t kLeafPayloadMax = kPageUsable - kHeaderSize;
   static constexpr size_t kKeyWords = (sizeof(Key) + 7) / 8;
   static constexpr size_t kValueWords = (sizeof(Value) + 7) / 8;
@@ -476,10 +568,10 @@ class BPlusTree {
   /// Insert-side fill limit: one max-size entry of headroom below the page
   /// so the delete path (which can only grow the encoding by less than one
   /// max-size entry) always re-encodes in place. See the class comment.
-  static constexpr size_t kCompressedInsertLimit =
+  static constexpr size_t kLeafInsertLimit =
       kLeafPayloadMax - kMaxEntryEncoded;
-  static_assert(kCompressedInsertLimit >= 4 * kMaxEntryEncoded,
-                "key/value too large for a compressed leaf page");
+  static_assert(kLeafInsertLimit >= 4 * (kMaxEntryEncoded + 2),
+                "key/value too large for a leaf page");
 
   struct SplitResult {
     bool happened = false;
@@ -487,19 +579,14 @@ class BPlusTree {
     PageId right = kInvalidPage;
   };
 
-  uint8_t LeafFormatByte() const {
-    return compressed_ ? kLeafFormatCompressed : kLeafFormatFixed;
-  }
-
   // ---- node accessors (memcpy-based to sidestep alignment issues) ----
-  static void InitNode(Page* page, bool is_leaf, uint32_t level,
-                       uint8_t leaf_format = kLeafFormatFixed) {
+  static void InitNode(Page* page, bool is_leaf, uint32_t level) {
     std::memset(page->data(), 0, kHeaderSize);
     uint16_t magic = kNodeMagic;
     std::memcpy(page->data(), &magic, sizeof(magic));
     page->data()[2] = is_leaf ? 1 : 0;
     page->data()[3] = static_cast<char>(level);
-    page->data()[6] = static_cast<char>(leaf_format);
+    page->data()[6] = static_cast<char>(is_leaf ? kLeafFormat : 0);
     PageId invalid = kInvalidPage;
     std::memcpy(page->data() + 8, &invalid, sizeof(PageId));
     SetPageType(page->data(), PageType::kBtreeNode);
@@ -508,17 +595,21 @@ class BPlusTree {
   static int Level(const Page* page) {
     return static_cast<uint8_t>(page->data()[3]);
   }
-  static uint8_t LeafFormat(const Page* page) {
+  static uint8_t Format(const Page* page) {
     return static_cast<uint8_t>(page->data()[6]);
   }
-  static int Count(const Page* page) {
-    uint16_t c;
-    std::memcpy(&c, page->data() + 4, sizeof(c));
-    return c;
+  static uint16_t U16At(const char* p) {
+    uint16_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
+  static void SetU16At(char* p, size_t v) {
+    uint16_t u = static_cast<uint16_t>(v);
+    std::memcpy(p, &u, sizeof(u));
+  }
+  static int Count(const Page* page) { return U16At(page->data() + 4); }
   static void SetCount(Page* page, int count) {
-    uint16_t c = static_cast<uint16_t>(count);
-    std::memcpy(page->data() + 4, &c, sizeof(c));
+    SetU16At(page->data() + 4, static_cast<size_t>(count));
   }
   /// Leaf: next-leaf pointer. Internal: leftmost child.
   static PageId Extra(const Page* page) {
@@ -529,111 +620,100 @@ class BPlusTree {
   static void SetExtra(Page* page, PageId id) {
     std::memcpy(page->data() + 8, &id, sizeof(id));
   }
-  /// Compressed leaf: byte length of the encoded entry stream.
-  static uint16_t PayloadLen(const Page* page) {
-    uint16_t n;
-    std::memcpy(&n, page->data() + 12, sizeof(n));
-    return n;
+  /// Leaf: entry-stream length P and restart count R.
+  static size_t StreamLen(const Page* page) {
+    return U16At(page->data() + 12);
   }
-  static void SetPayloadLen(Page* page, size_t n) {
-    uint16_t len = static_cast<uint16_t>(n);
-    std::memcpy(page->data() + 12, &len, sizeof(len));
+  static size_t NumRestarts(const Page* page) {
+    return U16At(page->data() + 14);
+  }
+  static const char* Stream(const Page* page) {
+    return page->data() + kHeaderSize;
+  }
+  /// Stream offset of restart group `r` (r < R; CheckNode validated it).
+  static size_t RestartOffset(const Page* page, size_t r) {
+    return U16At(Stream(page) + StreamLen(page) + 2 * r);
   }
 
   /// Structural validation of a just-fetched node: magic, leaf flag/format,
   /// level coherence, and an entry count within capacity — together these
-  /// bound every entry offset the accessors below will touch. For a
-  /// compressed leaf the capacity bound is payload-relative (count entries
-  /// need at least count * kMinEntryEncoded encoded bytes) and the recorded
-  /// payload length must fit the page, which bounds the decoder's cursor.
-  /// The per-page format byte must match the tree's mode, so opening a v3
-  /// index without its catalog flag (or vice versa) fails loudly here
-  /// instead of misreading entries. `expected_level` (from the descent
-  /// counter; -1 skips the check) catches child pointers that jump across
-  /// levels or into a cycle: the counter strictly decreases, so any descent
-  /// ends within `height` steps.
+  /// bound every entry offset the accessors below will touch. For a leaf
+  /// the stream and its restart array must fit the page, the restart count
+  /// must be consistent with the entry count (every group holds 1 to
+  /// kMaxGroup entries of at least kMinEntryEncoded bytes), and the
+  /// restart offsets must start at 0 and rise strictly within the stream,
+  /// which bounds every group a decoder enters. `expected_level` (from the
+  /// descent counter; -1 skips the check) catches child pointers that jump
+  /// across levels or into a cycle: the counter strictly decreases, so any
+  /// descent ends within `height` steps.
   Status CheckNode(const Page* page, PageId id, int expected_level) const {
-    uint16_t magic;
-    std::memcpy(&magic, page->data(), sizeof(magic));
-    const std::string where = "B+-tree node page " + std::to_string(id);
+    uint16_t magic = U16At(page->data());
+    // Built only on failure: this runs on every node fetch.
+    auto where = [id] { return "B+-tree node page " + std::to_string(id); };
     if (magic != kNodeMagic) {
-      return Status::Corruption(where + ": bad node magic");
+      return Status::Corruption(where() + ": bad node magic");
     }
     uint8_t leaf_flag = static_cast<uint8_t>(page->data()[2]);
     if (leaf_flag > 1) {
-      return Status::Corruption(where + ": bad leaf flag " +
+      return Status::Corruption(where() + ": bad leaf flag " +
                                 std::to_string(leaf_flag));
     }
     int level = Level(page);
     if ((level == 0) != (leaf_flag == 1)) {
-      return Status::Corruption(where + ": leaf flag " +
+      return Status::Corruption(where() + ": leaf flag " +
                                 std::to_string(leaf_flag) +
                                 " contradicts level " + std::to_string(level));
     }
     if (expected_level >= 0 && level != expected_level) {
       return Status::Corruption(
-          where + ": level " + std::to_string(level) + " where " +
+          where() + ": level " + std::to_string(level) + " where " +
           std::to_string(expected_level) +
           " was expected (corrupt child pointer?)");
     }
-    int count = Count(page);
-    if (leaf_flag == 1) {
-      uint8_t format = LeafFormat(page);
-      if (format > kLeafFormatCompressed) {
-        return Status::Corruption(where + ": bad leaf format " +
-                                  std::to_string(format));
-      }
-      if (format != LeafFormatByte()) {
-        return Status::Corruption(
-            where + ": leaf format " + std::to_string(format) + " in a " +
-            (compressed_ ? "compressed" : "fixed-format") +
-            " tree (index format mismatch?)");
-      }
-      if (format == kLeafFormatCompressed) {
-        size_t plen = PayloadLen(page);
-        if (plen > kLeafPayloadMax) {
-          return Status::Corruption(
-              where + ": compressed payload length " + std::to_string(plen) +
-              " exceeds page capacity " + std::to_string(kLeafPayloadMax));
-        }
-        if (static_cast<size_t>(count) * kMinEntryEncoded > plen) {
-          return Status::Corruption(
-              where + ": entry count " + std::to_string(count) +
-              " cannot fit in " + std::to_string(plen) + " encoded bytes");
-        }
-        return Status::OK();
-      }
-      if (count > kLeafCapacity) {
-        return Status::Corruption(where + ": entry count " +
-                                  std::to_string(count) +
-                                  " exceeds capacity " +
-                                  std::to_string(kLeafCapacity));
+    const size_t count = static_cast<size_t>(Count(page));
+    const uint8_t want_format = leaf_flag == 1 ? kLeafFormat : 0;
+    if (Format(page) != want_format) {
+      return Status::Corruption(
+          where() + ": format byte " + std::to_string(Format(page)) + " on " +
+          (leaf_flag == 1 ? "a leaf" : "an internal node") + " (expected " +
+          std::to_string(want_format) + ")");
+    }
+    if (leaf_flag == 0) {
+      if (count > static_cast<size_t>(kInternalCapacity)) {
+        return Status::Corruption(where() + ": entry count " +
+                                  std::to_string(count) + " exceeds capacity " +
+                                  std::to_string(kInternalCapacity));
       }
       return Status::OK();
     }
-    if (LeafFormat(page) != kLeafFormatFixed) {
-      return Status::Corruption(where + ": internal node with leaf format " +
-                                std::to_string(LeafFormat(page)));
+    const size_t plen = StreamLen(page);
+    const size_t restarts = NumRestarts(page);
+    if (plen + 2 * restarts > kLeafPayloadMax) {
+      return Status::Corruption(
+          where() + ": stream of " + std::to_string(plen) + " bytes and " +
+          std::to_string(restarts) + " restarts exceed page capacity " +
+          std::to_string(kLeafPayloadMax));
     }
-    if (count > kInternalCapacity) {
-      return Status::Corruption(where + ": entry count " +
-                                std::to_string(count) + " exceeds capacity " +
-                                std::to_string(kInternalCapacity));
+    if (count * kMinEntryEncoded > plen || restarts > count ||
+        count > restarts * kMaxGroup) {
+      return Status::Corruption(
+          where() + ": entry count " + std::to_string(count) +
+          " inconsistent with " + std::to_string(plen) + " stream bytes and " +
+          std::to_string(restarts) + " restarts");
+    }
+    for (size_t r = 0, floor = 0; r < restarts; ++r) {
+      const size_t off = RestartOffset(page, r);
+      if ((r == 0 && off != 0) || off < floor || off >= plen) {
+        return Status::Corruption(where() + ": restart " + std::to_string(r) +
+                                  " at stream offset " + std::to_string(off) +
+                                  " out of order or past the " +
+                                  std::to_string(plen) + "-byte stream");
+      }
+      floor = off + 1;
     }
     return Status::OK();
   }
 
-  static void ReadLeafEntry(const Page* page, int idx, Key* key, Value* val) {
-    const char* base = page->data() + kHeaderSize + idx * kLeafStride;
-    std::memcpy(key, base, sizeof(Key));
-    std::memcpy(val, base + sizeof(Key), sizeof(Value));
-  }
-  static void WriteLeafEntry(Page* page, int idx, const Key& key,
-                             const Value& val) {
-    char* base = page->data() + kHeaderSize + idx * kLeafStride;
-    std::memcpy(base, &key, sizeof(Key));
-    std::memcpy(base + sizeof(Key), &val, sizeof(Value));
-  }
   static void ReadInternalEntry(const Page* page, int idx, Key* key,
                                 PageId* child) {
     const char* base = page->data() + kHeaderSize + idx * kInternalStride;
@@ -647,145 +727,245 @@ class BPlusTree {
     std::memcpy(base + sizeof(Key), &child, sizeof(PageId));
   }
 
-  // ---- compressed leaf codec ----
-  static void WordsFromEntry(const LeafEntryKV& e, uint64_t* words) {
+  // ---- leaf codec ----
+  static void WordsFromEntry(const Entry& e, uint64_t* words) {
     char buf[kEntryWords * 8] = {};
     std::memcpy(buf, &e.key, sizeof(Key));
     std::memcpy(buf + kKeyWords * 8, &e.value, sizeof(Value));
     std::memcpy(words, buf, kEntryWords * 8);
   }
-  static LeafEntryKV EntryFromWords(const uint64_t* words) {
+  static Entry EntryFromWords(const uint64_t* words) {
     char buf[kEntryWords * 8];
     std::memcpy(buf, words, kEntryWords * 8);
-    LeafEntryKV e;
+    Entry e;
     std::memcpy(&e.key, buf, sizeof(Key));
     std::memcpy(&e.value, buf + kKeyWords * 8, sizeof(Value));
     return e;
   }
 
-  /// Appends entry `e`'s delta code versus `prev` to `out` and rolls `prev`
-  /// forward. Returns the encoded byte count.
-  static size_t EncodeEntryDelta(const LeafEntryKV& e, uint64_t* prev,
-                                 std::vector<char>* out) {
-    uint64_t words[kEntryWords];
-    WordsFromEntry(e, words);
-    size_t before = out->size();
-    for (size_t w = 0; w < kEntryWords; ++w) {
-      PutVarint64(out, ZigzagEncode64(
-                           static_cast<int64_t>(words[w] - prev[w])));
-      prev[w] = words[w];
-    }
-    return out->size() - before;
-  }
-
-  /// Encodes the whole entry run. `sizes`, if non-null, receives each
-  /// entry's encoded byte count (used to pick byte-balanced split points).
-  static void EncodeCompressedLeaf(const std::vector<LeafEntryKV>& entries,
-                                   std::vector<char>* out,
-                                   std::vector<size_t>* sizes = nullptr) {
-    out->clear();
-    if (sizes != nullptr) {
-      sizes->clear();
-      sizes->reserve(entries.size());
-    }
+  /// One leaf's encoding under construction: the entry stream and the
+  /// stream offsets of its restart entries.
+  struct LeafImage {
+    std::vector<char> stream;
+    std::vector<uint16_t> restarts;
     uint64_t prev[kEntryWords] = {};
-    for (const LeafEntryKV& e : entries) {
-      size_t n = EncodeEntryDelta(e, prev, out);
-      if (sizes != nullptr) sizes->push_back(n);
-    }
-  }
+    size_t count = 0;
 
-  /// Decodes a compressed leaf's payload into `out`. Every varint read is
-  /// bounds-checked against the recorded payload length, and the stream
-  /// must consume it exactly — corrupt counts or lengths surface as
-  /// Corruption, never an overread.
-  Status DecodeCompressedLeaf(const Page* page, PageId id,
-                              std::vector<LeafEntryKV>* out) const {
-    int count = Count(page);
-    size_t plen = PayloadLen(page);
-    const std::string where =
-        "B+-tree compressed leaf page " + std::to_string(id);
-    if (plen > kLeafPayloadMax) {
-      return Status::Corruption(where + ": payload length " +
-                                std::to_string(plen) + " exceeds capacity");
+    size_t bytes() const { return stream.size() + 2 * restarts.size(); }
+    void Clear() {
+      stream.clear();
+      restarts.clear();
+      count = 0;
     }
-    const char* p = page->data() + kHeaderSize;
-    const char* end = p + plen;
-    out->clear();
-    out->reserve(count);
-    uint64_t prev[kEntryWords] = {};
-    for (int i = 0; i < count; ++i) {
+    /// Appends `e`, opening a restart group first when `restart` is set
+    /// (always for the first entry). Returns false, leaving the image
+    /// unchanged, when the result would exceed `limit` bytes.
+    bool Append(const Entry& e, bool restart, size_t limit) {
+      restart = restart || count == 0;
       uint64_t words[kEntryWords];
+      WordsFromEntry(e, words);
+      char buf[kMaxEntryEncoded];
+      size_t n = 0;
+      for (size_t w = 0; w < kEntryWords; ++w) {
+        const uint64_t base = restart ? 0 : prev[w];
+        n += EncodeVarint64(
+            buf + n, ZigzagEncode64(static_cast<int64_t>(words[w] - base)));
+      }
+      if (bytes() + n + (restart ? 2 : 0) > limit) return false;
+      if (restart) restarts.push_back(static_cast<uint16_t>(stream.size()));
+      stream.insert(stream.end(), buf, buf + n);
+      std::memcpy(prev, words, sizeof(prev));
+      ++count;
+      return true;
+    }
+  };
+
+  /// Encodes `entries` with a restart every kRestartInterval entries.
+  static void EncodeLeaf(const Entry* entries, size_t n, LeafImage* out) {
+    out->Clear();
+    for (size_t i = 0; i < n; ++i) {
+      out->Append(entries[i], i % kRestartInterval == 0, SIZE_MAX);
+    }
+  }
+
+  /// Overwrites a leaf's entry stream and restart array (header fields
+  /// other than count/stream length/restart count are preserved).
+  static void WriteLeaf(Page* page, const LeafImage& image) {
+    PRIX_DCHECK(image.bytes() <= kLeafPayloadMax);
+    char* stream = page->data() + kHeaderSize;
+    if (!image.stream.empty()) {
+      std::memcpy(stream, image.stream.data(), image.stream.size());
+    }
+    for (size_t r = 0; r < image.restarts.size(); ++r) {
+      SetU16At(stream + image.stream.size() + 2 * r, image.restarts[r]);
+    }
+    SetCount(page, static_cast<int>(image.count));
+    SetU16At(page->data() + 12, image.stream.size());
+    SetU16At(page->data() + 14, image.restarts.size());
+  }
+
+  /// A cursor over `page`'s stream, in place, about to enter group `group`.
+  static LeafCursor CursorAt(const Page* page, size_t group) {
+    LeafCursor c;
+    c.limit = StreamLen(page);
+    const size_t restarts = NumRestarts(page);
+    if (restarts == 0) {
+      c.pos = c.limit;
+      return c;
+    }
+    c.pos = RestartOffset(page, group);
+    c.restarts = c.limit + 2 * (group + 1);
+    c.restarts_left = restarts - group - 1;
+    return c;
+  }
+
+  /// Copies `page`'s stream from group `group` on, followed by the restart
+  /// offsets of the later groups, into `tail`; returns a cursor over it.
+  static LeafCursor CopyTail(const Page* page, size_t group,
+                             std::vector<char>* tail) {
+    LeafCursor c = CursorAt(page, group);
+    const char* stream = Stream(page);
+    tail->assign(stream + c.pos, stream + c.limit);
+    tail->insert(tail->end(), stream + c.restarts,
+                 stream + c.restarts + 2 * c.restarts_left);
+    c.origin = c.pos;
+    c.restarts = c.limit - c.origin;
+    return c;
+  }
+
+  /// Decodes the next restart group into `c->group` (empty at the end of
+  /// the stream). `data` holds the cursor's bytes (see LeafCursor). The
+  /// group's varints are read only up to its end, it must end on an entry
+  /// boundary and hold at most kMaxGroup entries, and keys must rise
+  /// strictly, across the previous group's last entry too.
+  Status NextGroup(const char* data, LeafCursor* c, PageId id) const {
+    const bool had_entry = c->len > 0;
+    const Key last = had_entry ? c->group[c->len - 1].key : Key{};
+    c->len = c->idx = 0;
+    if (c->pos == c->limit) return Status::OK();
+    size_t end = c->limit;
+    if (c->restarts_left > 0) {
+      end = U16At(data + c->restarts);
+      c->restarts += 2;
+      --c->restarts_left;
+    }
+    auto corrupt = [&](const char* what, size_t at) {
+      return Status::Corruption("B+-tree leaf page " + std::to_string(id) +
+                                ": " + what + " at stream offset " +
+                                std::to_string(at));
+    };
+    if (end <= c->pos || end > c->limit) {
+      return corrupt("restart offset out of order", c->pos);
+    }
+    const char* p = data + (c->pos - c->origin);
+    const char* group_end = data + (end - c->origin);
+    uint64_t words[kEntryWords] = {};
+    while (p != group_end) {
+      if (c->len == kMaxGroup) {
+        return corrupt("restart group too long", c->pos);
+      }
       for (size_t w = 0; w < kEntryWords; ++w) {
         uint64_t enc;
-        if (!GetVarint64(&p, end, &enc)) {
-          return Status::Corruption(where + ": truncated or invalid varint in entry " +
-                                    std::to_string(i));
+        if (p < group_end && static_cast<uint8_t>(*p) < 0x80) {
+          enc = static_cast<uint8_t>(*p++);  // one-byte fast path
+        } else if (!GetVarint64(&p, group_end, &enc)) {
+          return corrupt("undecodable entry", c->pos);
         }
-        words[w] = prev[w] + static_cast<uint64_t>(ZigzagDecode64(enc));
-        prev[w] = words[w];
+        words[w] += static_cast<uint64_t>(ZigzagDecode64(enc));
       }
-      out->push_back(EntryFromWords(words));
+      Entry& e = c->group[c->len];
+      e = EntryFromWords(words);
+      const Key& prev = c->len > 0 ? c->group[c->len - 1].key : last;
+      if ((c->len > 0 || had_entry) && !cmp_(prev, e.key)) {
+        return corrupt("keys out of order", c->pos);
+      }
+      ++c->len;
     }
-    if (p != end) {
-      return Status::Corruption(where + ": " +
-                                std::to_string(end - p) +
-                                " trailing bytes after the last entry");
+    c->pos = end;
+    return Status::OK();
+  }
+
+  /// Advances `c` one entry, entering the next group when the current one
+  /// is used up; past the end of the stream `c->valid()` turns false.
+  Status Step(const char* data, LeafCursor* c, PageId id) const {
+    if (++c->idx < c->len) return Status::OK();
+    return NextGroup(data, c, id);
+  }
+
+  /// Positions a fresh cursor at its first entry with key >= `*key` (its
+  /// first entry when null), or past the end of the stream.
+  Status SkipBelow(const char* data, LeafCursor* c, PageId id,
+                   const Key* key) const {
+    PRIX_RETURN_NOT_OK(NextGroup(data, c, id));
+    while (key != nullptr && c->valid() && cmp_(c->cur().key, *key)) {
+      PRIX_RETURN_NOT_OK(Step(data, c, id));
     }
     return Status::OK();
   }
 
-  /// Overwrites a compressed leaf's entry stream (header fields other than
-  /// count/payload-length are preserved).
-  static void WriteCompressedLeaf(Page* page,
-                                  const std::vector<char>& payload,
-                                  size_t count) {
-    PRIX_DCHECK(payload.size() <= kLeafPayloadMax);
-    SetCount(page, static_cast<int>(count));
-    SetPayloadLen(page, payload.size());
-    if (!payload.empty()) {
-      std::memcpy(page->data() + kHeaderSize, payload.data(), payload.size());
+  /// The restart group to start a search for `key` in: the last group
+  /// whose restart key is <= `key` (0 when none), so the first entry >=
+  /// `key` lies in it or opens the next one. Binary search over the
+  /// restart entries, which decode without context.
+  Result<size_t> FindGroup(const Page* page, PageId id, const Key& key) const {
+    const char* stream = Stream(page);
+    const size_t plen = StreamLen(page);
+    const size_t restarts = NumRestarts(page);
+    size_t lo = 0, hi = restarts;
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      const char* p = stream + RestartOffset(page, mid);
+      const char* end =
+          stream + (mid + 1 < restarts ? RestartOffset(page, mid + 1) : plen);
+      uint64_t words[kEntryWords] = {};
+      for (size_t w = 0; w < kKeyWords; ++w) {
+        uint64_t enc;
+        if (!GetVarint64(&p, end, &enc)) {
+          return Status::Corruption(
+              "B+-tree leaf page " + std::to_string(id) +
+              ": undecodable restart entry " + std::to_string(mid));
+        }
+        words[w] = static_cast<uint64_t>(ZigzagDecode64(enc));
+      }
+      if (cmp_(key, EntryFromWords(words).key)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
     }
+    return lo == 0 ? 0 : lo - 1;
+  }
+
+  /// Decodes a whole leaf into `out` and, when `starts` is non-null, the
+  /// index of each restart group's first entry. The entries must number
+  /// exactly the header count.
+  Status DecodeLeaf(const Page* page, PageId id, std::vector<Entry>* out,
+                    std::vector<size_t>* starts = nullptr) const {
+    out->clear();
+    out->reserve(static_cast<size_t>(Count(page)));
+    if (starts != nullptr) starts->clear();
+    LeafCursor c = CursorAt(page, 0);
+    while (true) {
+      PRIX_RETURN_NOT_OK(NextGroup(Stream(page), &c, id));
+      if (c.len == 0) break;
+      if (starts != nullptr) starts->push_back(out->size());
+      out->insert(out->end(), c.group, c.group + c.len);
+    }
+    if (out->size() != static_cast<size_t>(Count(page))) {
+      return Status::Corruption(
+          "B+-tree leaf page " + std::to_string(id) + ": " +
+          std::to_string(out->size()) + " entries decoded, header says " +
+          std::to_string(Count(page)));
+    }
+    return Status::OK();
   }
 
   /// First decoded entry with key >= `key`.
-  typename std::vector<LeafEntryKV>::const_iterator LowerBoundEntries(
-      const std::vector<LeafEntryKV>& entries, const Key& key) const {
+  typename std::vector<Entry>::const_iterator LowerBoundEntries(
+      const std::vector<Entry>& entries, const Key& key) const {
     return std::lower_bound(
         entries.begin(), entries.end(), key,
-        [this](const LeafEntryKV& e, const Key& k) { return cmp_(e.key, k); });
-  }
-
-  /// First index whose key is >= `key` in a fixed-format leaf.
-  int LeafLowerBound(const Page* page, const Key& key) const {
-    int lo = 0, hi = Count(page);
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      Key k;
-      Value v;
-      ReadLeafEntry(page, mid, &k, &v);
-      if (cmp_(k, key)) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
-  /// Copies (fixed) or decodes (compressed) a leaf's entries into `out`.
-  Status FillCache(const Page* page, PageId id,
-                   std::vector<LeafEntryKV>* out) const {
-    if (compressed_) return DecodeCompressedLeaf(page, id, out);
-    int count = Count(page);
-    out->clear();
-    out->reserve(count);
-    for (int i = 0; i < count; ++i) {
-      LeafEntryKV e;
-      ReadLeafEntry(page, i, &e.key, &e.value);
-      out->push_back(e);
-    }
-    return Status::OK();
+        [this](const Entry& e, const Key& k) { return cmp_(e.key, k); });
   }
 
   /// Child slot to descend into for `key`: slot 0 is the leftmost child
@@ -835,6 +1015,15 @@ class BPlusTree {
     PRIX_ASSIGN_OR_RETURN(Page * page, pool_->NewPage());
     if (cow_ != nullptr) cow_->MarkFresh(page->page_id());
     return page;
+  }
+
+  /// Allocates the meta page (Create and BulkLoad).
+  Status AllocMeta() {
+    PRIX_ASSIGN_OR_RETURN(Page * meta_page, AllocNode());
+    meta_page_id_ = meta_page->page_id();
+    SetPageType(meta_page->data(), PageType::kBtreeMeta);
+    pool_->UnpinPage(meta_page_id_, /*dirty=*/true);
+    return Status::OK();
   }
 
   /// The copy-on-write barrier: with a CowContext installed, a page that a
@@ -902,34 +1091,24 @@ class BPlusTree {
       return Status::OK();
     }
     ++stats->nodes_visited;
-    int count = Count(page);
     if (IsLeaf(page)) {
-      if (compressed_) {
-        std::vector<LeafEntryKV> entries;
-        Status decode_st = DecodeCompressedLeaf(page, node, &entries);
-        if (!decode_st.ok()) {
-          issue(node, decode_st, path);
-          ++stats->subtrees_skipped;
-          return Status::OK();
-        }
-        for (const LeafEntryKV& e : entries) {
-          ++stats->entries_seen;
-          PRIX_RETURN_NOT_OK(emit(e.key, e.value));
-        }
+      std::vector<Entry> entries;
+      Status decode_st = DecodeLeaf(page, node, &entries);
+      if (!decode_st.ok()) {
+        issue(node, decode_st, path);
+        ++stats->subtrees_skipped;
         return Status::OK();
       }
-      for (int i = 0; i < count; ++i) {
-        Key k;
-        Value v;
-        ReadLeafEntry(page, i, &k, &v);
+      for (const Entry& e : entries) {
         ++stats->entries_seen;
-        PRIX_RETURN_NOT_OK(emit(k, v));
+        PRIX_RETURN_NOT_OK(emit(e.key, e.value));
       }
       return Status::OK();
     }
     // Children: the leftmost child, then one per entry. Release the pin
     // before descending (child ids are copied out first) so the walk holds
     // one pin at a time, like a query descent.
+    int count = Count(page);
     std::vector<PageId> children;
     children.reserve(static_cast<size_t>(count) + 1);
     children.push_back(Extra(page));
@@ -959,33 +1138,32 @@ class BPlusTree {
     PRIX_RETURN_NOT_OK(CheckNode(page, node, level));
     *out_id = node;
     if (IsLeaf(page)) {
-      if (compressed_) {
-        // Duplicate-key detection must precede the COW copy so a failed
-        // insert leaves no trace; the decode doubles as the check.
-        std::vector<LeafEntryKV> entries;
-        PRIX_RETURN_NOT_OK(DecodeCompressedLeaf(page, node, &entries));
-        auto pos = LowerBoundEntries(entries, key);
-        if (pos != entries.end() && !cmp_(key, pos->key)) {
-          return Status::AlreadyExists("duplicate key in B+-tree");
-        }
-        PRIX_RETURN_NOT_OK(MakeMutable(&page, &guard));
-        *out_id = page->page_id();
-        size_t idx = static_cast<size_t>(pos - entries.begin());
-        entries.insert(entries.begin() + idx, LeafEntryKV{key, value});
-        return FinishCompressedLeafInsert(page, &guard, entries, split);
-      }
-      int idx = LeafLowerBound(page, key);
-      if (idx < Count(page)) {
-        Key k;
-        Value v;
-        ReadLeafEntry(page, idx, &k, &v);
-        if (!cmp_(key, k) && !cmp_(k, key)) {
-          return Status::AlreadyExists("duplicate key in B+-tree");
-        }
+      // Only the restart group the key falls in is decoded and re-encoded;
+      // the duplicate check precedes the COW copy so a failed insert leaves
+      // no trace.
+      GroupEdit edit;
+      PRIX_RETURN_NOT_OK(LoadGroup(page, node, key, &edit));
+      auto pos = LowerBoundEntries(edit.entries, key);
+      if (pos != edit.entries.end() && !cmp_(key, pos->key)) {
+        return Status::AlreadyExists("duplicate key in B+-tree");
       }
       PRIX_RETURN_NOT_OK(MakeMutable(&page, &guard));
       *out_id = page->page_id();
-      return InsertIntoLeaf(page, &guard, key, value, split);
+      guard.MarkDirty();
+      split->happened = false;
+      edit.entries.insert(edit.entries.begin() + (pos - edit.entries.cbegin()),
+                          Entry{key, value});
+      LeafImage image;
+      EncodeGroup(edit, &image);
+      if (SplicedBytes(page, edit, image) <= kLeafInsertLimit) {
+        Splice(page, edit, image);
+        return Status::OK();
+      }
+      // Past the fill limit: re-encode the whole leaf and split it.
+      std::vector<Entry> entries;
+      PRIX_RETURN_NOT_OK(DecodeLeaf(page, node, &entries));
+      entries.insert(LowerBoundEntries(entries, key), Entry{key, value});
+      return FinishLeafInsert(page, &guard, entries, split);
     }
     int slot = ChildSlotForKey(page, key);
     PageId child = ChildAtSlot(page, slot);
@@ -1018,112 +1196,139 @@ class BPlusTree {
                               child_split.right, split);
   }
 
-  Status InsertIntoLeaf(Page* page, PageGuard* guard, const Key& key,
-                        const Value& value, SplitResult* split) {
-    int idx = LeafLowerBound(page, key);
-    int count = Count(page);
-    if (idx < count) {
-      Key k;
-      Value v;
-      ReadLeafEntry(page, idx, &k, &v);
-      if (!cmp_(key, k) && !cmp_(k, key)) {
-        return Status::AlreadyExists("duplicate key in B+-tree");
-      }
-    }
-    if (count < kLeafCapacity) {
-      char* base = page->data() + kHeaderSize + idx * kLeafStride;
-      std::memmove(base + kLeafStride, base, (count - idx) * kLeafStride);
-      WriteLeafEntry(page, idx, key, value);
-      SetCount(page, count + 1);
-      guard->MarkDirty();
-      split->happened = false;
-      return Status::OK();
-    }
-    // Split: left keeps the lower half, right gets the rest.
-    PRIX_ASSIGN_OR_RETURN(Page * right, AllocNode());
-    PageGuard right_guard(pool_, right);
-    InitNode(right, /*is_leaf=*/true, /*level=*/0);
-    int left_count = (count + 1) / 2;
-    int right_count = count - left_count;
-    std::memcpy(right->data() + kHeaderSize,
-                page->data() + kHeaderSize + left_count * kLeafStride,
-                right_count * kLeafStride);
-    SetCount(right, right_count);
-    SetCount(page, left_count);
-    SetExtra(right, Extra(page));
-    SetExtra(page, right->page_id());
-    guard->MarkDirty();
-    right_guard.MarkDirty();
-    // Insert into the proper half.
-    Key right_first;
-    Value unused;
-    ReadLeafEntry(right, 0, &right_first, &unused);
-    SplitResult ignore;
-    if (cmp_(key, right_first)) {
-      PRIX_RETURN_NOT_OK(InsertIntoLeaf(page, guard, key, value, &ignore));
-    } else {
-      PRIX_RETURN_NOT_OK(
-          InsertIntoLeaf(right, &right_guard, key, value, &ignore));
-    }
-    PRIX_DCHECK(!ignore.happened);
-    split->happened = true;
-    ReadLeafEntry(right, 0, &split->separator, &unused);
-    split->right = right->page_id();
+  /// One restart group of a leaf, decoded for an in-place edit: the
+  /// group's index and byte extent in the stream, and its entries.
+  struct GroupEdit {
+    size_t group = 0;
+    size_t begin = 0;
+    size_t end = 0;
+    int old_count = 0;
+    std::vector<Entry> entries;
+  };
+
+  /// Decodes the restart group that `key` falls in (an empty group 0 for an
+  /// empty leaf). Every entry equal to `key` lies in it: FindGroup picks the
+  /// last group whose restart key is <= `key`.
+  Status LoadGroup(const Page* page, PageId id, const Key& key,
+                   GroupEdit* edit) const {
+    PRIX_ASSIGN_OR_RETURN(edit->group, FindGroup(page, id, key));
+    LeafCursor c = CursorAt(page, edit->group);
+    edit->begin = c.pos;
+    PRIX_RETURN_NOT_OK(NextGroup(Stream(page), &c, id));
+    edit->end = c.pos;
+    edit->old_count = static_cast<int>(c.len);
+    edit->entries.assign(c.group, c.group + c.len);
     return Status::OK();
   }
 
-  /// Compressed-leaf insert, after the caller decoded the leaf, verified
-  /// uniqueness, COW'd the page, and spliced the new entry into `entries`:
-  /// re-encode in place, or — past the insert fill limit — split at the
-  /// encoded-byte midpoint so both halves land near half full regardless of
-  /// how unevenly the deltas compress.
-  Status FinishCompressedLeafInsert(Page* page, PageGuard* guard,
-                                    const std::vector<LeafEntryKV>& entries,
-                                    SplitResult* split) {
-    std::vector<char> payload;
-    std::vector<size_t> sizes;
-    EncodeCompressedLeaf(entries, &payload, &sizes);
-    if (payload.size() <= kCompressedInsertLimit) {
-      WriteCompressedLeaf(page, payload, entries.size());
+  /// Encodes the new contents of the group `edit` loaded as one group
+  /// (none when empty, two halves past kMaxGroup).
+  static void EncodeGroup(const GroupEdit& edit, LeafImage* image) {
+    const size_t n = edit.entries.size();
+    image->stream.reserve(n * kMaxEntryEncoded);
+    for (size_t i = 0; i < n; ++i) {
+      image->Append(edit.entries[i], n > kMaxGroup && i == n / 2, SIZE_MAX);
+    }
+  }
+
+  /// Bytes the leaf's stream and restart array take once `image` replaces
+  /// the group `edit` loaded.
+  static size_t SplicedBytes(const Page* page, const GroupEdit& edit,
+                             const LeafImage& image) {
+    return StreamLen(page) - (edit.end - edit.begin) + image.bytes() +
+           2 * (NumRestarts(page) - (edit.old_count > 0 ? 1 : 0));
+  }
+
+  /// Replaces the group `edit` loaded with `image`, moving the later
+  /// groups' bytes and restart offsets; later groups restart against zero,
+  /// so their bytes do not change. The caller checked SplicedBytes.
+  static void Splice(Page* page, const GroupEdit& edit,
+                     const LeafImage& image) {
+    char* stream = page->data() + kHeaderSize;
+    const size_t plen = StreamLen(page);
+    const size_t restarts = NumRestarts(page);
+    const size_t new_plen =
+        plen - (edit.end - edit.begin) + image.stream.size();
+    std::vector<uint16_t> offsets(restarts);
+    for (size_t r = 0; r < restarts; ++r) {
+      offsets[r] = U16At(stream + plen + 2 * r);
+    }
+    std::memmove(stream + edit.begin + image.stream.size(), stream + edit.end,
+                 plen - edit.end);
+    if (!image.stream.empty()) {
+      std::memcpy(stream + edit.begin, image.stream.data(),
+                  image.stream.size());
+    }
+    // The new restart array: the earlier groups' offsets, the new
+    // group's, then the later groups' shifted by the size change.
+    char* out = stream + new_plen;
+    for (size_t r = 0; r < edit.group; ++r) {
+      SetU16At(out, offsets[r]);
+      out += 2;
+    }
+    for (uint16_t r : image.restarts) {
+      SetU16At(out, edit.begin + r);
+      out += 2;
+    }
+    for (size_t r = edit.group + (edit.old_count > 0 ? 1 : 0); r < restarts;
+         ++r) {
+      SetU16At(out, offsets[r] - edit.end + edit.begin + image.stream.size());
+      out += 2;
+    }
+    SetCount(page, Count(page) - edit.old_count +
+                       static_cast<int>(edit.entries.size()));
+    SetU16At(page->data() + 12, new_plen);
+    SetU16At(page->data() + 14,
+             static_cast<size_t>(out - (stream + new_plen)) / 2);
+  }
+
+  /// Leaf insert, after the caller decoded the leaf, verified uniqueness,
+  /// COW'd the page, and spliced the new entry into `entries`: re-encode in
+  /// place, or — past the insert fill limit — split at the encoded-byte
+  /// midpoint so both halves land near half full regardless of how
+  /// unevenly the deltas compress.
+  Status FinishLeafInsert(Page* page, PageGuard* guard,
+                          const std::vector<Entry>& entries,
+                          SplitResult* split) {
+    const size_t n = entries.size();
+    LeafImage left;
+    EncodeLeaf(entries.data(), n, &left);
+    if (left.bytes() <= kLeafInsertLimit) {
+      WriteLeaf(page, left);
       guard->MarkDirty();
       split->happened = false;
       return Status::OK();
     }
-    // Pick the split index whose byte prefix first reaches half the run.
-    size_t n = entries.size();
+    // The left half takes entries until it holds half the bytes.
     PRIX_DCHECK(n >= 2);
-    size_t half = payload.size() / 2;
-    size_t split_idx = 1, prefix = sizes[0];
-    while (split_idx < n - 1 && prefix < half) {
-      prefix += sizes[split_idx];
+    const size_t half = left.bytes() / 2;
+    left.Clear();
+    size_t split_idx = 0;
+    while (split_idx < n - 1 && (split_idx == 0 || left.bytes() < half)) {
+      left.Append(entries[split_idx], split_idx % kRestartInterval == 0,
+                  SIZE_MAX);
       ++split_idx;
     }
-    std::vector<LeafEntryKV> left_entries(entries.begin(),
-                                          entries.begin() + split_idx);
-    std::vector<LeafEntryKV> right_entries(entries.begin() + split_idx,
-                                           entries.end());
-    std::vector<char> left_payload, right_payload;
-    EncodeCompressedLeaf(left_entries, &left_payload);
-    EncodeCompressedLeaf(right_entries, &right_payload);
-    // Each half is about half the bytes plus one re-based first entry; a
-    // page is dozens of max-size entries wide, so this cannot trip unless
-    // the split math is broken.
-    if (left_payload.size() > kCompressedInsertLimit ||
-        right_payload.size() > kCompressedInsertLimit) {
-      return Status::Internal("compressed leaf split produced an oversized half");
+    LeafImage right;
+    EncodeLeaf(entries.data() + split_idx, n - split_idx, &right);
+    // Each half is about half the bytes plus a few re-based restart
+    // entries; a page is dozens of max-size entries wide, so this cannot
+    // trip unless the split math is broken.
+    if (left.bytes() > kLeafInsertLimit || right.bytes() > kLeafInsertLimit) {
+      return Status::Internal("leaf split produced an oversized half");
     }
-    PRIX_ASSIGN_OR_RETURN(Page * right, AllocNode());
-    PageGuard right_guard(pool_, right);
-    InitNode(right, /*is_leaf=*/true, /*level=*/0, kLeafFormatCompressed);
-    WriteCompressedLeaf(right, right_payload, right_entries.size());
-    SetExtra(right, Extra(page));
-    WriteCompressedLeaf(page, left_payload, left_entries.size());
-    SetExtra(page, right->page_id());
+    PRIX_ASSIGN_OR_RETURN(Page * right_page, AllocNode());
+    PageGuard right_guard(pool_, right_page);
+    InitNode(right_page, /*is_leaf=*/true, /*level=*/0);
+    WriteLeaf(right_page, right);
+    SetExtra(right_page, Extra(page));
+    WriteLeaf(page, left);
+    SetExtra(page, right_page->page_id());
     guard->MarkDirty();
     right_guard.MarkDirty();
     split->happened = true;
-    split->separator = right_entries.front().key;
-    split->right = right->page_id();
+    split->separator = entries[split_idx].key;
+    split->right = right_page->page_id();
     return Status::OK();
   }
 
@@ -1133,13 +1338,12 @@ class BPlusTree {
   /// parent must drop its child slot entirely. NotFound is established at
   /// the leaf BEFORE any page is copied or written.
   ///
-  /// Compressed-leaf note: removal can grow the encoding (the successor
-  /// re-deltas against a farther predecessor) by strictly less than one
-  /// max-size entry, which the insert-side headroom
-  /// (kCompressedInsertLimit) covers after any insert. A chain of growing
-  /// deletes could in principle exhaust it; that is unreachable for sorted
-  /// composite keys, and if it ever trips the leaf is left untouched and an
-  /// Internal status says to rebuild.
+  /// Leaf note: only the key's restart group is re-encoded, so the leaf
+  /// grows by strictly less than one max-size entry, which the
+  /// insert-side headroom (kLeafInsertLimit) covers after any insert. A
+  /// chain of growing deletes could in principle exhaust it; that is
+  /// unreachable for sorted composite keys, and if it ever trips the leaf
+  /// is left untouched and an Internal status says to rebuild.
   Status DeleteRecursive(PageId node, int level, bool is_root, const Key& key,
                          PageId* out_id, bool* out_freed) {
     PRIX_ASSIGN_OR_RETURN(Page * page, pool_->FetchPage(node));
@@ -1148,43 +1352,23 @@ class BPlusTree {
     *out_id = node;
     *out_freed = false;
     if (IsLeaf(page)) {
-      if (compressed_) {
-        std::vector<LeafEntryKV> entries;
-        PRIX_RETURN_NOT_OK(DecodeCompressedLeaf(page, node, &entries));
-        auto pos = LowerBoundEntries(entries, key);
-        if (pos == entries.end() || cmp_(key, pos->key)) {
-          return Status::NotFound("key not in tree");
-        }
-        std::vector<LeafEntryKV> remaining(entries.cbegin(), pos);
-        remaining.insert(remaining.end(), pos + 1, entries.cend());
-        std::vector<char> payload;
-        EncodeCompressedLeaf(remaining, &payload);
-        if (payload.size() > kLeafPayloadMax) {
-          return Status::Internal(
-              "compressed leaf re-encode after delete exceeds the page; "
-              "rebuild the index to reclaim space");
-        }
-        PRIX_RETURN_NOT_OK(MakeMutable(&page, &guard));
-        WriteCompressedLeaf(page, payload, remaining.size());
-        guard.MarkDirty();
-      } else {
-        int idx = LeafLowerBound(page, key);
-        int count = Count(page);
-        if (idx >= count) return Status::NotFound("key not in tree");
-        Key k;
-        Value v;
-        ReadLeafEntry(page, idx, &k, &v);
-        if (cmp_(key, k) || cmp_(k, key)) {
-          return Status::NotFound("key not in tree");
-        }
-        PRIX_RETURN_NOT_OK(MakeMutable(&page, &guard));
-        // Shift the tail left by one entry.
-        char* base = page->data() + kHeaderSize + idx * kLeafStride;
-        std::memmove(base, base + kLeafStride,
-                     (count - idx - 1) * kLeafStride);
-        SetCount(page, count - 1);
-        guard.MarkDirty();
+      GroupEdit edit;
+      PRIX_RETURN_NOT_OK(LoadGroup(page, node, key, &edit));
+      auto pos = LowerBoundEntries(edit.entries, key);
+      if (pos == edit.entries.end() || cmp_(key, pos->key)) {
+        return Status::NotFound("key not in tree");
       }
+      edit.entries.erase(edit.entries.begin() + (pos - edit.entries.cbegin()));
+      LeafImage image;
+      EncodeGroup(edit, &image);
+      if (SplicedBytes(page, edit, image) > kLeafPayloadMax) {
+        return Status::Internal(
+            "leaf re-encode after delete exceeds the page; "
+            "rebuild the index to reclaim space");
+      }
+      PRIX_RETURN_NOT_OK(MakeMutable(&page, &guard));
+      Splice(page, edit, image);
+      guard.MarkDirty();
       *out_id = page->page_id();
       if (Count(page) == 0 && !is_root) {
         // Unlink the emptied leaf: iteration assumes no reachable non-root
@@ -1286,16 +1470,16 @@ class BPlusTree {
     }
     // Split the internal node. Gather entries (including the new one) into a
     // scratch array, then redistribute around the median.
-    struct Entry {
+    struct InternalEntry {
       Key key;
       PageId child;
     };
-    std::vector<Entry> entries(count + 1);
+    std::vector<InternalEntry> entries(count + 1);
     for (int i = 0; i < count; ++i) {
       ReadInternalEntry(page, i, &entries[i + (i >= idx ? 1 : 0)].key,
                         &entries[i + (i >= idx ? 1 : 0)].child);
     }
-    entries[idx] = Entry{sep, new_child};
+    entries[idx] = InternalEntry{sep, new_child};
     int total = count + 1;
     int mid = total / 2;  // entries[mid] moves up
     PRIX_ASSIGN_OR_RETURN(Page * right, AllocNode());
@@ -1325,7 +1509,6 @@ class BPlusTree {
   Compare cmp_{};
   PageId meta_page_id_ = kInvalidPage;
   Meta meta_;
-  bool compressed_ = false;
   CowContext* cow_ = nullptr;  ///< not owned; null outside write transactions
 };
 

@@ -13,7 +13,7 @@ namespace prix {
 // disagree. Bump the owner's constant and every consumer follows.
 
 /// Database catalog header format (db/database.cc header codec).
-constexpr uint32_t kDbFormatVersion = 3;
+constexpr uint32_t kDbFormatVersion = 4;
 /// Oplog sidecar format (storage/oplog.cc header codec).
 constexpr uint32_t kOpLogFormatVersion = 1;
 

@@ -7,9 +7,9 @@
 
 namespace prix {
 
-/// LEB128 varints + zig-zag, the shared integer coding behind every v3
-/// (compressed) on-disk format: B+-tree leaf pages, DocStore records, and
-/// RecordStore catalogs (DESIGN.md §5h).
+/// LEB128 varints + zig-zag, the shared integer coding behind the delta
+/// on-disk formats: B+-tree leaf pages, DocStore records, and RecordStore
+/// catalogs (DESIGN.md §5h).
 ///
 /// Wire format: 7 payload bits per byte, least-significant group first, high
 /// bit set on every byte but the last. A uint64 takes at most 10 bytes.

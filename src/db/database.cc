@@ -17,8 +17,9 @@ namespace {
 
 constexpr uint32_t kDbMagic = 0x50524442;  // "PRDB"
 /// Format 2 added the per-page CRC trailer (storage/page.h); format 3 made
-/// the free-list head and the replication cursor fixed payload fields.
-/// Older files are rejected up front by version, with a rebuild hint. The
+/// the free-list head and the replication cursor fixed payload fields;
+/// format 4 made every B+-tree leaf delta-coded with restart points
+/// (btree/btree.h) and every record catalog varint-coded. Older files are rejected up front by version, with a rebuild hint. The
 /// number itself lives in common/build_info.h so the --version stamp cannot
 /// drift.
 constexpr uint32_t kDbVersion = kDbFormatVersion;

@@ -9,7 +9,7 @@ namespace prix {
 
 namespace {
 
-/// v3 array coding: 128-entry blocks, each a restart value plus zig-zag
+/// Array coding: 128-entry blocks, each a restart value plus zig-zag
 /// deltas, preceded by a directory of per-block byte lengths (skip
 /// offsets). See the DocStore class comment.
 constexpr uint32_t kDocBlockEntries = 128;
@@ -90,30 +90,17 @@ Status DocStore::Append(DocId doc, const PruferSequences& seq,
   std::vector<char> buf;
   const uint32_t n = seq.num_nodes;
   const uint32_t len = n > 0 ? n - 1 : 0;
-  if (!compressed_) {
-    buf.reserve(16 + 8ull * len + 8ull * leaves.size());
-    PutU32(&buf, n);
-    PutU32(&buf, seq.root_label);
-    for (LabelId l : seq.lps) PutU32(&buf, l);
-    for (uint32_t p : seq.nps) PutU32(&buf, p);
-    PutU32(&buf, static_cast<uint32_t>(leaves.size()));
-    for (const LeafEntry& leaf : leaves) {
-      PutU32(&buf, leaf.label);
-      PutU32(&buf, leaf.postorder);
-    }
-  } else {
-    PutVarint32(&buf, n);
-    PutVarint32(&buf, seq.root_label);
-    BlockEncodeU32(seq.lps.data(), len, &buf);
-    BlockEncodeU32(seq.nps.data(), len, &buf);
-    PutVarint64(&buf, leaves.size());
-    uint32_t prev_post = 0;
-    for (const LeafEntry& leaf : leaves) {
-      PutVarint32(&buf, leaf.label);
-      PutVarint64(&buf, ZigzagEncode64(static_cast<int64_t>(leaf.postorder) -
-                                       static_cast<int64_t>(prev_post)));
-      prev_post = leaf.postorder;
-    }
+  PutVarint32(&buf, n);
+  PutVarint32(&buf, seq.root_label);
+  BlockEncodeU32(seq.lps.data(), len, &buf);
+  BlockEncodeU32(seq.nps.data(), len, &buf);
+  PutVarint64(&buf, leaves.size());
+  uint32_t prev_post = 0;
+  for (const LeafEntry& leaf : leaves) {
+    PutVarint32(&buf, leaf.label);
+    PutVarint64(&buf, ZigzagEncode64(static_cast<int64_t>(leaf.postorder) -
+                                     static_cast<int64_t>(prev_post)));
+    prev_post = leaf.postorder;
   }
   PRIX_ASSIGN_OR_RETURN(uint32_t id, store_.Append(buf.data(), buf.size()));
   PRIX_DCHECK(id == doc);
@@ -127,32 +114,6 @@ Result<StoredDoc> DocStore::Load(DocId doc) const {
   StoredDoc out;
   const char* p = buf.data();
   const char* end = buf.data() + buf.size();
-  if (!compressed_) {
-    auto need = [&](size_t bytes) -> Status {
-      if (p + bytes > end) return Status::Corruption("truncated doc record");
-      return Status::OK();
-    };
-    PRIX_RETURN_NOT_OK(need(8));
-    uint32_t n = GetU32(p);
-    p += 4;
-    out.seq.num_nodes = n;
-    out.seq.root_label = GetU32(p);
-    p += 4;
-    uint32_t len = n > 0 ? n - 1 : 0;
-    PRIX_RETURN_NOT_OK(need(8ull * len + 4));
-    out.seq.lps.resize(len);
-    for (uint32_t i = 0; i < len; ++i, p += 4) out.seq.lps[i] = GetU32(p);
-    out.seq.nps.resize(len);
-    for (uint32_t i = 0; i < len; ++i, p += 4) out.seq.nps[i] = GetU32(p);
-    uint32_t leaf_count = GetU32(p);
-    p += 4;
-    PRIX_RETURN_NOT_OK(need(8ull * leaf_count));
-    out.leaves.resize(leaf_count);
-    for (uint32_t i = 0; i < leaf_count; ++i, p += 8) {
-      out.leaves[i] = LeafEntry{GetU32(p), GetU32(p + 4)};
-    }
-    return out;
-  }
   uint32_t n;
   if (!GetVarint32(&p, end, &n) ||
       !GetVarint32(&p, end, &out.seq.root_label)) {

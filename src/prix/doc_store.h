@@ -22,24 +22,19 @@ struct StoredDoc {
 /// Paged store of StoredDoc records, one per document, appended at build
 /// time and fetched (with buffer-pool-counted I/O) during refinement.
 ///
-/// Two record encodings exist (DESIGN.md §5h). v1 stores every integer as a
-/// raw uint32. v3 (`compressed = true`) varint-codes the scalars and
-/// block-codes the LPS/NPS arrays: 128-entry blocks, each opening with a
-/// restart value followed by zig-zag varint deltas, preceded by a per-block
-/// byte-length directory (the skip offsets — a reader can jump to block k
-/// by summing k directory entries instead of decoding everything before
-/// it, and the decoder uses them as hard bounds for each block's varints).
-/// Leaf lists are short and stored as (varint label, zig-zag delta
-/// postorder) pairs. The encoding is a per-store property recorded by the
-/// owning index's catalog version, passed to the constructor/Deserialize.
+/// Records are varint-coded (DESIGN.md §5h): the scalars are varints and
+/// the LPS/NPS arrays are block-coded in 128-entry blocks, each opening
+/// with a restart value followed by zig-zag varint deltas, preceded by a
+/// per-block byte-length directory (the skip offsets — a reader can jump to
+/// block k by summing k directory entries instead of decoding everything
+/// before it, and the decoder uses them as hard bounds for each block's
+/// varints). Leaf lists are short and stored as (varint label, zig-zag
+/// delta postorder) pairs.
 class DocStore {
  public:
-  explicit DocStore(BufferPool* pool, bool compressed = false)
-      : store_(pool), compressed_(compressed) {}
+  explicit DocStore(BufferPool* pool) : store_(pool) {}
   DocStore(DocStore&&) = default;
   DocStore& operator=(DocStore&&) = default;
-
-  bool compressed() const { return compressed_; }
 
   /// Copy-on-write passthrough for write transactions (see RecordStore).
   void SetCow(CowContext* cow) { store_.SetCow(cow); }
@@ -55,26 +50,19 @@ class DocStore {
   uint64_t total_bytes() const { return store_.total_bytes(); }
   uint64_t num_pages() const { return store_.num_pages(); }
 
-  /// Catalog (de)serialization for index persistence. The record-store
-  /// catalog is written in the matching encoding (v3 records get the v3
-  /// varint-delta catalog).
-  void SerializeTo(std::vector<char>* out) const {
-    store_.SerializeTo(out, compressed_);
-  }
+  /// Catalog (de)serialization for index persistence.
+  void SerializeTo(std::vector<char>* out) const { store_.SerializeTo(out); }
   static Result<DocStore> Deserialize(BufferPool* pool, const char** p,
-                                      const char* end,
-                                      bool compressed = false) {
+                                      const char* end) {
     PRIX_ASSIGN_OR_RETURN(RecordStore store,
-                          RecordStore::Deserialize(pool, p, end, compressed));
-    return DocStore(std::move(store), compressed);
+                          RecordStore::Deserialize(pool, p, end));
+    return DocStore(std::move(store));
   }
 
  private:
-  DocStore(RecordStore store, bool compressed)
-      : store_(std::move(store)), compressed_(compressed) {}
+  explicit DocStore(RecordStore store) : store_(std::move(store)) {}
 
   RecordStore store_;
-  bool compressed_ = false;
 };
 
 }  // namespace prix

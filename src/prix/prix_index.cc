@@ -1,32 +1,17 @@
 #include "prix/prix_index.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/macros.h"
 
 namespace prix {
-
-bool CompressFromEnv() {
-  static const bool value = [] {
-    const char* env = std::getenv("PRIX_COMPRESS");
-    return env != nullptr && env[0] == '1';
-  }();
-  return value;
-}
 
 Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     const std::vector<Document>& documents, BufferPool* pool,
     PrixIndexOptions options, PrixIndexBuildStats* stats) {
   auto index = std::unique_ptr<PrixIndex>(new PrixIndex());
   index->options_ = options;
-  index->docs_ = std::make_unique<DocStore>(pool, options.compress);
-  PRIX_ASSIGN_OR_RETURN(SymbolTree sym,
-                        SymbolTree::Create(pool, {}, options.compress));
-  index->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct,
-                        DocTree::Create(pool, {}, options.compress));
-  index->docid_index_ = std::make_unique<DocTree>(std::move(doct));
+  index->docs_ = std::make_unique<DocStore>(pool);
 
   PrixIndexBuildStats local_stats;
   if (stats == nullptr) stats = &local_stats;
@@ -84,23 +69,32 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
   }
   index->root_range_ = labels[trie.root()];
 
-  // Phase 3: materialize the Trie-Symbol and Docid B+-trees.
+  // Phase 3: materialize the Trie-Symbol and Docid B+-trees, each
+  // bulk-loaded from its entries in key order.
+  std::vector<SymbolTree::Entry> symbols;
+  symbols.reserve(trie.num_nodes());
+  std::vector<DocTree::Entry> ends;
+  ends.reserve(documents.size());
   uint32_t doc_seq = 0;
   for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
-    if (v == trie.root()) continue;
     const auto& node = trie.node(v);
-    PRIX_RETURN_NOT_OK(index->symbol_index_->Insert(
-        SymbolKey{node.label, 0, labels[v].left},
-        TrieNodeValue{labels[v].right, node.depth, 0}));
-    ++stats->symbol_entries;
-  }
-  for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
-    for (DocId d : trie.node(v).end_docs) {
-      PRIX_RETURN_NOT_OK(index->docid_index_->Insert(
-          DocKey{labels[v].left, doc_seq++, 0}, d));
-      ++stats->docid_entries;
+    if (v != trie.root()) {
+      symbols.push_back({SymbolKey{node.label, 0, labels[v].left},
+                         TrieNodeValue{labels[v].right, node.depth, 0}});
+    }
+    for (DocId d : node.end_docs) {
+      ends.push_back({DocKey{labels[v].left, doc_seq++, 0}, d});
     }
   }
+  auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+  std::sort(symbols.begin(), symbols.end(), by_key);
+  std::sort(ends.begin(), ends.end(), by_key);
+  stats->symbol_entries = symbols.size();
+  stats->docid_entries = ends.size();
+  PRIX_ASSIGN_OR_RETURN(SymbolTree sym, SymbolTree::BulkLoad(pool, symbols));
+  index->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
+  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::BulkLoad(pool, ends));
+  index->docid_index_ = std::make_unique<DocTree>(std::move(doct));
   stats->pages_after_build = pool->disk()->num_pages();
   PRIX_RETURN_NOT_OK(pool->FlushAll());
   return index;
@@ -108,19 +102,15 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
 
 namespace {
 constexpr uint32_t kCatalogMagic = 0x50524958;  // "PRIX"
-/// Catalog version doubles as the format version: 1 = the original
-/// fixed-width formats, 2 = the v3 compressed formats (delta-coded B+-tree
-/// leaves, varint doc records, varint store catalog). Version-1 blobs are
-/// written byte-identically to pre-compression builds, so old databases
-/// keep working and new uncompressed databases stay readable by old code.
-constexpr uint32_t kCatalogVersion = 1;
-constexpr uint32_t kCatalogVersionCompressed = 2;
+/// Version 2 names the delta-coded formats (B+-tree leaves, varint doc
+/// records, varint store catalog); version 1, the fixed-width formats, is
+/// no longer read.
+constexpr uint32_t kCatalogVersion = 2;
 }  // namespace
 
 void PrixIndex::SerializeCatalog(std::vector<char>* blob) const {
   PutU32(blob, kCatalogMagic);
-  PutU32(blob, options_.compress ? kCatalogVersionCompressed
-                                 : kCatalogVersion);
+  PutU32(blob, kCatalogVersion);
   PutU32(blob, options_.extended ? 1 : 0);
   PutU32(blob, static_cast<uint32_t>(options_.labeling));
   PutU32(blob, options_.alpha);
@@ -188,14 +178,12 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   }
   p += 4;
   uint32_t version = GetU32(p);
-  if (version != kCatalogVersion && version != kCatalogVersionCompressed) {
+  if (version != kCatalogVersion) {
     return Status::Corruption("unsupported index catalog version " +
                               std::to_string(version));
   }
-  bool compress = version == kCatalogVersionCompressed;
   p += 4;
   auto index = std::unique_ptr<PrixIndex>(new PrixIndex());
-  index->options_.compress = compress;
   index->options_.extended = GetU32(p) != 0;
   p += 4;
   index->options_.labeling =
@@ -212,13 +200,13 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   PageId docid_meta = GetU32(p);
   p += 4;
   PRIX_ASSIGN_OR_RETURN(SymbolTree sym,
-                        SymbolTree::Open(pool, symbol_meta, {}, compress));
+                        SymbolTree::Open(pool, symbol_meta));
   index->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
   PRIX_ASSIGN_OR_RETURN(DocTree doct,
-                        DocTree::Open(pool, docid_meta, {}, compress));
+                        DocTree::Open(pool, docid_meta));
   index->docid_index_ = std::make_unique<DocTree>(std::move(doct));
   PRIX_ASSIGN_OR_RETURN(DocStore docs,
-                        DocStore::Deserialize(pool, &p, end, compress));
+                        DocStore::Deserialize(pool, &p, end));
   index->docs_ = std::make_unique<DocStore>(std::move(docs));
   PRIX_ASSIGN_OR_RETURN(index->maxgap_, MaxGapTable::Deserialize(&p, end));
   PRIX_RETURN_NOT_OK(need(4));
@@ -306,28 +294,6 @@ Result<Document> PrixIndex::ReconstructDocument(DocId doc) const {
   return out;
 }
 
-namespace {
-
-/// Shared emit body for salvage walks: re-insert into the destination tree,
-/// tolerating duplicate keys (a corrupt source can present one entry twice
-/// through distinct leaves) and aborting only on destination failures.
-template <typename Tree, typename Key, typename Value>
-Status SalvageInsert(Tree* dst, const Key& key, const Value& value,
-                     SalvageStats* stats) {
-  Status st = dst->Insert(key, value);
-  if (st.ok()) {
-    ++stats->entries_recovered;
-    return st;
-  }
-  if (st.code() == StatusCode::kAlreadyExists) {
-    ++stats->entries_dropped;
-    return Status::OK();
-  }
-  return st;
-}
-
-}  // namespace
-
 Status PrixIndex::Salvage(Database* dst, const std::string& name,
                           SalvageStats* stats) const {
   SalvageStats local;
@@ -338,27 +304,13 @@ Status PrixIndex::Salvage(Database* dst, const std::string& name,
   out->maxgap_ = maxgap_;
   out->childless_labels_ = childless_labels_;
   out->tombstones_ = tombstones_;
-  out->docs_ = std::make_unique<DocStore>(dst->pool(), options_.compress);
+  out->docs_ = std::make_unique<DocStore>(dst->pool());
   PRIX_ASSIGN_OR_RETURN(SymbolTree sym,
-                        SymbolTree::Create(dst->pool(), {}, options_.compress));
+                        symbol_index_->SalvageInto(dst->pool(), stats));
   out->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
   PRIX_ASSIGN_OR_RETURN(DocTree doct,
-                        DocTree::Create(dst->pool(), {}, options_.compress));
+                        docid_index_->SalvageInto(dst->pool(), stats));
   out->docid_index_ = std::make_unique<DocTree>(std::move(doct));
-
-  auto skip_issue = [](PageId, const Status&, const std::string&) {};
-  BtreeScrubStats walk;
-  PRIX_RETURN_NOT_OK(symbol_index_->WalkReachable(
-      [&](const SymbolKey& k, const TrieNodeValue& v) {
-        return SalvageInsert(out->symbol_index_.get(), k, v, stats);
-      },
-      skip_issue, &walk));
-  PRIX_RETURN_NOT_OK(docid_index_->WalkReachable(
-      [&](const DocKey& k, const DocId& v) {
-        return SalvageInsert(out->docid_index_.get(), k, v, stats);
-      },
-      skip_issue, &walk));
-  stats->subtrees_skipped += walk.subtrees_skipped;
 
   for (DocId d = 0; d < docs_->num_docs(); ++d) {
     Result<StoredDoc> doc = docs_->Load(d);

@@ -59,12 +59,6 @@ struct DocKey {
   }
 };
 
-/// True when the PRIX_COMPRESS environment variable is set to 1 (read once).
-/// The default for PrixIndexOptions::compress, so entire test/bench suites
-/// can run against compressed indexes without threading the flag through
-/// every construction site (tools/ci.sh uses this for its compressed tier).
-bool CompressFromEnv();
-
 /// Options controlling index construction.
 struct PrixIndexOptions {
   /// false: RPIndex (Regular-Prüfer); true: EPIndex (Extended-Prüfer,
@@ -74,11 +68,6 @@ struct PrixIndexOptions {
   Labeling labeling = Labeling::kExact;
   /// Pre-allocated prefix depth for dynamic labeling (Sec. 5.2.1).
   uint32_t alpha = 2;
-  /// v3 compressed on-disk formats (DESIGN.md §5h): delta-coded B+-tree
-  /// leaf pages and varint/block-coded document records. Recorded in the
-  /// index's catalog blob (version 2), so mixed-format databases reopen
-  /// correctly; query answers are identical either way.
-  bool compress = CompressFromEnv();
 };
 
 /// Construction statistics (reported by benches and EXPERIMENTS.md).
@@ -122,7 +111,7 @@ class PrixIndex {
       BufferPool* pool, const Database::IndexEntry& entry);
 
   /// Best-effort salvage into `dst` (a different, fresh database): walks
-  /// both B+-trees via WalkReachable, re-inserting every reachable entry
+  /// both B+-trees via WalkReachable, bulk-loading every reachable entry
   /// into new trees and skipping poisoned subtrees, and copies every
   /// readable document record (unreadable ones become empty placeholders so
   /// DocIds stay aligned with surviving Docid-index entries). The rebuilt

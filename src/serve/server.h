@@ -103,6 +103,8 @@ class Server {
 
   // Introspection for tests and `prix serve` logging.
   const AdmissionController& admission() const { return admission_; }
+  /// Test hook: a test may occupy execute slots itself to force queueing.
+  AdmissionController& admission_for_testing() { return admission_; }
   const ResultCache& cache() const { return cache_; }
   uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);

@@ -128,22 +128,11 @@ Status ReadBlobPages(BufferPool* pool, PageId first,
   return Status::OK();
 }
 
-void RecordStore::SerializeTo(std::vector<char>* out, bool compressed) const {
-  if (!compressed) {
-    PutU64(out, next_offset_);
-    PutU32(out, static_cast<uint32_t>(pages_.size()));
-    for (PageId id : pages_) PutU32(out, id);
-    PutU32(out, static_cast<uint32_t>(catalog_.size()));
-    for (const Extent& e : catalog_) {
-      PutU64(out, e.offset);
-      PutU32(out, e.length);
-    }
-    return;
-  }
-  // v3: varint fields; page ids as zig-zag deltas (allocation makes them
-  // near-consecutive), extent offsets as plain deltas (append-only makes
-  // them monotonic, and storing the delta also proves monotonicity to the
-  // decoder for free).
+// Catalog encoding: varint fields; page ids as zig-zag deltas (allocation
+// makes them near-consecutive), extent offsets as plain deltas (append-only
+// makes them monotonic, and storing the delta also proves monotonicity to
+// the decoder for free).
+void RecordStore::SerializeTo(std::vector<char>* out) const {
   PutVarint64(out, next_offset_);
   PutVarint64(out, pages_.size());
   PageId prev_page = 0;
@@ -162,120 +151,73 @@ void RecordStore::SerializeTo(std::vector<char>* out, bool compressed) const {
 }
 
 Result<RecordStore> RecordStore::Deserialize(BufferPool* pool, const char** p,
-                                             const char* end,
-                                             bool compressed) {
+                                             const char* end) {
   RecordStore store(pool);
-  uint32_t file_pages = pool->disk()->num_pages();
+  const uint32_t file_pages = pool->disk()->num_pages();
   uint64_t num_pages = 0;
-  uint64_t num_records = 0;
-  if (!compressed) {
-    auto need = [&](size_t bytes) -> Status {
-      if (*p + bytes > end) {
-        return Status::Corruption("truncated store catalog");
-      }
-      return Status::OK();
-    };
-    PRIX_RETURN_NOT_OK(need(12));
-    store.next_offset_ = GetU64(*p);
-    *p += 8;
-    num_pages = GetU32(*p);
-    *p += 4;
-    PRIX_RETURN_NOT_OK(need(4ull * num_pages + 4));
-    // Every page the catalog references must exist in the file, and the
-    // logical size must fit the page list — arbitrary bytes here must fail
-    // now, not as a wild fetch during a later Load.
-    store.pages_.resize(num_pages);
-    for (uint64_t i = 0; i < num_pages; ++i, *p += 4) {
-      store.pages_[i] = GetU32(*p);
-    }
-  } else {
-    if (!GetVarint64(p, end, &store.next_offset_) ||
-        !GetVarint64(p, end, &num_pages)) {
-      return Status::Corruption("truncated store catalog");
-    }
-    // A fabricated count cannot force a huge allocation: each page id
-    // costs at least one encoded byte, so the count is bounded by the
-    // remaining catalog bytes.
-    if (num_pages > static_cast<uint64_t>(end - *p)) {
-      return Status::Corruption("record store catalog page count " +
-                                std::to_string(num_pages) +
-                                " exceeds the catalog size");
-    }
-    store.pages_.resize(num_pages);
-    int64_t prev_page = 0;
-    for (uint64_t i = 0; i < num_pages; ++i) {
-      uint64_t enc;
-      if (!GetVarint64(p, end, &enc)) {
-        return Status::Corruption("truncated store catalog (page list)");
-      }
-      int64_t id = prev_page + ZigzagDecode64(enc);
-      if (id < 0 || id >= static_cast<int64_t>(file_pages)) {
-        return Status::Corruption("record store catalog references page " +
-                                  std::to_string(id) + " beyond the file (" +
-                                  std::to_string(file_pages) + " pages)");
-      }
-      store.pages_[i] = static_cast<PageId>(id);
-      prev_page = id;
-    }
+  if (!GetVarint64(p, end, &store.next_offset_) ||
+      !GetVarint64(p, end, &num_pages)) {
+    return Status::Corruption("truncated store catalog");
   }
-  for (PageId id : store.pages_) {
-    if (id >= file_pages) {
+  // A fabricated count cannot force a huge allocation: each page id costs
+  // at least one encoded byte, so the count is bounded by the remaining
+  // catalog bytes. Every page the catalog references must exist in the
+  // file, and the logical size must fit the page list — arbitrary bytes
+  // here must fail now, not as a wild fetch during a later Load.
+  if (num_pages > static_cast<uint64_t>(end - *p)) {
+    return Status::Corruption("record store catalog page count " +
+                              std::to_string(num_pages) +
+                              " exceeds the catalog size");
+  }
+  store.pages_.resize(num_pages);
+  int64_t prev_page = 0;
+  for (uint64_t i = 0; i < num_pages; ++i) {
+    uint64_t enc;
+    if (!GetVarint64(p, end, &enc)) {
+      return Status::Corruption("truncated store catalog (page list)");
+    }
+    int64_t id = prev_page + ZigzagDecode64(enc);
+    if (id < 0 || id >= static_cast<int64_t>(file_pages)) {
       return Status::Corruption("record store catalog references page " +
                                 std::to_string(id) + " beyond the file (" +
                                 std::to_string(file_pages) + " pages)");
     }
+    store.pages_[i] = static_cast<PageId>(id);
+    prev_page = id;
   }
   if (store.next_offset_ > num_pages * kPageUsable) {
     return Status::Corruption(
         "record store logical size " + std::to_string(store.next_offset_) +
         " exceeds its " + std::to_string(num_pages) + " data pages");
   }
-  if (!compressed) {
-    if (*p + 4 > end) return Status::Corruption("truncated store catalog");
-    num_records = GetU32(*p);
-    *p += 4;
-    if (*p + 12ull * num_records > end) {
-      return Status::Corruption("truncated store catalog");
-    }
-    store.catalog_.resize(num_records);
-    for (uint64_t i = 0; i < num_records; ++i) {
-      store.catalog_[i].offset = GetU64(*p);
-      *p += 8;
-      store.catalog_[i].length = GetU32(*p);
-      *p += 4;
-    }
-  } else {
-    if (!GetVarint64(p, end, &num_records)) {
-      return Status::Corruption("truncated store catalog");
-    }
-    if (num_records > static_cast<uint64_t>(end - *p)) {
-      return Status::Corruption("record store catalog record count " +
-                                std::to_string(num_records) +
-                                " exceeds the catalog size");
-    }
-    store.catalog_.resize(num_records);
-    uint64_t prev_offset = 0;
-    for (uint64_t i = 0; i < num_records; ++i) {
-      uint64_t delta;
-      uint32_t length;
-      if (!GetVarint64(p, end, &delta) || !GetVarint32(p, end, &length)) {
-        return Status::Corruption("truncated store catalog (extent list)");
-      }
-      uint64_t offset = prev_offset + delta;
-      if (offset < prev_offset) {  // wrapped
-        return Status::Corruption("record " + std::to_string(i) +
-                                  " extent offset overflows");
-      }
-      store.catalog_[i] = Extent{offset, length};
-      prev_offset = offset;
-    }
+  uint64_t num_records = 0;
+  if (!GetVarint64(p, end, &num_records)) {
+    return Status::Corruption("truncated store catalog");
   }
+  if (num_records > static_cast<uint64_t>(end - *p)) {
+    return Status::Corruption("record store catalog record count " +
+                              std::to_string(num_records) +
+                              " exceeds the catalog size");
+  }
+  store.catalog_.resize(num_records);
+  uint64_t prev_offset = 0;
   for (uint64_t i = 0; i < num_records; ++i) {
-    if (store.catalog_[i].offset + store.catalog_[i].length >
-        store.next_offset_) {
+    uint64_t delta;
+    uint32_t length;
+    if (!GetVarint64(p, end, &delta) || !GetVarint32(p, end, &length)) {
+      return Status::Corruption("truncated store catalog (extent list)");
+    }
+    uint64_t offset = prev_offset + delta;
+    if (offset < prev_offset) {  // wrapped
+      return Status::Corruption("record " + std::to_string(i) +
+                                " extent offset overflows");
+    }
+    if (offset > store.next_offset_ || length > store.next_offset_ - offset) {
       return Status::Corruption("record " + std::to_string(i) +
                                 " extent exceeds the store's logical size");
     }
+    store.catalog_[i] = Extent{offset, length};
+    prev_offset = offset;
   }
   return store;
 }

@@ -38,23 +38,16 @@ class RecordStore {
   uint64_t total_bytes() const { return next_offset_; }
   uint64_t num_pages() const { return pages_.size(); }
 
-  /// Serializes the in-memory catalog (page list + extents) so the store
-  /// can be reopened after a restart. `compressed` selects the v3 catalog
-  /// encoding — varint fields, page ids and extent offsets as deltas (both
-  /// are near-monotonic, so deltas are tiny) — instead of the fixed-width
-  /// v1 layout. The caller owns format versioning (the index catalog blob
-  /// records which encoding was used) and must pass the same flag to
-  /// Deserialize.
-  void SerializeTo(std::vector<char>* out, bool compressed = false) const;
+  /// Serializes the in-memory catalog (page list + extents, varint-coded)
+  /// so the store can be reopened after a restart.
+  void SerializeTo(std::vector<char>* out) const;
 
   /// Rebuilds a store over existing pages from SerializeTo output. `p` is
-  /// advanced past the consumed bytes. All v3 varint reads are
-  /// bounds-checked against `end`; structural limits (pages within the
-  /// file, extents within the logical size) are enforced identically in
-  /// both formats.
+  /// advanced past the consumed bytes. Every varint read is bounds-checked
+  /// against `end`, pages must lie within the file, and extents within the
+  /// store's logical size.
   static Result<RecordStore> Deserialize(BufferPool* pool, const char** p,
-                                         const char* end,
-                                         bool compressed = false);
+                                         const char* end);
 
  private:
   struct Extent {

@@ -94,10 +94,6 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Build(
     const std::vector<Document>& documents, BufferPool* pool,
     VistIndexBuildStats* stats) {
   auto index = std::unique_ptr<VistIndex>(new VistIndex());
-  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree, DAncestorTree::Create(pool));
-  index->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::Create(pool));
-  index->docid_ = std::make_unique<DocTree>(std::move(doct));
   index->seq_store_ = std::make_unique<RecordStore>(pool);
 
   VistIndexBuildStats local;
@@ -127,26 +123,38 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Build(
 
   std::vector<RangeLabel> labels = trie.Label();
   index->root_range_ = labels[0];
+  // Both B+-trees are bulk-loaded from their entries in key order.
+  std::vector<DAncestorTree::Entry> nodes;
+  nodes.reserve(trie.nodes.size());
+  std::vector<DocTree::Entry> ends;
+  ends.reserve(documents.size());
   uint32_t doc_seq = 0;
   std::unordered_map<LabelId, std::unordered_set<PrefixId>> key_sets;
-  for (uint32_t v = 1; v < trie.nodes.size(); ++v) {
+  for (uint32_t v = 0; v < trie.nodes.size(); ++v) {
     const auto& node = trie.nodes[v];
-    PRIX_RETURN_NOT_OK(index->dancestor_->Insert(
-        VistKey{node.symbol, 0, labels[v].left},
-        VistNodeValue{labels[v].right, node.depth, node.prefix}));
-    ++stats->dancestor_entries;
-    key_sets[node.symbol].insert(node.prefix);
+    if (v != 0) {
+      nodes.push_back(
+          {VistKey{node.symbol, 0, labels[v].left},
+           VistNodeValue{labels[v].right, node.depth, node.prefix}});
+      key_sets[node.symbol].insert(node.prefix);
+    }
+    for (DocId d : node.end_docs) {
+      ends.push_back({VistDocKey{labels[v].left, doc_seq++, 0}, d});
+    }
   }
   for (auto& [symbol, prefixes] : key_sets) {
     index->symbol_prefixes_[symbol] =
         std::vector<PrefixId>(prefixes.begin(), prefixes.end());
   }
-  for (uint32_t v = 0; v < trie.nodes.size(); ++v) {
-    for (DocId d : trie.nodes[v].end_docs) {
-      PRIX_RETURN_NOT_OK(index->docid_->Insert(
-          VistDocKey{labels[v].left, doc_seq++, 0}, d));
-    }
-  }
+  auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+  std::sort(nodes.begin(), nodes.end(), by_key);
+  std::sort(ends.begin(), ends.end(), by_key);
+  stats->dancestor_entries = nodes.size();
+  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree,
+                        DAncestorTree::BulkLoad(pool, nodes));
+  index->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
+  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::BulkLoad(pool, ends));
+  index->docid_ = std::make_unique<DocTree>(std::move(doct));
   stats->pages_after_build = pool->disk()->num_pages();
   PRIX_RETURN_NOT_OK(pool->FlushAll());
   return index;
@@ -268,36 +276,11 @@ Status VistIndex::Salvage(Database* dst, const std::string& name,
   out->prefixes_ = prefixes_;
   out->symbol_prefixes_ = symbol_prefixes_;
   out->seq_store_ = std::make_unique<RecordStore>(dst->pool());
-  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree, DAncestorTree::Create(dst->pool()));
+  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree,
+                        dancestor_->SalvageInto(dst->pool(), stats));
   out->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::Create(dst->pool()));
+  PRIX_ASSIGN_OR_RETURN(DocTree doct, docid_->SalvageInto(dst->pool(), stats));
   out->docid_ = std::make_unique<DocTree>(std::move(doct));
-
-  auto skip_issue = [](PageId, const Status&, const std::string&) {};
-  auto insert = [&](auto* tree, const auto& k, const auto& v) -> Status {
-    Status st = tree->Insert(k, v);
-    if (st.ok()) {
-      ++stats->entries_recovered;
-      return st;
-    }
-    if (st.code() == StatusCode::kAlreadyExists) {
-      ++stats->entries_dropped;
-      return Status::OK();
-    }
-    return st;
-  };
-  BtreeScrubStats walk;
-  PRIX_RETURN_NOT_OK(dancestor_->WalkReachable(
-      [&](const VistKey& k, const VistNodeValue& v) {
-        return insert(out->dancestor_.get(), k, v);
-      },
-      skip_issue, &walk));
-  PRIX_RETURN_NOT_OK(docid_->WalkReachable(
-      [&](const VistDocKey& k, const DocId& v) {
-        return insert(out->docid_.get(), k, v);
-      },
-      skip_issue, &walk));
-  stats->subtrees_skipped += walk.subtrees_skipped;
 
   std::vector<char> buf;
   for (uint32_t id = 0; id < seq_store_->num_records(); ++id) {

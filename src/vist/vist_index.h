@@ -83,7 +83,7 @@ class VistIndex {
                                                  const std::string& name);
 
   /// Best-effort salvage into `dst` (Salvage parity with PrixIndex): walks
-  /// both B+-trees re-inserting reachable entries, copies readable sequence
+  /// both B+-trees bulk-loading reachable entries, copies readable sequence
   /// records (unreadable ones become empty placeholders keeping DocIds
   /// aligned), and registers the rebuilt index under `name`. Only a `dst`
   /// write failure is fatal; source corruption lands in `stats`.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -189,7 +190,9 @@ struct WideKey {
 };
 
 TEST_F(BTreeTest, CompositeWideKeysForceDeepTree) {
-  // 64-byte keys shrink fanout and force height > 2 quickly.
+  // 64-byte keys shrink fanout and force height > 2 quickly. The pad bytes
+  // carry random data (the order ignores them) so that the delta-coded
+  // leaves cannot squeeze them away and stay wide too.
   using WideTree = BPlusTree<WideKey, uint64_t>;
   auto tree = WideTree::Create(pool());
   ASSERT_TRUE(tree.ok());
@@ -197,6 +200,10 @@ TEST_F(BTreeTest, CompositeWideKeysForceDeepTree) {
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> model;
   for (int i = 0; i < 30000; ++i) {
     WideKey k{rng.Uniform(1000), rng.Uniform(1000), {}};
+    for (size_t w = 0; w < sizeof(k.pad); w += 8) {
+      const uint64_t noise = rng.Next();
+      std::memcpy(k.pad + w, &noise, 8);
+    }
     if (model.emplace(std::make_pair(k.a, k.b), i).second) {
       ASSERT_TRUE(tree->Insert(k, i).ok());
     }

@@ -1,9 +1,10 @@
-// Tests for the v3 compressed on-disk formats (DESIGN.md §5h): varint
-// primitives, delta-coded B+-tree leaves, block-coded document records, the
-// varint record-store catalog, and the SIMD gap-prune kernel. The anchor is
-// the end-to-end equivalence test: the same collection indexed compressed
-// and uncompressed must answer every query identically (and match the naive
-// oracle), because compression changes the page encoding and nothing else.
+// Tests for the delta-coded on-disk formats (DESIGN.md §5h): varint
+// primitives, delta-coded B+-tree leaves with restart points (bulk-loaded
+// and mutated), block-coded document records, the varint record-store
+// catalog, and the SIMD gap-prune kernel. Every tree check runs against a
+// naive oracle (a std::map or the source data), and the index checks
+// against the naive twig matcher: the encoding changes the page bytes and
+// nothing about what they mean.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "storage/record_store.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
+#include "vist/vist_index.h"
+#include "vist/vist_query.h"
 
 namespace prix {
 namespace {
@@ -165,7 +168,7 @@ TEST(GapPruneKernelTest, RuleSemanticsMatchThePerNodeDefinitions) {
             (std::vector<uint8_t>{1, 1, 1, 1, 1, 1, 1, 1}));
 }
 
-// --- compressed B+-tree ---------------------------------------------------
+// --- delta-coded B+-tree ----------------------------------------------------
 
 class CompressedBtreeTest : public ::testing::Test {
  protected:
@@ -175,12 +178,70 @@ class CompressedBtreeTest : public ::testing::Test {
 };
 
 using IntTree = BPlusTree<uint64_t, uint64_t>;
+using Model = std::map<uint64_t, uint64_t>;
+constexpr size_t kRestart = IntTree::RestartInterval();
+
+/// Page id of `tree`'s root, read from its meta page.
+PageId RootOf(BufferPool* pool, const IntTree& tree) {
+  auto page = pool->FetchPage(tree.meta_page_id());
+  EXPECT_TRUE(page.ok());
+  IntTree::Meta meta;
+  std::memcpy(&meta, (*page)->data(), sizeof(meta));
+  pool->UnpinPage(tree.meta_page_id(), /*dirty=*/false);
+  return meta.root;
+}
+
+/// Checks `tree` against `model` at every key, at every gap next to a key
+/// and past both ends — so at both ends of every leaf, wherever the leaves
+/// split: Get finds exactly the model's keys, Seek lands on the model's
+/// lower bound and the next two entries agree (crossing leaf ends), and a
+/// full scan matches.
+void ExpectTreeMatchesModel(const IntTree& tree, const Model& model) {
+  ASSERT_EQ(tree.num_entries(), model.size());
+  std::vector<uint64_t> probes = {0, UINT64_MAX};
+  for (const auto& entry : model) {
+    if (entry.first > 0) probes.push_back(entry.first - 1);
+    probes.push_back(entry.first);
+    probes.push_back(entry.first + 1);
+  }
+  for (uint64_t probe : probes) {
+    auto got = tree.Get(probe);
+    auto want = model.find(probe);
+    if (want == model.end()) {
+      ASSERT_EQ(got.status().code(), StatusCode::kNotFound) << probe;
+    } else {
+      ASSERT_TRUE(got.ok()) << probe << ": " << got.status().ToString();
+      ASSERT_EQ(*got, want->second) << probe;
+    }
+    auto it = tree.Seek(probe);
+    ASSERT_TRUE(it.ok()) << it.status().ToString();
+    auto mit = model.lower_bound(probe);
+    for (int step = 0; step < 3; ++step, ++mit) {
+      if (mit == model.end()) {
+        ASSERT_FALSE(it->Valid()) << "seek " << probe << " step " << step;
+        break;
+      }
+      ASSERT_TRUE(it->Valid()) << "seek " << probe << " step " << step;
+      ASSERT_EQ(it->key(), mit->first) << "seek " << probe;
+      ASSERT_EQ(it->value(), mit->second) << "seek " << probe;
+      ASSERT_TRUE(it->Next().ok());
+    }
+  }
+  auto it = tree.SeekToFirst();
+  ASSERT_TRUE(it.ok());
+  for (const auto& [k, v] : model) {
+    ASSERT_TRUE(it->Valid()) << "scan ended before " << k;
+    ASSERT_EQ(it->key(), k);
+    ASSERT_EQ(it->value(), v);
+    ASSERT_TRUE(it->Next().ok());
+  }
+  EXPECT_FALSE(it->Valid());
+}
 
 TEST_F(CompressedBtreeTest, ModelCheckInsertGetScanDelete) {
-  auto tree = IntTree::Create(pool(), {}, /*compressed_leaves=*/true);
+  auto tree = IntTree::Create(pool());
   ASSERT_TRUE(tree.ok());
-  EXPECT_TRUE(tree->compressed_leaves());
-  std::map<uint64_t, uint64_t> model;
+  Model model;
   Random rng(321);
   for (int i = 0; i < 20000; ++i) {
     uint64_t key = rng.Uniform(100000);
@@ -221,33 +282,75 @@ TEST_F(CompressedBtreeTest, ModelCheckInsertGetScanDelete) {
   EXPECT_TRUE(pool()->Clear().ok());
 }
 
-TEST_F(CompressedBtreeTest, DenseKeysRaiseLeafFanoutSeveralFold) {
-  // Sequential keys delta-code to ~2 bytes/entry vs 16 fixed: the same
-  // entry count must need far fewer pages.
-  auto fixed = IntTree::Create(pool(), {}, false);
-  auto packed = IntTree::Create(pool(), {}, true);
-  ASSERT_TRUE(fixed.ok());
-  ASSERT_TRUE(packed.ok());
-  const uint64_t n = 20000;
-  uint64_t pages_before = pool()->disk()->num_pages();
-  for (uint64_t k = 0; k < n; ++k) {
-    ASSERT_TRUE(fixed->Insert(k, k).ok());
+TEST_F(CompressedBtreeTest, BulkLoadedTreesAnswerLikeTheModelAtEverySize) {
+  // Sizes around the restart interval and a many-leaf tree. Keys are 3i+1,
+  // so every key has a gap on both sides; values are scrambled 64-bit
+  // words, so entries encode to anywhere between 3 and 12 bytes.
+  const size_t many = 20000;
+  for (size_t n : {size_t{0}, size_t{1}, kRestart - 1, kRestart,
+                   kRestart + 1, 3 * kRestart + 5, many}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::vector<IntTree::Entry> entries;
+    Model model;
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t value = (i * 0x9e3779b97f4a7c15ull) >> (i % 40);
+      entries.push_back({3 * i + 1, value});
+      model.emplace(3 * i + 1, value);
+    }
+    auto tree = IntTree::BulkLoad(pool(), entries);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    if (n == many) {
+      EXPECT_GE(tree->height(), 2u) << "want several leaves";
+    }
+    ExpectTreeMatchesModel(*tree, model);
+
+    // Mutations on bulk-loaded leaves, which sit at the insert limit: every
+    // insert into a gap lands in a full leaf (and splits it), every delete
+    // re-encodes within the headroom.
+    Random rng(n + 17);
+    for (uint64_t i = 0; i < n; i += 1 + rng.Uniform(4)) {
+      const uint64_t gap = 3 * i + (rng.Uniform(2) == 0 ? 0 : 2);
+      ASSERT_TRUE(tree->Insert(gap, ~gap).ok()) << gap;
+      model.emplace(gap, ~gap);
+      const uint64_t victim = 3 * i + 1;
+      if (rng.Uniform(3) == 0 && model.erase(victim) == 1) {
+        ASSERT_TRUE(tree->Delete(victim).ok()) << victim;
+        EXPECT_EQ(tree->Delete(victim).code(), StatusCode::kNotFound);
+      }
+    }
+    ExpectTreeMatchesModel(*tree, model);
   }
-  uint64_t fixed_pages = pool()->disk()->num_pages() - pages_before;
-  pages_before = pool()->disk()->num_pages();
-  for (uint64_t k = 0; k < n; ++k) {
-    ASSERT_TRUE(packed->Insert(k, k).ok());
-  }
-  uint64_t packed_pages = pool()->disk()->num_pages() - pages_before;
-  EXPECT_LT(packed_pages * 3, fixed_pages)
-      << "compressed tree used " << packed_pages << " pages vs "
-      << fixed_pages;
+  EXPECT_TRUE(pool()->Clear().ok());
 }
 
-TEST_F(CompressedBtreeTest, ReopenPreservesFormatAndContents) {
+TEST_F(CompressedBtreeTest, BulkLoadRejectsUnsortedOrDuplicateKeys) {
+  std::vector<IntTree::Entry> unsorted = {{1, 1}, {5, 5}, {3, 3}};
+  EXPECT_EQ(IntTree::BulkLoad(pool(), unsorted).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<IntTree::Entry> duplicate = {{1, 1}, {2, 2}, {2, 3}};
+  EXPECT_EQ(IntTree::BulkLoad(pool(), duplicate).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(CompressedBtreeTest, DenseKeysPackSeveralTimesTheFixedStrideFanout) {
+  // Sequential keys delta-code to ~2 bytes/entry; 16-byte fixed-stride
+  // entries would need n * 16 / page bytes leaves.
+  const uint64_t n = 20000;
+  std::vector<IntTree::Entry> entries;
+  for (uint64_t k = 0; k < n; ++k) entries.push_back({k, k});
+  const uint64_t pages_before = pool()->disk()->num_pages();
+  auto tree = IntTree::BulkLoad(pool(), entries);
+  ASSERT_TRUE(tree.ok());
+  const uint64_t packed_pages = pool()->disk()->num_pages() - pages_before;
+  const uint64_t fixed_leaves = n * 16 / kPageUsable;
+  EXPECT_LT(packed_pages * 3, fixed_leaves)
+      << "delta tree used " << packed_pages << " pages";
+}
+
+TEST_F(CompressedBtreeTest, ReopenPreservesContents) {
   PageId meta;
   {
-    auto tree = IntTree::Create(pool(), {}, true);
+    auto tree = IntTree::Create(pool());
     ASSERT_TRUE(tree.ok());
     meta = tree->meta_page_id();
     for (uint64_t k = 0; k < 3000; ++k) {
@@ -256,7 +359,7 @@ TEST_F(CompressedBtreeTest, ReopenPreservesFormatAndContents) {
     ASSERT_TRUE(pool()->FlushAll().ok());
   }
   ASSERT_TRUE(pool()->Clear().ok());
-  auto reopened = IntTree::Open(pool(), meta, {}, true);
+  auto reopened = IntTree::Open(pool(), meta);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->num_entries(), 3000u);
   auto v = reopened->Get(7 * 1234);
@@ -264,43 +367,128 @@ TEST_F(CompressedBtreeTest, ReopenPreservesFormatAndContents) {
   EXPECT_EQ(*v, 1234u);
 }
 
-TEST_F(CompressedBtreeTest, FormatMismatchIsCorruptionNotGarbage) {
-  // The leaf format byte is cross-checked on every page read, so opening a
-  // compressed tree as fixed (or vice versa — a catalog/page disagreement
-  // only corruption could produce) must error, never misdecode.
-  PageId packed_meta, fixed_meta;
+/// Overwrites `len` bytes at `offset` of page `id` through the pool (the
+/// page trailer is restamped on flush, so only the tree's checks see it).
+void PatchPage(BufferPool* pool, PageId id, size_t offset, const void* bytes,
+               size_t len) {
+  auto page = pool->FetchPage(id);
+  ASSERT_TRUE(page.ok());
+  std::memcpy((*page)->data() + offset, bytes, len);
+  pool->UnpinPage(id, /*dirty=*/true);
+}
+
+TEST_F(CompressedBtreeTest, WrongFormatByteIsCorruption) {
+  std::vector<IntTree::Entry> entries;
+  for (uint64_t k = 0; k < 20000; ++k) entries.push_back({k, k});
+  auto tree = IntTree::BulkLoad(pool(), entries);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_GE(tree->height(), 2u);
+  const PageId root = RootOf(pool(), *tree);
+  PageId leaf;  // the root's leftmost child (bytes 8..11 of an internal node)
   {
-    auto packed = IntTree::Create(pool(), {}, true);
-    auto fixed = IntTree::Create(pool(), {}, false);
-    ASSERT_TRUE(packed.ok());
-    ASSERT_TRUE(fixed.ok());
-    packed_meta = packed->meta_page_id();
-    fixed_meta = fixed->meta_page_id();
-    for (uint64_t k = 0; k < 100; ++k) {
-      ASSERT_TRUE(packed->Insert(k, k).ok());
-      ASSERT_TRUE(fixed->Insert(k, k).ok());
-    }
-    ASSERT_TRUE(pool()->FlushAll().ok());
+    auto page = pool()->FetchPage(root);
+    ASSERT_TRUE(page.ok());
+    std::memcpy(&leaf, (*page)->data() + 8, sizeof(leaf));
+    pool()->UnpinPage(root, false);
   }
-  ASSERT_TRUE(pool()->Clear().ok());
-  auto as_fixed = IntTree::Open(pool(), packed_meta, {}, false);
-  ASSERT_TRUE(as_fixed.ok());  // the meta page carries no format bit
-  EXPECT_EQ(as_fixed->Get(5).status().code(), StatusCode::kCorruption);
-  auto as_packed = IntTree::Open(pool(), fixed_meta, {}, true);
-  ASSERT_TRUE(as_packed.ok());
-  EXPECT_EQ(as_packed->Get(5).status().code(), StatusCode::kCorruption);
+  // Byte 6 is the node format: 1 on leaves, 0 on internal nodes.
+  for (uint8_t bad : {uint8_t{0}, uint8_t{2}, uint8_t{0xff}}) {
+    PatchPage(pool(), leaf, 6, &bad, 1);
+    EXPECT_EQ(tree->Get(0).status().code(), StatusCode::kCorruption) << +bad;
+    EXPECT_EQ(tree->SeekToFirst().status().code(), StatusCode::kCorruption);
+  }
+  const uint8_t leaf_format = 1;
+  PatchPage(pool(), leaf, 6, &leaf_format, 1);
+  ASSERT_TRUE(tree->Get(0).ok());
+  PatchPage(pool(), root, 6, &leaf_format, 1);
+  EXPECT_EQ(tree->Get(0).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(tree->Seek(5).status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(pool()->Clear().ok());
+}
+
+TEST_F(CompressedBtreeTest, GarbledRestartOffsetIsCorruptionNeverAnOverread) {
+  // One leaf of several restart groups. Layout (btree.h): stream length P
+  // at bytes 12..13, restart count R at 14..15, stream at 16, and R uint16
+  // restart offsets right after it.
+  std::vector<IntTree::Entry> entries;
+  Model model;
+  for (uint64_t i = 0; i < 5 * kRestart + 3; ++i) {
+    entries.push_back({i * 5, i * i});
+    model.emplace(i * 5, i * i);
+  }
+  auto tree = IntTree::BulkLoad(pool(), entries);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->height(), 1u);
+  const PageId leaf = RootOf(pool(), *tree);
+  uint16_t plen, restarts;
+  std::vector<uint16_t> offsets;
+  {
+    auto page = pool()->FetchPage(leaf);
+    ASSERT_TRUE(page.ok());
+    std::memcpy(&plen, (*page)->data() + 12, 2);
+    std::memcpy(&restarts, (*page)->data() + 14, 2);
+    offsets.resize(restarts);
+    std::memcpy(offsets.data(), (*page)->data() + 16 + plen, 2 * restarts);
+    pool()->UnpinPage(leaf, false);
+  }
+  ASSERT_EQ(restarts, 6u);
+  ASSERT_EQ(offsets[0], 0u);
+  const size_t slot = 16 + plen;  // byte offset of restart 0
+  struct Garble {
+    size_t r;
+    uint16_t value;
+    bool every_access;  // CheckNode refuses the page outright
+  };
+  const Garble garbles[] = {
+      {2, 0xffff, true},                                 // past the page
+      {2, plen, true},                                   // past the stream
+      {2, offsets[1], true},                             // not rising
+      {0, 1, true},                                      // first is not 0
+      {2, static_cast<uint16_t>(offsets[2] + 1), false},  // mid-entry
+      {2, static_cast<uint16_t>(offsets[2] - 1), false},  // mid-entry
+      {5, static_cast<uint16_t>(offsets[5] + 1), false},  // last group
+  };
+  for (const Garble& g : garbles) {
+    SCOPED_TRACE("restart " + std::to_string(g.r) + " := " +
+                 std::to_string(g.value));
+    PatchPage(pool(), leaf, slot + 2 * g.r, &g.value, 2);
+    // A full scan must stop with Corruption.
+    Status scan;
+    auto it = tree->SeekToFirst();
+    scan = it.status();
+    while (scan.ok() && it->Valid()) scan = it->Next();
+    EXPECT_EQ(scan.code(), StatusCode::kCorruption) << scan.ToString();
+    // Point reads fail or answer right; never a wrong value.
+    for (const auto& [k, v] : model) {
+      auto got = tree->Get(k);
+      if (g.every_access) {
+        EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << k;
+      } else if (got.ok()) {
+        EXPECT_EQ(*got, v) << k;
+      }
+      auto seek = tree->Seek(k);
+      if (seek.ok() && seek->Valid() && seek->key() == k) {
+        EXPECT_EQ(seek->value(), v) << k;
+      } else if (g.every_access) {
+        EXPECT_EQ(seek.status().code(), StatusCode::kCorruption) << k;
+      }
+    }
+    PatchPage(pool(), leaf, slot + 2 * g.r, &offsets[g.r], 2);
+  }
+  ExpectTreeMatchesModel(*tree, model);
   EXPECT_TRUE(pool()->Clear().ok());
 }
 
 TEST_F(CompressedBtreeTest, DeleteReinsertAtTheInsertLimitHeadroomBoundary) {
-  // The delete path re-encodes a compressed leaf in place and may GROW the
-  // payload (the successor re-deltas against a farther predecessor), which
-  // the insert-side fill limit (kCompressedInsertLimit, one max-size entry
-  // of headroom below the page) must absorb. Drive a leaf to the boundary:
-  // insert worst-case-wide entries until the leaf splits, then rebuild with
-  // one entry fewer — a payload within one encoded entry of the limit — and
-  // churn delete -> reinsert through every position. Every round must
-  // re-encode in place (no Internal status) and preserve the contents.
+  // The delete path re-encodes a leaf in place and may GROW the payload
+  // (the successor re-deltas against a farther predecessor, or against
+  // zero when it inherits a restart), which the insert-side fill limit
+  // (LeafInsertLimit, one max-size entry of headroom below the page) must
+  // absorb. Drive a leaf to the boundary: insert worst-case-wide entries
+  // until the leaf splits, then rebuild with one entry fewer — a payload
+  // within one encoded entry of the limit — and churn delete -> reinsert
+  // through every position. Every round must re-encode in place (no
+  // Internal status) and preserve the contents.
   auto wide_key = [](uint64_t i) {
     // ~2^41 spacing: 6-byte deltas, plus a low-bit wiggle so deltas differ.
     return i * (uint64_t{1} << 41) + (i * 0x9e3779b9u & 0xfffu);
@@ -308,7 +496,7 @@ TEST_F(CompressedBtreeTest, DeleteReinsertAtTheInsertLimitHeadroomBoundary) {
   const uint64_t wide_value = (uint64_t{1} << 62) + 12345;  // 9-byte varint
 
   // Find the split point: the first n whose insert allocates a new page.
-  auto probe = IntTree::Create(pool(), {}, true);
+  auto probe = IntTree::Create(pool());
   ASSERT_TRUE(probe.ok());
   uint64_t pages_before = pool()->disk()->num_pages();
   uint64_t n_split = 0;
@@ -321,11 +509,12 @@ TEST_F(CompressedBtreeTest, DeleteReinsertAtTheInsertLimitHeadroomBoundary) {
   }
   ASSERT_GT(n_split, 4u) << "leaf never split; widen the keys";
   // Sanity: the leaf held enough wide entries that its payload was near
-  // the fill limit when the split fired (each entry encodes to <= 25 B).
-  ASSERT_GT(n_split * 25, IntTree::CompressedInsertLimit())
+  // the fill limit when the split fired (each entry encodes to <= 25 B
+  // plus a 2-byte restart offset per group).
+  ASSERT_GT(n_split * 27, IntTree::LeafInsertLimit())
       << "split fired while the leaf was far from full";
 
-  auto tree = IntTree::Create(pool(), {}, true);
+  auto tree = IntTree::Create(pool());
   ASSERT_TRUE(tree.ok());
   const uint64_t n = n_split - 1;
   for (uint64_t i = 0; i < n; ++i) {
@@ -357,9 +546,9 @@ TEST_F(CompressedBtreeTest, DeleteReinsertAtTheInsertLimitHeadroomBoundary) {
   EXPECT_TRUE(pool()->Clear().ok());
 }
 
-// --- record store v3 catalog ----------------------------------------------
+// --- record store catalog -------------------------------------------------
 
-TEST_F(CompressedBtreeTest, RecordStoreCatalogRoundTripsInBothFormats) {
+TEST_F(CompressedBtreeTest, RecordStoreCatalogRoundTrips) {
   RecordStore store(pool());
   Random rng(55);
   std::vector<std::vector<char>> records;
@@ -371,82 +560,74 @@ TEST_F(CompressedBtreeTest, RecordStoreCatalogRoundTripsInBothFormats) {
     ASSERT_EQ(*id, static_cast<uint32_t>(i));
     records.push_back(std::move(rec));
   }
-  for (bool compressed : {false, true}) {
-    std::vector<char> blob;
-    store.SerializeTo(&blob, compressed);
-    const char* p = blob.data();
-    auto reopened =
-        RecordStore::Deserialize(pool(), &p, blob.data() + blob.size(),
-                                 compressed);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    EXPECT_EQ(p, blob.data() + blob.size()) << "catalog not fully consumed";
-    ASSERT_EQ(reopened->num_records(), records.size());
-    EXPECT_EQ(reopened->total_bytes(), store.total_bytes());
-    for (size_t i = 0; i < records.size(); ++i) {
-      std::vector<char> out;
-      ASSERT_TRUE(reopened->Load(i, &out).ok());
-      EXPECT_EQ(out, records[i]) << "record " << i;
-    }
+  std::vector<char> blob;
+  store.SerializeTo(&blob);
+  // Deltas + varints: far below the 4 + 12 bytes per record a fixed-width
+  // catalog would take.
+  EXPECT_LT(blob.size(), 12 * records.size());
+  const char* p = blob.data();
+  auto reopened =
+      RecordStore::Deserialize(pool(), &p, blob.data() + blob.size());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(p, blob.data() + blob.size()) << "catalog not fully consumed";
+  ASSERT_EQ(reopened->num_records(), records.size());
+  EXPECT_EQ(reopened->total_bytes(), store.total_bytes());
+  for (size_t i = 0; i < records.size(); ++i) {
+    std::vector<char> out;
+    ASSERT_TRUE(reopened->Load(i, &out).ok());
+    EXPECT_EQ(out, records[i]) << "record " << i;
   }
-  // The v3 catalog must actually be smaller (deltas + varints).
-  std::vector<char> v1, v3;
-  store.SerializeTo(&v1, false);
-  store.SerializeTo(&v3, true);
-  EXPECT_LT(v3.size(), v1.size());
 }
 
-TEST_F(CompressedBtreeTest, RecordStoreV3CatalogRejectsTruncation) {
+TEST_F(CompressedBtreeTest, RecordStoreCatalogRejectsTruncation) {
   RecordStore store(pool());
   for (int i = 0; i < 50; ++i) {
     char buf[40] = {};
     ASSERT_TRUE(store.Append(buf, sizeof(buf)).ok());
   }
   std::vector<char> blob;
-  store.SerializeTo(&blob, true);
+  store.SerializeTo(&blob);
   for (size_t cut = 0; cut < blob.size(); cut += 3) {
     const char* p = blob.data();
-    auto r = RecordStore::Deserialize(pool(), &p, blob.data() + cut, true);
+    auto r = RecordStore::Deserialize(pool(), &p, blob.data() + cut);
     EXPECT_FALSE(r.ok()) << "cut " << cut << " decoded successfully";
   }
 }
 
-// --- doc store v3 ---------------------------------------------------------
+// --- doc store ------------------------------------------------------------
 
-TEST_F(CompressedBtreeTest, DocStoreV3RoundTripEqualsV1) {
+TEST_F(CompressedBtreeTest, DocStoreRoundTripsTheSourceSequences) {
   Random rng(99);
   TagDictionary dict;
   RandomDocOptions doc_opts;
   doc_opts.max_nodes = 200;  // several NPS blocks per record
   std::vector<Document> docs = RandomCollection(rng, 25, &dict, doc_opts);
-  DocStore v1(pool(), false);
-  DocStore v3(pool(), true);
-  EXPECT_FALSE(v1.compressed());
-  EXPECT_TRUE(v3.compressed());
+  DocStore store(pool());
+  std::vector<PruferSequences> seqs;
+  std::vector<std::vector<LeafEntry>> leaf_lists;
+  uint64_t raw_bytes = 0;  // the same records as raw uint32 fields
   for (DocId d = 0; d < docs.size(); ++d) {
-    PruferSequences seq = BuildPruferSequences(docs[d]);
-    std::vector<LeafEntry> leaves = CollectLeaves(docs[d]);
-    ASSERT_TRUE(v1.Append(d, seq, leaves).ok());
-    ASSERT_TRUE(v3.Append(d, seq, leaves).ok());
+    seqs.push_back(BuildPruferSequences(docs[d]));
+    leaf_lists.push_back(CollectLeaves(docs[d]));
+    ASSERT_TRUE(store.Append(d, seqs.back(), leaf_lists.back()).ok());
+    raw_bytes += 12 + 8 * (seqs.back().lps.size() + leaf_lists.back().size());
   }
-  EXPECT_LT(v3.total_bytes(), v1.total_bytes())
-      << "v3 records are not smaller";
+  EXPECT_LT(store.total_bytes(), raw_bytes) << "records are not smaller";
   for (DocId d = 0; d < docs.size(); ++d) {
-    auto a = v1.Load(d);
-    auto b = v3.Load(d);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->seq.lps, b->seq.lps);
-    EXPECT_EQ(a->seq.nps, b->seq.nps);
-    EXPECT_EQ(a->seq.num_nodes, b->seq.num_nodes);
-    EXPECT_EQ(a->seq.root_label, b->seq.root_label);
-    ASSERT_EQ(a->leaves.size(), b->leaves.size());
-    for (size_t i = 0; i < a->leaves.size(); ++i) {
-      EXPECT_EQ(a->leaves[i].label, b->leaves[i].label);
-      EXPECT_EQ(a->leaves[i].postorder, b->leaves[i].postorder);
+    auto got = store.Load(d);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->seq.lps, seqs[d].lps);
+    EXPECT_EQ(got->seq.nps, seqs[d].nps);
+    EXPECT_EQ(got->seq.num_nodes, seqs[d].num_nodes);
+    EXPECT_EQ(got->seq.root_label, seqs[d].root_label);
+    ASSERT_EQ(got->leaves.size(), leaf_lists[d].size());
+    for (size_t i = 0; i < got->leaves.size(); ++i) {
+      EXPECT_EQ(got->leaves[i].label, leaf_lists[d][i].label);
+      EXPECT_EQ(got->leaves[i].postorder, leaf_lists[d][i].postorder);
     }
   }
   // Empty placeholder records (the salvage path) round-trip too.
-  DocStore empties(pool(), true);
+  DocStore empties(pool());
   ASSERT_TRUE(empties.Append(0, PruferSequences{}, {}).ok());
   auto loaded = empties.Load(0);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -454,38 +635,32 @@ TEST_F(CompressedBtreeTest, DocStoreV3RoundTripEqualsV1) {
   EXPECT_TRUE(loaded->leaves.empty());
 }
 
-// --- end to end: compressed answers == uncompressed answers == naive ------
+// --- end to end: PRIX and ViST answers == naive, through the catalog -----
 
-TEST_F(CompressedBtreeTest, CompressedIndexAnswersAreIdentical) {
+TEST_F(CompressedBtreeTest, IndexAnswersMatchNaiveThroughTheCatalog) {
   Random rng(2026);
   TagDictionary dict;
   RandomDocOptions doc_opts;
   doc_opts.max_nodes = 48;
   std::vector<Document> docs = RandomCollection(rng, 40, &dict, doc_opts);
 
-  PrixIndexOptions plain_opts;
-  plain_opts.compress = false;  // force both modes regardless of PRIX_COMPRESS
-  PrixIndexOptions packed_opts;
-  packed_opts.compress = true;
-  auto plain = PrixIndex::Build(docs, pool(), plain_opts);
-  auto packed = PrixIndex::Build(docs, pool(), packed_opts);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  ASSERT_TRUE(packed.ok()) << packed.status().ToString();
-  ASSERT_TRUE((*plain)->Save(&db_.db(), "plain").ok());
-  ASSERT_TRUE((*packed)->Save(&db_.db(), "packed").ok());
+  auto rp = PrixIndex::Build(docs, pool(), PrixIndexOptions{});
+  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+  ASSERT_TRUE((*rp)->Save(&db_.db(), "rp").ok());
+  auto vist = VistIndex::Build(docs, pool());
+  ASSERT_TRUE(vist.ok()) << vist.status().ToString();
+  ASSERT_TRUE((*vist)->Save(&db_.db(), "v").ok());
 
-  // Reopen both through the catalog: the format flag must come back from
-  // the catalog version, not from the environment.
+  // Reopen through the catalog with a cold pool: every leaf is decoded
+  // from its page bytes.
   ASSERT_TRUE(db_.Reopen().ok());
-  auto plain2 = PrixIndex::Open(&db_.db(), "plain");
-  auto packed2 = PrixIndex::Open(&db_.db(), "packed");
-  ASSERT_TRUE(plain2.ok()) << plain2.status().ToString();
-  ASSERT_TRUE(packed2.ok()) << packed2.status().ToString();
-  EXPECT_FALSE((*plain2)->options().compress);
-  EXPECT_TRUE((*packed2)->options().compress);
+  auto rp2 = PrixIndex::Open(&db_.db(), "rp");
+  auto vist2 = VistIndex::Open(&db_.db(), "v");
+  ASSERT_TRUE(rp2.ok()) << rp2.status().ToString();
+  ASSERT_TRUE(vist2.ok()) << vist2.status().ToString();
 
-  QueryProcessor qp_plain(db_.db(), plain2->get(), nullptr);
-  QueryProcessor qp_packed(db_.db(), packed2->get(), nullptr);
+  QueryProcessor qp(db_.db(), rp2->get(), nullptr);
+  VistQueryProcessor vqp(vist2->get());
   size_t tried = 0;
   for (int i = 0; i < 30 && tried < 12; ++i) {
     TwigPattern pattern =
@@ -493,19 +668,18 @@ TEST_F(CompressedBtreeTest, CompressedIndexAnswersAreIdentical) {
     if (pattern.num_nodes() < 2) continue;
     ++tried;
     EffectiveTwig twig = EffectiveTwig::Build(pattern);
-    auto oracle =
-        NaiveMatchCollection(docs, twig, MatchSemantics::kOrdered);
+    auto oracle = NaiveMatchCollection(docs, twig, MatchSemantics::kOrdered);
     std::sort(oracle.begin(), oracle.end());
-    auto a = qp_plain.Execute(pattern);
-    auto b = qp_packed.Execute(pattern);
+    auto a = qp.Execute(pattern);
+    auto b = vqp.Execute(pattern);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     auto am = a->matches;
     auto bm = b->matches;
     std::sort(am.begin(), am.end());
     std::sort(bm.begin(), bm.end());
-    EXPECT_EQ(am, oracle) << "uncompressed diverges from naive, query " << i;
-    EXPECT_EQ(bm, oracle) << "compressed diverges from naive, query " << i;
+    EXPECT_EQ(am, oracle) << "PRIX diverges from naive, query " << i;
+    EXPECT_EQ(bm, oracle) << "ViST diverges from naive, query " << i;
   }
   EXPECT_GE(tried, 5u);
 }

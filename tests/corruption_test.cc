@@ -104,12 +104,9 @@ struct Workload {
 
   /// Builds the RP and ViST indexes into `db`, so the fuzz sweeps over
   /// every page type both index families use (B+-tree nodes, heap record
-  /// chunks, catalog blobs). `compress` selects the v3 formats for the RP
-  /// index (defaulting from PRIX_COMPRESS like every other build site).
-  void BuildInto(TempDb* db, bool compress = CompressFromEnv()) const {
-    PrixIndexOptions rp_opts;
-    rp_opts.compress = compress;
-    auto rp = PrixIndex::Build(docs, db->pool(), rp_opts);
+  /// chunks, catalog blobs).
+  void BuildInto(TempDb* db) const {
+    auto rp = PrixIndex::Build(docs, db->pool(), PrixIndexOptions{});
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     ASSERT_TRUE((*rp)->Save(&db->db(), "rp").ok());
     auto vist = VistIndex::Build(docs, db->pool());
@@ -118,17 +115,16 @@ struct Workload {
   }
 };
 
-/// Body of the every-page garble sweep, shared by the default-format and
-/// explicitly-compressed (v3) variants: compression changes what a garbled
-/// payload decodes to, so the fail-safe contract needs independent coverage
-/// against delta-coded leaves and varint records.
-void RunGarbleSweep(uint64_t seed, bool compress) {
+/// Body of the every-page garble sweep, run under two seeds: what a garbled
+/// payload decodes to depends on the bytes, so the fail-safe contract gets
+/// two independent draws against delta-coded leaves and varint records.
+void RunGarbleSweep(uint64_t seed) {
   SCOPED_TRACE("PRIX_CORRUPTION_SEED=" + std::to_string(seed));
   Workload load(seed);
   ASSERT_GE(load.patterns.size(), 3u);
 
   TempDb db(Database::Options{.pool_pages = 128});
-  load.BuildInto(&db, compress);
+  load.BuildInto(&db);
   ASSERT_TRUE(db.CloseHandle().ok());
 
   std::vector<char> pristine = Slurp(db.path());
@@ -206,11 +202,11 @@ void RunGarbleSweep(uint64_t seed, bool compress) {
 }
 
 TEST(CorruptionFuzzTest, EverySinglePageGarbleFailsSafelyAndIsPinpointed) {
-  RunGarbleSweep(FuzzSeed(), CompressFromEnv());
+  RunGarbleSweep(FuzzSeed());
 }
 
-TEST(CorruptionFuzzTest, CompressedPagesGarbleFailsSafelyToo) {
-  RunGarbleSweep(FuzzSeed() ^ 0xc0117e55ed, /*compress=*/true);
+TEST(CorruptionFuzzTest, SecondSeedGarbleFailsSafelyToo) {
+  RunGarbleSweep(FuzzSeed() ^ 0xc0117e55ed);
 }
 
 TEST(CorruptionFuzzTest, VerifyDatabaseWalksStructureAndNamesTheIndex) {

@@ -261,12 +261,13 @@ TEST(DatabaseTest, BothSlotsTornIsUnrecoverable) {
 
 TEST(DatabaseTest, OlderFormatFilesAreRejectedWithMigrationHint) {
   // Migration guard: a file written by an older layout (format 1 has no
-  // page trailers, format 2 has optional header trailers and stale stamps)
-  // must not be half-read; the error tells the operator to rebuild rather
-  // than reporting generic corruption. An old slot is simulated by patching
-  // the version field of both header slots — the magic survives, so version
-  // is judged before anything else.
-  for (uint32_t version : {1u, 2u}) {
+  // page trailers, format 2 has optional header trailers and stale stamps,
+  // format 3 has fixed-stride or restart-less B+-tree leaves) must not be
+  // half-read; the error tells the operator to rebuild rather than
+  // reporting generic corruption. An old slot is simulated by patching the
+  // version field of both header slots — the magic survives, so version is
+  // judged before anything else.
+  for (uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("format " + std::to_string(version));
     testutil::TempDb db(Database::Options{.pool_pages = 64});
     ASSERT_TRUE(db.CloseHandle().ok());

@@ -8,9 +8,7 @@
 // in-flight state. Ingest carries the co-resident ViST and TwigStack
 // engines in the same commits, so a second reader flavor opens THOSE from
 // pinned snapshot entries and holds them to the same per-generation
-// oracle. Run under TSan by tools/check_tsan.sh; the PRIX_COMPRESS
-// environment variable (tools/ci.sh sets 0 and 1) selects the on-disk
-// format, since the seed index builds with the default options.
+// oracle. Run under TSan by tools/check_tsan.sh.
 
 #include <gtest/gtest.h>
 

@@ -195,7 +195,7 @@ TEST(PersistenceTest, OpenAcceptsChildlessLabelsInAnyOrder) {
 TEST(PersistenceTest, StreamCatalogsBeforeV3AreRefused) {
   // Stream catalogs v1 (no document count) and v2 (unpacked, no first slot)
   // only ever lived in format-2 database files, which Database::Open
-  // refuses. Inside a format-3 file such a blob is corruption, not an older
+  // refuses. Inside a current-format file such a blob is corruption, not an older
   // layout to read. Each blob below would parse as an empty v3 catalog.
   TempDb db(Database::Options{.pool_pages = 64});
   for (uint32_t version : {1u, 2u}) {

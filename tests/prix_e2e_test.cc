@@ -52,18 +52,15 @@ class PrixE2eTest : public ::testing::Test {
  protected:
   void BuildIndexes(const std::vector<Document>& docs,
                     PrixIndexOptions::Labeling labeling =
-                        PrixIndexOptions::Labeling::kExact,
-                    bool compress = CompressFromEnv()) {
+                        PrixIndexOptions::Labeling::kExact) {
     PrixIndexOptions rp_opts;
     rp_opts.labeling = labeling;
-    rp_opts.compress = compress;
     auto rp = PrixIndex::Build(docs, db_.pool(), rp_opts);
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     rp_ = std::move(*rp);
     PrixIndexOptions ep_opts;
     ep_opts.extended = true;
     ep_opts.labeling = labeling;
-    ep_opts.compress = compress;
     auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
     ASSERT_TRUE(ep.ok()) << ep.status().ToString();
     ep_ = std::move(*ep);
@@ -240,17 +237,27 @@ TEST_F(PrixE2eTest, RandomizedAgreementExactQueries) {
   EXPECT_GT(checked, 20);
 }
 
-TEST_F(PrixE2eTest, RandomizedAgreementCompressedIndexes) {
-  // Same agreement property over v3 compressed indexes, forced on
-  // regardless of PRIX_COMPRESS: answers must be independent of the
-  // on-disk encoding (compression_test.cc additionally diffs the two
-  // encodings against each other through the catalog).
+TEST_F(PrixE2eTest, RandomizedAgreementThroughCatalogReopen) {
+  // The same agreement property over indexes that went to disk and came
+  // back: saved, the environment reopened with a cold pool, and reopened
+  // through the catalog, so every leaf is decoded from its page bytes.
   TagDictionary dict;
   Random rng(7007);
   RandomDocOptions doc_opts;
   doc_opts.max_nodes = 30;
   std::vector<Document> docs = RandomCollection(rng, 60, &dict, doc_opts);
-  BuildIndexes(docs, PrixIndexOptions::Labeling::kExact, /*compress=*/true);
+  BuildIndexes(docs);
+  ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
+  ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
+  rp_.reset();
+  ep_.reset();
+  ASSERT_TRUE(db_.Reopen().ok());
+  auto rp = PrixIndex::Open(&db_.db(), "rp");
+  auto ep = PrixIndex::Open(&db_.db(), "ep");
+  ASSERT_TRUE(rp.ok()) << rp.status().ToString();
+  ASSERT_TRUE(ep.ok()) << ep.status().ToString();
+  rp_ = std::move(*rp);
+  ep_ = std::move(*ep);
   int checked = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const Document& doc = docs[rng.Uniform(docs.size())];

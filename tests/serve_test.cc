@@ -535,6 +535,25 @@ TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
   queries.push_back({3, "//article//name"});
   queries.push_back({4, "//book/title"});
 
+  // Queries take microseconds, so eight connections need not overlap by
+  // themselves. The test holds the one execute slot (under a client id no
+  // connection gets) until the server has shed something, so the first
+  // requests queue, the overflow sheds on arrival, and then everything
+  // drains through the slot.
+  AdmissionController& slots = server->admission_for_testing();
+  constexpr uint64_t kHolder = ~uint64_t{0};
+  ASSERT_TRUE(slots.Admit(kHolder, nullptr, nullptr).ok());
+  std::thread releaser([&slots] {
+    // The guard only turns a broken server into a failed test, not a hang.
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::seconds(60);
+    while (slots.shed_total() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    slots.Release(kHolder, /*service_us=*/0);
+  });
+
   ReplayOptions ropts;
   ropts.port = server->port();
   ropts.connections = 8;
@@ -543,6 +562,7 @@ TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
   ropts.backoff_cap_ms = 4;  // keep the retry storm hot on purpose
   ReplayReport report;
   Status s = RunReplay(ropts, queries, &report);
+  releaser.join();
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   // Overload became typed SHED responses, not errors, hangs, or growth:

@@ -3,7 +3,8 @@
 # kMaxDocumentDepth levels deep (src/xml/document.h) must index and insert,
 # and one level more must be refused with InvalidArgument (exit 1, no
 # crash) by both `prix index` and `prix insert`, leaving the database
-# intact. Run against a plain build by check_serve.sh and against the
+# intact; and `prix query --timeout-ms` must stop a ViST query over a deep
+# chain with DeadlineExceeded. Run against a plain build by check_serve.sh and against the
 # sanitized build by check_asan.sh.
 #
 # Usage: tools/check_depth.sh [build-dir]   (default: build; prix_cli built)
@@ -42,4 +43,19 @@ echo "---- depth $LIMIT indexes and inserts, depth $((LIMIT + 1)) is refused ---
 expect_refused "$PRIX" index "$WORK/over.prix" "$WORK/over.xml"
 expect_refused "$PRIX" insert "$WORK/at.prix" "$WORK/over.xml"
 "$PRIX" verify "$WORK/at.prix" > /dev/null
+
+# `prix query --timeout-ms` bounds every engine, not just PRIX: ViST's
+# descent over a deep chain runs for minutes unbounded, and must stop with
+# DeadlineExceeded well inside the wall-time cap.
+echo "---- --timeout-ms stops a ViST query on a 3000-level chain ----"
+chain 3000 > "$WORK/chain.xml"
+"$PRIX" index "$WORK/chain.prix" "$WORK/chain.xml" > /dev/null
+rc=0
+timeout 30 "$PRIX" query --engine vist --timeout-ms 100 "$WORK/chain.prix" \
+  "//a//a//a" > "$WORK/out.txt" 2>&1 || rc=$?
+if [[ "$rc" -ne 0 ]] || ! grep -q "DeadlineExceeded" "$WORK/out.txt"; then
+  echo "expected DeadlineExceeded within 30 s, got exit $rc:"
+  cat "$WORK/out.txt"
+  exit 1
+fi
 echo "depth gate: all checks passed."

@@ -1,17 +1,13 @@
 // prix — command-line front end to the PRIX index.
 //
-//   prix index [--compress] <db-file> <xml-file>...
-//                                         build RP+EP indexes over the
+//   prix index <db-file> <xml-file>...    build RP+EP indexes over the
 //                                         record children of each file's
 //                                         root element, plus the co-resident
 //                                         baseline engines (ViST "v",
 //                                         TwigStack streams "ts", XB-forest
-//                                         "xb") over the same collection;
-//                                         --compress stores the v3 formats
-//                                         (delta-coded B+-tree leaves,
-//                                         varint doc records); readers pick
-//                                         the format up from the catalog
-//   prix query [--trace] [--metrics] [--engine E] <db-file> <xpath>...
+//                                         "xb") over the same collection
+//   prix query [--trace] [--metrics] [--timeout-ms N] [--engine E]
+//              <db-file> <xpath>...
 //                                         run twig queries against a
 //                                         previously built database;
 //                                         --engine picks prix (default),
@@ -22,7 +18,9 @@
 //                                         query's exact I/O counters and
 //                                         phase breakdown, --metrics dumps
 //                                         the process-wide MetricsRegistry
-//                                         as JSON afterward
+//                                         as JSON afterward; --timeout-ms
+//                                         gives each query a deadline,
+//                                         whichever engines answer it
 //   prix insert <db-file> <xml-file>...   parse each file into records and
 //                                         insert them into the live rp+ep
 //                                         indexes (one commit per record
@@ -187,7 +185,7 @@ Status LoadDictionary(Database* db, TagDictionary* dict) {
   return Status::OK();
 }
 
-int CmdIndex(const std::string& path, bool compress, int argc, char** argv) {
+int CmdIndex(const std::string& path, int argc, char** argv) {
   DocumentCollection coll;
   for (int i = 0; i < argc; ++i) {
     auto text = ReadFile(argv[i]);
@@ -226,14 +224,12 @@ int CmdIndex(const std::string& path, bool compress, int argc, char** argv) {
   };
   PrixIndexBuildStats rp_stats, ep_stats;
   PrixIndexOptions rp_opts;
-  rp_opts.compress = compress;
   auto rp = PrixIndex::Build(coll.documents, (*db)->pool(), rp_opts,
                              &rp_stats);
   if (!rp.ok()) return Fail(rp.status().ToString());
   const auto rp_pages = grown();
   PrixIndexOptions ep_opts;
   ep_opts.extended = true;
-  ep_opts.compress = compress;
   auto ep =
       PrixIndex::Build(coll.documents, (*db)->pool(), ep_opts, &ep_stats);
   if (!ep.ok()) return Fail(ep.status().ToString());
@@ -415,6 +411,15 @@ int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
     return CanonicalDocs(std::move(r.docs));
   };
   for (int i = 0; i < argc; ++i) {
+    // Each query gets its own deadline, installed around every engine that
+    // answers it: --timeout-ms bounds one query, not the whole invocation,
+    // so a slow second query still gets its full budget after a fast first
+    // one.
+    Deadline deadline = timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
+                                       : Deadline();
+    ScopedDeadline scoped_deadline(timeout_ms > 0 ? &deadline : nullptr);
+    QueryOptions qopts;
+    if (timeout_ms > 0) qopts.deadline = &deadline;
     if (engine != "prix") {
       auto pattern = ParseXPath(argv[i], &dict);
       if (!pattern.ok()) {
@@ -434,7 +439,7 @@ int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
         continue;
       }
       // --engine all: every engine answers, and they must agree.
-      auto prix_result = qp.ExecuteXPath(argv[i], &dict, QueryOptions{});
+      auto prix_result = qp.ExecuteXPath(argv[i], &dict, qopts);
       if (!prix_result.ok()) {
         std::printf("%s\n  error: %s\n", argv[i],
                     prix_result.status().ToString().c_str());
@@ -460,13 +465,6 @@ int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
       continue;
     }
     MetricsContext mctx(/*collect_trace=*/trace);
-    // Each query gets its own deadline: --timeout-ms bounds one query, not
-    // the whole invocation, so a slow second query still gets its full
-    // budget after a fast first one.
-    Deadline deadline = timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
-                                       : Deadline();
-    QueryOptions qopts;
-    if (timeout_ms > 0) qopts.deadline = &deadline;
     auto result = qp.ExecuteXPath(argv[i], &dict, qopts);
     if (!result.ok()) {
       std::printf("%s\n  error: %s\n", argv[i],
@@ -1173,7 +1171,7 @@ int Main(int argc, char** argv) {
   }
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: prix index [--compress] <db> <xml>...\n"
+                 "usage: prix index <db> <xml>...\n"
                  "       prix insert <db> <xml>...\n"
                  "       prix delete <db> <docid>...\n"
                  "       prix query [--trace] [--metrics] [--timeout-ms N] "
@@ -1198,7 +1196,6 @@ int Main(int argc, char** argv) {
   bool trace = false;
   bool metrics = false;
   bool salvage = false;
-  bool compress = false;
   uint64_t timeout_ms = 0;
   std::string engine = "prix";
   int arg = 2;
@@ -1209,10 +1206,6 @@ int Main(int argc, char** argv) {
       metrics = true;
     } else if (std::strcmp(argv[arg], "--salvage") == 0) {
       salvage = true;
-    } else if (std::strcmp(argv[arg], "--compress") == 0) {
-      // Build with the v3 compressed formats (DESIGN.md §5h). Reading needs
-      // no flag: the index catalog records its format version.
-      compress = true;
     } else if (std::strcmp(argv[arg], "--timeout-ms") == 0 &&
                arg + 1 < argc) {
       if (!ParseUintValue("--timeout-ms", argv[arg + 1], &timeout_ms)) {
@@ -1235,7 +1228,7 @@ int Main(int argc, char** argv) {
   if (arg >= argc) return Fail("missing database path");
   std::string path = argv[arg++];
   if (cmd == "index" && arg < argc) {
-    return CmdIndex(path, compress, argc - arg, argv + arg);
+    return CmdIndex(path, argc - arg, argv + arg);
   }
   if (cmd == "insert" && arg < argc) {
     return CmdInsert(path, argc - arg, argv + arg);
