@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the substrates: Prüfer
-// transformation, B+-tree operations, and buffer-pool access paths.
+// transformation, B+-tree operations and cursors, and buffer-pool access
+// paths.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "btree/btree.h"
 #include "common/random.h"
+#include "datagen/swissprot_gen.h"
 #include "datagen/treebank_gen.h"
 #include "db/database.h"
+#include "prix/prix_index.h"
 #include "prufer/prufer.h"
 #include "storage/buffer_pool.h"
 
@@ -140,6 +146,79 @@ void BM_BtreeScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_BtreeScan);
+
+// ---- B+-tree cursors over a real Trie-Symbol tree ----
+
+/// SWISSPROT's EP Trie-Symbol tree (6,000 entries), built once into a pool
+/// larger than the file so every probe is warm, with its keys in order.
+struct SymbolTreeFixture {
+  BtreeFixtureState fx;
+  std::unique_ptr<PrixIndex> index;
+  std::vector<SymbolKey> keys;
+
+  SymbolTreeFixture() {
+    datagen::SwissprotConfig config;
+    config.num_entries = 6000;
+    DocumentCollection coll = datagen::GenerateSwissprot(config);
+    PrixIndexOptions options;
+    options.extended = true;
+    auto built = PrixIndex::Build(coll.documents, fx.pool, options);
+    PRIX_CHECK(built.ok());
+    index = std::move(*built);
+    auto it = index->symbol_index().SeekToFirst();
+    PRIX_CHECK(it.ok());
+    while (it->Valid()) {
+      keys.push_back(it->key());
+      PRIX_CHECK(it->Next().ok());
+    }
+  }
+
+  static SymbolTreeFixture& Get() {
+    static SymbolTreeFixture fixture;
+    return fixture;
+  }
+};
+
+/// A fresh Seek to a random key, then three Next: what a range query of
+/// Algorithm 1 cost before its cursors were reused.
+void BM_BtreeSeekNext(benchmark::State& state) {
+  SymbolTreeFixture& f = SymbolTreeFixture::Get();
+  Random rng(11);
+  for (auto _ : state) {
+    auto it = f.index->symbol_index().Seek(f.keys[rng.Uniform(f.keys.size())]);
+    PRIX_CHECK(it.ok());
+    for (int i = 0; i < 3 && it->Valid(); ++i) PRIX_CHECK(it->Next().ok());
+    benchmark::DoNotOptimize(it->Valid());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BtreeSeekNext);
+
+/// One reused cursor repositioned by Reseek: cross_leaf:0 walks the keys
+/// in order three at a time, so nearly every probe stays in the cursor's
+/// leaf; cross_leaf:1 visits them shuffled, so nearly every probe descends
+/// from the root.
+void BM_BtreeReseek(benchmark::State& state) {
+  SymbolTreeFixture& f = SymbolTreeFixture::Get();
+  std::vector<SymbolKey> probes = f.keys;
+  size_t step = 3;
+  if (state.range(0) == 1) {
+    Random rng(13);
+    for (size_t i = probes.size(); i > 1; --i) {
+      std::swap(probes[i - 1], probes[rng.Uniform(i)]);
+    }
+    step = 1;
+  }
+  PrixIndex::SymbolTree::Iterator cursor(f.index->symbol_index());
+  size_t i = 0;
+  for (auto _ : state) {
+    PRIX_CHECK(cursor.Reseek(probes[i]).ok());
+    benchmark::DoNotOptimize(cursor.Valid());
+    i = (i + step) % probes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BtreeReseek)->ArgName("cross_leaf")->Arg(0)->Arg(1);
 
 // ---- Buffer pool ----
 

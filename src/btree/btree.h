@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -46,14 +48,15 @@ struct SalvageStats {
 /// - `Compare` is a strict weak order over Key.
 /// - Supported operations: BulkLoad (builds), Insert, Get, Delete (with
 ///   empty-node unlinking — freed pages are reported to the CowContext when
-///   one is installed), ordered iteration via Iterator with Seek/Next.
+///   one is installed), ordered iteration via Iterator with Seek/Next, and
+///   repositioning a reused Iterator with Reseek.
 ///
 /// Concurrency (DESIGN.md §5c/§5i): the read paths — Get, Seek,
-/// SeekToFirst, and Iterator traversal — are safe from any number of
-/// threads over a thread-safe BufferPool. They hold page pins frame by
-/// frame via PageGuard, keep no shared mutable state (the cached `meta_` is
-/// written only by Create/BulkLoad/Open/Insert/Delete), and never write
-/// page payloads. Insert/Delete/Create are NOT safe against concurrent
+/// SeekToFirst, and Iterator traversal and Reseek (each Iterator used by
+/// one thread) — are safe from any number of threads over a thread-safe
+/// BufferPool. They hold page pins frame by frame via PageGuard, keep no
+/// shared mutable state (the cached `meta_` is written only by
+/// Create/BulkLoad/Open/Insert/Delete), and never write page payloads. Insert/Delete/Create are NOT safe against concurrent
 /// writers on the same tree (one writer at a time). Readers may run
 /// concurrently with a writer ONLY under the copy-on-write protocol: the
 /// writer installs a CowContext (SetCow) so every mutation lands on pages
@@ -98,7 +101,8 @@ struct SalvageStats {
 /// first entry of a group deltas against zero, and R uint16 stream offsets
 /// of those restart entries follow the stream (the first is always 0).
 /// Get and Seek binary-search the restart keys and decode at most two
-/// groups; iterators decode forward lazily, one group at a time. Sorted
+/// groups; an iterator decodes one group at a time, in place, re-fetching
+/// its leaf to enter the next group. Sorted
 /// composite keys make the deltas tiny, so a leaf holds several times the
 /// entries of a fixed-stride one; the entry count is bounded only by the
 /// encoding fitting the page.
@@ -308,8 +312,10 @@ class BPlusTree {
       if (IsLeaf(page)) {
         ChargeBtreeNodes(visited);
         PRIX_ASSIGN_OR_RETURN(size_t group, FindGroup(page, node, key));
-        LeafCursor c = CursorAt(page, group);
-        PRIX_RETURN_NOT_OK(SkipBelow(Stream(page), &c, node, &key));
+        LeafCursor c;
+        c.next = group;
+        PRIX_RETURN_NOT_OK(NextGroup(page, node, &c));
+        PRIX_RETURN_NOT_OK(SkipBelow(page, node, &c, &key));
         if (c.valid() && !cmp_(key, c.cur().key)) return c.cur().value;
         return Status::NotFound("key not in tree");
       }
@@ -354,17 +360,13 @@ class BPlusTree {
   static constexpr size_t kRestartInterval = 16;
   static constexpr size_t kMaxGroup = 2 * kRestartInterval;
 
-  /// Forward decoder over a leaf's entry stream, reading either the page
-  /// in place or an iterator's copy of the stream's tail, one restart
-  /// group at a time into `group`. Positions are stream offsets; the bytes
-  /// passed to NextGroup start at offset `origin`, and the uint16 offsets
-  /// of the groups not yet entered sit at byte `restarts` of that buffer.
+  /// Forward decoder over one leaf, a restart group at a time: `group`
+  /// holds restart group `next - 1` decoded. The cursor keeps no pointer
+  /// into the page; every call that decodes takes the leaf, pinned by the
+  /// caller, so a cursor outlives the pin it decoded under.
   struct LeafCursor {
-    size_t origin = 0;
-    size_t pos = 0;      ///< stream offset of the next undecoded group
-    size_t limit = 0;    ///< stream length P
-    size_t restarts = 0;  ///< buffer index of the next group's end offset
-    size_t restarts_left = 0;
+    size_t next = 0;    ///< the restart group NextGroup decodes
+    size_t groups = 0;  ///< restart groups in the leaf, as last decoded
     Entry group[kMaxGroup];  ///< the decoded current group
     size_t len = 0;  ///< entries in `group`
     size_t idx = 0;  ///< current entry; valid while idx < len
@@ -374,23 +376,34 @@ class BPlusTree {
   };
 
  public:
-  /// Forward iterator over (key, value) pairs in key order.
+  /// Forward cursor over (key, value) pairs in key order.
   ///
-  /// On arrival at a leaf the iterator copies the tail of its entry stream
-  /// (from the restart group it starts in) and drops the pin immediately,
-  /// so iteration never holds a page pin across user code; Next decodes a
-  /// restart group each time it enters one. Advancing past a leaf does NOT
-  /// follow the on-page next-leaf chain: copy-on-write writers leave those
-  /// pointers stale by design (a superseded leaf's left neighbor still
-  /// names the old page), so the iterator instead remembers, from every
-  /// internal node it descended through, the child subtrees to the right
-  /// of its path and jumps to the nearest such subtree's leftmost leaf.
-  /// Under the snapshot protocol all of those page ids stay valid as long
-  /// as the reader's snapshot is pinned; no page a concurrent writer
-  /// touches is ever reachable from this iterator's root.
+  /// The cursor keeps the path from the root to its leaf: for each internal
+  /// level, the node, the child slot it took, and the separator bounds of
+  /// that child. It decodes one restart group of the leaf in place while
+  /// the leaf is pinned and drops the pin before returning, so iteration
+  /// never holds a pin across user code; entering the leaf's next group
+  /// re-fetches the leaf (a pool hit), re-checks it with CheckNode and
+  /// decodes that group. When the leaf runs out, the cursor re-fetches the
+  /// nearest path node with a child to the right and descends to that
+  /// child's leftmost leaf. It does NOT follow the on-page next-leaf chain:
+  /// copy-on-write writers leave those pointers stale by design (a
+  /// superseded leaf's left neighbor still names the old page). Under the
+  /// snapshot protocol every page id on the path stays valid as long as
+  /// the reader's snapshot is pinned; no page a concurrent writer touches
+  /// is reachable from this cursor's root. Mutating the tree invalidates
+  /// its cursors.
+  ///
+  /// Reseek repositions a cursor without allocating: it re-enters the
+  /// current leaf when a root descent would reach that same leaf (the key
+  /// lies within the separator bounds recorded on the way down), and
+  /// descends from the root otherwise, so it lands exactly where Seek
+  /// would. Seek is Reseek on a fresh cursor.
   class Iterator {
    public:
     Iterator() = default;
+    /// An unpositioned (invalid) cursor over `tree`; Reseek positions it.
+    explicit Iterator(const BPlusTree& tree) : tree_(&tree) {}
 
     bool Valid() const { return cursor_.valid(); }
     const Key& key() const { return cursor_.cur().key; }
@@ -399,100 +412,189 @@ class BPlusTree {
     /// Advances to the next entry; invalidates at the end.
     Status Next() {
       PRIX_DCHECK(Valid());
-      PRIX_RETURN_NOT_OK(tree_->Step(tail_.data(), &cursor_, leaf_));
-      if (cursor_.valid() || pending_.empty()) return Status::OK();
-      PendingSubtree next = pending_.back();
-      pending_.pop_back();
-      return DescendFrom(next.id, next.level, /*seek_key=*/nullptr);
+      if (++cursor_.idx < cursor_.len) return Status::OK();
+      hops_ = 0;
+      return Checked(Settle());
     }
+
+    /// Positions at the first entry with key >= `key` (invalid when none).
+    Status Reseek(const Key& key) { return Position(&key); }
 
    private:
     friend class BPlusTree;
 
-    /// An internal-node child to the right of the descent path; everything
-    /// under it is greater than every key the iterator has produced.
-    struct PendingSubtree {
+    /// One internal node on the path, the child slot taken, and the
+    /// bounds that child's keys lie in: lo <= key < hi, each side open when
+    /// its flag is clear. The bounds intersect those of every level above,
+    /// so a key within them routes to this child from the root.
+    struct PathNode {
       PageId id;
       int level;
+      int slot;
+      int count;  ///< the node's separator count: slots 0..count
+      bool has_lo = false;
+      bool has_hi = false;
+      Key lo{};
+      Key hi{};
     };
 
-    /// Descends from `node` (at `level`) to the leaf holding the first key
-    /// >= *seek_key (the subtree's leftmost leaf when null) and positions
-    /// there. Right-sibling children of every internal node on the path are
-    /// stacked rightmost-first, so the nearest unexplored subtree ends on
-    /// top. If the reached leaf has no entry at or after the position, the
-    /// descent continues into the next pending subtree until an entry or
-    /// the end of the tree is found.
-    Status DescendFrom(PageId node, int level, const Key* seek_key) {
-      cursor_.len = 0;
+    /// Positions at the first entry >= *key (the tree's first when null).
+    Status Position(const Key* key) {
+      hops_ = 0;
+      Status st;
+      if (key != nullptr && leaf_ != kInvalidPage &&
+          (path_.empty() || Covers(path_.back(), *key))) {
+        st = Descend(leaf_, 0, key);
+      } else {
+        path_.clear();
+        st = Descend(tree_->meta_.root,
+                     static_cast<int>(tree_->meta_.height) - 1, key);
+      }
+      if (st.ok()) st = Settle();
+      return Checked(st);
+    }
+
+    /// Leaves a failed cursor invalid and unpositioned.
+    Status Checked(Status st) {
+      if (!st.ok()) {
+        cursor_.len = cursor_.idx = 0;
+        leaf_ = kInvalidPage;
+        path_.clear();
+      }
+      return st;
+    }
+
+    bool Covers(const PathNode& p, const Key& key) const {
+      return (!p.has_lo || !tree_->cmp_(key, p.lo)) &&
+             (!p.has_hi || tree_->cmp_(key, p.hi));
+    }
+
+    /// Fetches and checks `node`, expected at `level`, into `guard`. A
+    /// corrupt child pointer can make the walk re-enter pages the per-node
+    /// checks accept (each node is individually valid); an honest
+    /// positioning fetches each node at most once, so one positioning's
+    /// fetches are bounded by the file size.
+    Status Fetch(PageId node, int level, PageGuard* guard) {
+      if (++hops_ > tree_->pool_->disk()->num_pages()) {
+        return Status::Corruption(
+            "B+-tree iteration does not terminate (cycle via page " +
+            std::to_string(node) + ")");
+      }
+      PRIX_ASSIGN_OR_RETURN(Page * page, tree_->pool_->FetchPage(node));
+      ChargeBtreeNode();
+      *guard = PageGuard(tree_->pool_, page);
+      return tree_->CheckNode(page, node, level);
+    }
+
+    /// Sets `p`'s child bounds from its node `page` and `parent`'s (null
+    /// at the root): the child at slot s holds keys in [sep(s-1), sep(s)).
+    void Bound(const Page* page, const PathNode* parent, PathNode* p) const {
+      p->has_lo = parent != nullptr && parent->has_lo;
+      p->has_hi = parent != nullptr && parent->has_hi;
+      if (p->has_lo) p->lo = parent->lo;
+      if (p->has_hi) p->hi = parent->hi;
+      Key sep;
+      PageId child;
+      if (p->slot > 0) {
+        ReadInternalEntry(page, p->slot - 1, &sep, &child);
+        if (!p->has_lo || tree_->cmp_(p->lo, sep)) p->lo = sep;
+        p->has_lo = true;
+      }
+      if (p->slot < p->count) {
+        ReadInternalEntry(page, p->slot, &sep, &child);
+        if (!p->has_hi || tree_->cmp_(sep, p->hi)) p->hi = sep;
+        p->has_hi = true;
+      }
+    }
+
+    /// Descends from `node` at `level` — the root, or the current leaf
+    /// when the path already leads there — recording the path, to the leaf
+    /// that holds the first key >= *key (the subtree's leftmost leaf when
+    /// null), and positions within that leaf; the cursor is invalid when
+    /// the leaf holds no such entry (Settle moves on).
+    Status Descend(PageId node, int level, const Key* key) {
       while (true) {
-        // A corrupt child pointer can form a cycle the per-node checks
-        // cannot see (every node in it is individually valid). An honest
-        // traversal fetches each tree node at most once over the whole
-        // iteration, so the lifetime total is bounded by the file size.
-        if (++hops_ > tree_->pool_->disk()->num_pages()) {
-          return Status::Corruption(
-              "B+-tree iteration does not terminate (cycle via page " +
-              std::to_string(node) + ")");
-        }
-        PRIX_ASSIGN_OR_RETURN(Page * page, tree_->pool_->FetchPage(node));
-        ChargeBtreeNode();
-        PageGuard guard(tree_->pool_, page);
-        PRIX_RETURN_NOT_OK(tree_->CheckNode(page, node, level));
+        PageGuard guard;
+        PRIX_RETURN_NOT_OK(Fetch(node, level, &guard));
+        const Page* page = guard.get();
         if (IsLeaf(page)) {
           size_t group = 0;
-          if (seek_key != nullptr) {
-            PRIX_ASSIGN_OR_RETURN(group,
-                                  tree_->FindGroup(page, node, *seek_key));
+          if (key != nullptr) {
+            PRIX_ASSIGN_OR_RETURN(group, tree_->FindGroup(page, node, *key));
           }
-          cursor_ = CopyTail(page, group, &tail_);
-          guard.Release();
+          // The decoded group is reused when the probe lands in it again.
+          if (node != leaf_ || cursor_.len == 0 || cursor_.next != group + 1) {
+            cursor_.next = group;
+            cursor_.len = 0;
+            PRIX_RETURN_NOT_OK(tree_->NextGroup(page, node, &cursor_));
+          }
+          cursor_.idx = 0;
           leaf_ = node;
-          PRIX_RETURN_NOT_OK(
-              tree_->SkipBelow(tail_.data(), &cursor_, node, seek_key));
-          if (cursor_.valid() || pending_.empty()) return Status::OK();
-          node = pending_.back().id;
-          level = pending_.back().level;
-          pending_.pop_back();
-          seek_key = nullptr;  // everything there is greater anyway
-          continue;
+          return tree_->SkipBelow(page, node, &cursor_, key);
         }
-        int count = Count(page);
-        int slot = seek_key == nullptr
-                       ? 0
-                       : tree_->ChildSlotForKey(page, *seek_key);
-        for (int s = count; s > slot; --s) {
-          pending_.push_back(PendingSubtree{ChildAtSlot(page, s), level - 1});
-        }
-        node = ChildAtSlot(page, slot);
-        guard.Release();
+        PathNode p{node, level, 0, Count(page)};
+        if (key != nullptr) p.slot = tree_->ChildSlotForKey(page, *key);
+        Bound(page, path_.empty() ? nullptr : &path_.back(), &p);
+        path_.push_back(p);
+        node = ChildAtSlot(page, p.slot);
         --level;
       }
     }
 
+    /// Moves on from a used-up group: into the leaf's next group, else to
+    /// the leftmost leaf right of the path, until an entry or the end.
+    Status Settle() {
+      while (!cursor_.valid() && leaf_ != kInvalidPage) {
+        PageGuard guard;
+        if (cursor_.next < cursor_.groups) {
+          PRIX_RETURN_NOT_OK(Fetch(leaf_, 0, &guard));
+          PRIX_RETURN_NOT_OK(tree_->NextGroup(guard.get(), leaf_, &cursor_));
+          continue;
+        }
+        while (!path_.empty() && path_.back().slot == path_.back().count) {
+          path_.pop_back();
+        }
+        if (path_.empty()) {
+          leaf_ = kInvalidPage;
+          break;
+        }
+        PathNode& p = path_.back();
+        PRIX_RETURN_NOT_OK(Fetch(p.id, p.level, &guard));
+        if (Count(guard.get()) != p.count) {
+          return Status::Corruption("B+-tree node page " +
+                                    std::to_string(p.id) +
+                                    " changed under an iterator");
+        }
+        ++p.slot;
+        const PathNode* parent =
+            path_.size() > 1 ? &path_[path_.size() - 2] : nullptr;
+        Bound(guard.get(), parent, &p);
+        const PageId child = ChildAtSlot(guard.get(), p.slot);
+        const int level = p.level - 1;
+        guard.Release();
+        PRIX_RETURN_NOT_OK(Descend(child, level, nullptr));
+      }
+      return Status::OK();
+    }
+
     const BPlusTree* tree_ = nullptr;
-    std::vector<char> tail_;  ///< current leaf's stream tail + its restarts
-    LeafCursor cursor_;       ///< position within tail_
-    PageId leaf_ = kInvalidPage;
-    std::vector<PendingSubtree> pending_;  ///< unexplored subtrees, nearest last
-    uint64_t hops_ = 0;
+    LeafCursor cursor_;  ///< position within leaf_
+    PageId leaf_ = kInvalidPage;  ///< invalid when unpositioned or at the end
+    std::vector<PathNode> path_;  ///< root first; leads to leaf_
+    uint64_t hops_ = 0;           ///< node fetches of the current positioning
   };
 
   /// Iterator positioned at the first entry with key >= `key`.
   Result<Iterator> Seek(const Key& key) const {
-    Iterator it;
-    it.tree_ = this;
-    PRIX_RETURN_NOT_OK(it.DescendFrom(
-        meta_.root, static_cast<int>(meta_.height) - 1, &key));
+    Iterator it(*this);
+    PRIX_RETURN_NOT_OK(it.Reseek(key));
     return it;
   }
 
   /// Iterator positioned at the smallest entry.
   Result<Iterator> SeekToFirst() const {
-    Iterator it;
-    it.tree_ = this;
-    PRIX_RETURN_NOT_OK(it.DescendFrom(
-        meta_.root, static_cast<int>(meta_.height) - 1, /*seek_key=*/nullptr));
+    Iterator it(*this);
+    PRIX_RETURN_NOT_OK(it.Position(/*key=*/nullptr));
     return it;
   }
 
@@ -804,72 +906,45 @@ class BPlusTree {
     SetU16At(page->data() + 14, image.restarts.size());
   }
 
-  /// A cursor over `page`'s stream, in place, about to enter group `group`.
-  static LeafCursor CursorAt(const Page* page, size_t group) {
-    LeafCursor c;
-    c.limit = StreamLen(page);
+  /// Stream extent [begin, end) of restart group `g` (g < R; CheckNode
+  /// validated the offsets); [P, P) when the leaf has no groups.
+  static std::pair<size_t, size_t> GroupExtent(const Page* page, size_t g) {
+    const size_t plen = StreamLen(page);
     const size_t restarts = NumRestarts(page);
-    if (restarts == 0) {
-      c.pos = c.limit;
-      return c;
-    }
-    c.pos = RestartOffset(page, group);
-    c.restarts = c.limit + 2 * (group + 1);
-    c.restarts_left = restarts - group - 1;
-    return c;
+    if (restarts == 0) return {plen, plen};
+    return {RestartOffset(page, g),
+            g + 1 < restarts ? RestartOffset(page, g + 1) : plen};
   }
 
-  /// Copies `page`'s stream from group `group` on, followed by the restart
-  /// offsets of the later groups, into `tail`; returns a cursor over it.
-  static LeafCursor CopyTail(const Page* page, size_t group,
-                             std::vector<char>* tail) {
-    LeafCursor c = CursorAt(page, group);
-    const char* stream = Stream(page);
-    tail->assign(stream + c.pos, stream + c.limit);
-    tail->insert(tail->end(), stream + c.restarts,
-                 stream + c.restarts + 2 * c.restarts_left);
-    c.origin = c.pos;
-    c.restarts = c.limit - c.origin;
-    return c;
-  }
-
-  /// Decodes the next restart group into `c->group` (empty at the end of
-  /// the stream). `data` holds the cursor's bytes (see LeafCursor). The
-  /// group's varints are read only up to its end, it must end on an entry
-  /// boundary and hold at most kMaxGroup entries, and keys must rise
-  /// strictly, across the previous group's last entry too.
-  Status NextGroup(const char* data, LeafCursor* c, PageId id) const {
+  /// Decodes restart group `c->next` of `page` into `c->group` and moves
+  /// `c->next` on (an empty group past the last one). The group's varints
+  /// are read only up to its end, it must end on an entry boundary and
+  /// hold at most kMaxGroup entries, and keys must rise strictly, across
+  /// the previous group's last entry too when `c` still holds it.
+  Status NextGroup(const Page* page, PageId id, LeafCursor* c) const {
     const bool had_entry = c->len > 0;
     const Key last = had_entry ? c->group[c->len - 1].key : Key{};
     c->len = c->idx = 0;
-    if (c->pos == c->limit) return Status::OK();
-    size_t end = c->limit;
-    if (c->restarts_left > 0) {
-      end = U16At(data + c->restarts);
-      c->restarts += 2;
-      --c->restarts_left;
-    }
-    auto corrupt = [&](const char* what, size_t at) {
+    c->groups = NumRestarts(page);
+    if (c->next >= c->groups) return Status::OK();
+    const auto [begin, end] = GroupExtent(page, c->next);
+    ++c->next;
+    auto corrupt = [&](const char* what) {
       return Status::Corruption("B+-tree leaf page " + std::to_string(id) +
                                 ": " + what + " at stream offset " +
-                                std::to_string(at));
+                                std::to_string(begin));
     };
-    if (end <= c->pos || end > c->limit) {
-      return corrupt("restart offset out of order", c->pos);
-    }
-    const char* p = data + (c->pos - c->origin);
-    const char* group_end = data + (end - c->origin);
+    const char* p = Stream(page) + begin;
+    const char* group_end = Stream(page) + end;
     uint64_t words[kEntryWords] = {};
     while (p != group_end) {
-      if (c->len == kMaxGroup) {
-        return corrupt("restart group too long", c->pos);
-      }
+      if (c->len == kMaxGroup) return corrupt("restart group too long");
       for (size_t w = 0; w < kEntryWords; ++w) {
         uint64_t enc;
         if (p < group_end && static_cast<uint8_t>(*p) < 0x80) {
           enc = static_cast<uint8_t>(*p++);  // one-byte fast path
         } else if (!GetVarint64(&p, group_end, &enc)) {
-          return corrupt("undecodable entry", c->pos);
+          return corrupt("undecodable entry");
         }
         words[w] += static_cast<uint64_t>(ZigzagDecode64(enc));
       }
@@ -877,30 +952,30 @@ class BPlusTree {
       e = EntryFromWords(words);
       const Key& prev = c->len > 0 ? c->group[c->len - 1].key : last;
       if ((c->len > 0 || had_entry) && !cmp_(prev, e.key)) {
-        return corrupt("keys out of order", c->pos);
+        return corrupt("keys out of order");
       }
       ++c->len;
     }
-    c->pos = end;
     return Status::OK();
   }
 
-  /// Advances `c` one entry, entering the next group when the current one
-  /// is used up; past the end of the stream `c->valid()` turns false.
-  Status Step(const char* data, LeafCursor* c, PageId id) const {
-    if (++c->idx < c->len) return Status::OK();
-    return NextGroup(data, c, id);
-  }
-
-  /// Positions a fresh cursor at its first entry with key >= `*key` (its
-  /// first entry when null), or past the end of the stream.
-  Status SkipBelow(const char* data, LeafCursor* c, PageId id,
+  /// Moves `c` to the first entry, from its current one on, with key >=
+  /// `*key` (any key when null), decoding the later groups of `page` as
+  /// needed; past the end of the leaf `c->valid()` turns false.
+  Status SkipBelow(const Page* page, PageId id, LeafCursor* c,
                    const Key* key) const {
-    PRIX_RETURN_NOT_OK(NextGroup(data, c, id));
-    while (key != nullptr && c->valid() && cmp_(c->cur().key, *key)) {
-      PRIX_RETURN_NOT_OK(Step(data, c, id));
+    while (true) {
+      if (key != nullptr) {
+        c->idx = static_cast<size_t>(
+            std::lower_bound(c->group + c->idx, c->group + c->len, *key,
+                             [this](const Entry& e, const Key& k) {
+                               return cmp_(e.key, k);
+                             }) -
+            c->group);
+      }
+      if (c->valid() || c->next >= c->groups) return Status::OK();
+      PRIX_RETURN_NOT_OK(NextGroup(page, id, c));
     }
-    return Status::OK();
   }
 
   /// The restart group to start a search for `key` in: the last group
@@ -944,9 +1019,9 @@ class BPlusTree {
     out->clear();
     out->reserve(static_cast<size_t>(Count(page)));
     if (starts != nullptr) starts->clear();
-    LeafCursor c = CursorAt(page, 0);
+    LeafCursor c;
     while (true) {
-      PRIX_RETURN_NOT_OK(NextGroup(Stream(page), &c, id));
+      PRIX_RETURN_NOT_OK(NextGroup(page, id, &c));
       if (c.len == 0) break;
       if (starts != nullptr) starts->push_back(out->size());
       out->insert(out->end(), c.group, c.group + c.len);
@@ -1212,10 +1287,10 @@ class BPlusTree {
   Status LoadGroup(const Page* page, PageId id, const Key& key,
                    GroupEdit* edit) const {
     PRIX_ASSIGN_OR_RETURN(edit->group, FindGroup(page, id, key));
-    LeafCursor c = CursorAt(page, edit->group);
-    edit->begin = c.pos;
-    PRIX_RETURN_NOT_OK(NextGroup(Stream(page), &c, id));
-    edit->end = c.pos;
+    std::tie(edit->begin, edit->end) = GroupExtent(page, edit->group);
+    LeafCursor c;
+    c.next = edit->group;
+    PRIX_RETURN_NOT_OK(NextGroup(page, id, &c));
     edit->old_count = static_cast<int>(c.len);
     edit->entries.assign(c.group, c.group + c.len);
     return Status::OK();

@@ -187,18 +187,6 @@ void GapPruneMask(const uint32_t* levels, size_t n, uint32_t prev_level,
 
 bool GapPruneUsingSimd() { return GapPruneImpl() != &GapPruneMaskScalar; }
 
-Status SubsequenceMatcher::FindAll(const QuerySequence& q, const EmitFn& emit,
-                                   MatcherStats* stats) {
-  if (q.lps.empty()) {
-    return Status::InvalidArgument(
-        "subsequence matching needs a non-empty query sequence");
-  }
-  std::vector<uint32_t> positions;
-  positions.reserve(q.lps.size());
-  RangeLabel root = index_->root_range();
-  return Descend(q, 0, root.left, root.right, positions, emit, stats);
-}
-
 namespace {
 /// Range-scan entries are gathered into structure-of-arrays batches of this
 /// many nodes, pruned with one GapPruneMask call, then recursed on. Large
@@ -207,9 +195,48 @@ namespace {
 constexpr size_t kScanBatch = 256;
 }  // namespace
 
+/// One query depth's Trie-Symbol cursor and scan batch. A depth's range
+/// queries run one after another (deeper ones run while its batch is
+/// recursed on), so each depth reuses one cursor and one batch.
+struct SubsequenceMatcher::Depth {
+  explicit Depth(const PrixIndex::SymbolTree& tree) : cursor(tree) {}
+
+  PrixIndex::SymbolTree::Iterator cursor;
+  uint64_t lefts[kScanBatch];
+  uint64_t rights[kScanBatch];
+  uint32_t levels[kScanBatch];
+  uint8_t keep[kScanBatch];
+};
+
+/// Everything one FindAll run reuses across its range queries.
+struct SubsequenceMatcher::Scratch {
+  std::vector<Depth> depths;  ///< sized once, before the descent starts
+  PrixIndex::DocTree::Iterator doc_cursor;
+  std::vector<DocId> docs;
+  std::vector<uint32_t> positions;
+};
+
+Status SubsequenceMatcher::FindAll(const QuerySequence& q, const EmitFn& emit,
+                                   MatcherStats* stats) {
+  if (q.lps.empty()) {
+    return Status::InvalidArgument(
+        "subsequence matching needs a non-empty query sequence");
+  }
+  Scratch scratch;
+  // Descend holds a reference to its depth's entry across deeper calls,
+  // so the vector must never grow once the descent starts.
+  scratch.depths.reserve(q.lps.size());
+  for (size_t i = 0; i < q.lps.size(); ++i) {
+    scratch.depths.emplace_back(index_->symbol_index());
+  }
+  scratch.doc_cursor = PrixIndex::DocTree::Iterator(index_->docid_index());
+  scratch.positions.reserve(q.lps.size());
+  RangeLabel root = index_->root_range();
+  return Descend(q, 0, root.left, root.right, &scratch, emit, stats);
+}
+
 Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
-                                   uint64_t ql, uint64_t qr,
-                                   std::vector<uint32_t>& positions,
+                                   uint64_t ql, uint64_t qr, Scratch* scratch,
                                    const EmitFn& emit, MatcherStats* stats) {
   // Range query on the Trie-Symbol index: all trie nodes labeled q.lps[i]
   // whose LeftPos lies in (ql, qr] — i.e. descendants of the current node.
@@ -222,8 +249,9 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
   // Exact queries scan the open interval (ql, qr]; generalized queries
   // include ql itself so a slot may repeat its predecessor's position.
   uint64_t start = generalized_ && i > 0 ? ql : ql + 1;
-  PRIX_ASSIGN_OR_RETURN(
-      auto it, index_->symbol_index().Seek(SymbolKey{label, 0, start}));
+  Depth& depth = scratch->depths[i];
+  auto& it = depth.cursor;
+  PRIX_RETURN_NOT_OK(it.Reseek(SymbolKey{label, 0, start}));
   // Optimized subsequence matching (Sec. 5.4): gap between adjacent matched
   // levels bounded by the MaxGap of the previous label. The rule and bound
   // are fixed for the whole scan, so they are hoisted out and the per-node
@@ -232,20 +260,11 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
       use_maxgap_ && i > 0 && q.prune[i].kind != GapPruneRule::kNone;
   const uint32_t bound =
       prune_active ? index_->maxgap().Get(q.prune[i].label) : 0;
-  std::vector<uint64_t> lefts;
-  std::vector<uint64_t> rights;
-  std::vector<uint32_t> levels;
-  std::vector<uint8_t> keep;
-  lefts.reserve(kScanBatch);
-  rights.reserve(kScanBatch);
-  levels.reserve(kScanBatch);
-  keep.reserve(kScanBatch);
+  std::vector<uint32_t>& positions = scratch->positions;
   bool exhausted = false;
   while (!exhausted) {
-    lefts.clear();
-    rights.clear();
-    levels.clear();
-    while (lefts.size() < kScanBatch) {
+    size_t n = 0;
+    while (n < kScanBatch) {
       if (!it.Valid()) {
         exhausted = true;
         break;
@@ -256,29 +275,31 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
         break;
       }
       const TrieNodeValue node = it.value();
-      lefts.push_back(key.left);
-      rights.push_back(node.right);
-      levels.push_back(node.level);
+      depth.lefts[n] = key.left;
+      depth.rights[n] = node.right;
+      depth.levels[n] = node.level;
+      ++n;
       PRIX_RETURN_NOT_OK(it.Next());
     }
-    stats->nodes_scanned += lefts.size();
-    keep.assign(lefts.size(), 1);
-    if (prune_active && !lefts.empty()) {
-      GapPruneMask(levels.data(), levels.size(), positions.back(), bound,
-                   q.prune[i].kind, generalized_, keep.data());
-      for (uint8_t k : keep) {
-        if (k == 0) ++stats->pruned_by_maxgap;
+    stats->nodes_scanned += n;
+    std::memset(depth.keep, 1, n);
+    if (prune_active && n > 0) {
+      GapPruneMask(depth.levels, n, positions.back(), bound, q.prune[i].kind,
+                   generalized_, depth.keep);
+      for (size_t j = 0; j < n; ++j) {
+        if (depth.keep[j] == 0) ++stats->pruned_by_maxgap;
       }
     }
-    for (size_t j = 0; j < lefts.size(); ++j) {
-      if (keep[j] == 0) continue;
-      positions.push_back(levels[j]);
+    for (size_t j = 0; j < n; ++j) {
+      if (depth.keep[j] == 0) continue;
+      positions.push_back(depth.levels[j]);
       if (i + 1 == q.lps.size()) {
         // Terminal: fetch all documents whose LPS ends in [left, right].
-        std::vector<DocId> docs;
-        PRIX_ASSIGN_OR_RETURN(
-            auto dit, index_->docid_index().Seek(DocKey{lefts[j], 0, 0}));
-        while (dit.Valid() && dit.key().left <= rights[j]) {
+        std::vector<DocId>& docs = scratch->docs;
+        auto& dit = scratch->doc_cursor;
+        docs.clear();
+        PRIX_RETURN_NOT_OK(dit.Reseek(DocKey{depth.lefts[j], 0, 0}));
+        while (dit.Valid() && dit.key().left <= depth.rights[j]) {
           // Tombstoned documents keep their Docid-index entries until a
           // compaction; they must never reach refinement.
           if (!index_->IsDeleted(dit.value())) docs.push_back(dit.value());
@@ -289,8 +310,8 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
           PRIX_RETURN_NOT_OK(emit(docs, positions));
         }
       } else {
-        PRIX_RETURN_NOT_OK(
-            Descend(q, i + 1, lefts[j], rights[j], positions, emit, stats));
+        PRIX_RETURN_NOT_OK(Descend(q, i + 1, depth.lefts[j], depth.rights[j],
+                                   scratch, emit, stats));
       }
       positions.pop_back();
     }

@@ -53,10 +53,13 @@ bool GapPruneUsingSimd();
 /// subsequence of indexed LPS's by recursive range descent over the virtual
 /// trie, optionally pruned with the MaxGap metric of Theorem 4 (Sec. 5.4).
 ///
-/// A matcher holds no mutable state of its own — all scratch lives on the
-/// FindAll stack and counters go to the caller-owned MatcherStats — so one
-/// instance per thread (or even a shared one) is safe over a read-only
-/// index.
+/// Each query depth owns one Trie-Symbol cursor and one scan batch, and the
+/// terminals share one Docid cursor: a range query is a Reseek of its
+/// depth's cursor, which stays within the current leaf when the probe key
+/// routes there, and allocates nothing. A matcher holds no mutable state
+/// of its own — the cursors and batches live in FindAll's frame and
+/// counters go to the caller-owned MatcherStats — so one instance per
+/// thread (or even a shared one) is safe over a read-only index.
 class SubsequenceMatcher {
  public:
   /// `emit(docs, positions)` is called once per occurrence: `docs` holds the
@@ -81,9 +84,11 @@ class SubsequenceMatcher {
                  MatcherStats* stats);
 
  private:
+  struct Depth;
+  struct Scratch;
+
   Status Descend(const QuerySequence& q, size_t i, uint64_t ql, uint64_t qr,
-                 std::vector<uint32_t>& positions, const EmitFn& emit,
-                 MatcherStats* stats);
+                 Scratch* scratch, const EmitFn& emit, MatcherStats* stats);
 
   const PrixIndex* index_;
   bool use_maxgap_;

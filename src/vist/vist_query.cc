@@ -41,6 +41,9 @@ Result<VistQueryResult> VistQueryProcessor::Execute(
     }
   }
 
+  cursors_.assign(items_.size(),
+                  VistIndex::DAncestorTree::Iterator(index_->dancestor()));
+  doc_cursor_ = VistIndex::DocTree::Iterator(index_->docid_index());
   std::vector<DocId> candidates;
   RangeLabel root = index_->root_range();
   PRIX_RETURN_NOT_OK(
@@ -97,8 +100,8 @@ Status VistQueryProcessor::Descend(size_t i, uint64_t ql, uint64_t qr,
                           const VistNodeValue& value) -> Status {
     if (i + 1 == items_.size()) {
       ++stats->occurrences;
-      PRIX_ASSIGN_OR_RETURN(
-          auto dit, index_->docid_index().Seek(VistDocKey{key.left, 0, 0}));
+      auto& dit = doc_cursor_;
+      PRIX_RETURN_NOT_OK(dit.Reseek(VistDocKey{key.left, 0, 0}));
       while (dit.Valid() && dit.key().left <= value.right) {
         candidates->push_back(dit.value());
         PRIX_RETURN_NOT_OK(dit.Next());
@@ -126,8 +129,8 @@ Status VistQueryProcessor::Descend(size_t i, uint64_t ql, uint64_t qr,
 
   // Scan all trie nodes of the symbol within the scope; each is checked
   // against the item's admissible (symbol, prefix) keys.
-  PRIX_ASSIGN_OR_RETURN(
-      auto it, index_->dancestor().Seek(VistKey{item.symbol, 0, ql + 1}));
+  auto& it = cursors_[i];
+  PRIX_RETURN_NOT_OK(it.Reseek(VistKey{item.symbol, 0, ql + 1}));
   while (it.Valid()) {
     const VistKey key = it.key();
     if (key.symbol != item.symbol || key.left > qr) break;

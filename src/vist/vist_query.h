@@ -47,6 +47,10 @@ class VistQueryProcessor {
 
   VistIndex* index_;
   std::vector<VistQueryItem> items_;
+  // One D-Ancestorship cursor per item and one Docid cursor, reused by
+  // every range query of an Execute (sized before the descent starts).
+  std::vector<VistIndex::DAncestorTree::Iterator> cursors_;
+  VistIndex::DocTree::Iterator doc_cursor_;
   // prefix_ok_[i][prefix]: item i accepts that interned prefix.
   std::vector<std::vector<char>> prefix_ok_;
 };

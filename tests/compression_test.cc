@@ -1,18 +1,21 @@
 // Tests for the delta-coded on-disk formats (DESIGN.md §5h): varint
 // primitives, delta-coded B+-tree leaves with restart points (bulk-loaded
-// and mutated), block-coded document records, the varint record-store
-// catalog, and the SIMD gap-prune kernel. Every tree check runs against a
-// naive oracle (a std::map or the source data), and the index checks
-// against the naive twig matcher: the encoding changes the page bytes and
-// nothing about what they mean.
+// and mutated) and the cursors that read them in place, block-coded
+// document records, the varint record-store catalog, and the SIMD
+// gap-prune kernel. Every tree check runs against a naive oracle (a
+// std::map or the source data), and the index checks against the naive
+// twig matcher: the encoding changes the page bytes and nothing about
+// what they mean.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/varint.h"
 #include "naive/naive_matcher.h"
@@ -543,6 +546,334 @@ TEST_F(CompressedBtreeTest, DeleteReinsertAtTheInsertLimitHeadroomBoundary) {
     ASSERT_TRUE(it->Next().ok());
   }
   EXPECT_FALSE(it->Valid());
+  EXPECT_TRUE(pool()->Clear().ok());
+}
+
+// --- cursors: the recorded path, in-place groups, Reseek ------------------
+
+/// A two-level tree's root: leaf j holds keys in [seps[j-1], seps[j]) and
+/// is page children[j] (btree.h layout: count at bytes 4..5, leftmost
+/// child at 8..11, (key, child) pairs of 12 bytes from byte 16).
+struct RootLayout {
+  PageId id = kInvalidPage;
+  std::vector<uint64_t> seps;
+  std::vector<PageId> children;
+};
+
+RootLayout ReadRoot(BufferPool* pool, const IntTree& tree) {
+  RootLayout root;
+  root.id = RootOf(pool, tree);
+  auto page = pool->FetchPage(root.id);
+  EXPECT_TRUE(page.ok());
+  const char* data = (*page)->data();
+  uint16_t count;
+  std::memcpy(&count, data + 4, 2);
+  PageId child;
+  std::memcpy(&child, data + 8, sizeof(child));
+  root.children.push_back(child);
+  for (size_t j = 0; j < count; ++j) {
+    uint64_t sep;
+    std::memcpy(&sep, data + 16 + 12 * j, 8);
+    std::memcpy(&child, data + 16 + 12 * j + 8, sizeof(child));
+    root.seps.push_back(sep);
+    root.children.push_back(child);
+  }
+  pool->UnpinPage(root.id, /*dirty=*/false);
+  return root;
+}
+
+/// Bulk-loads keys 3i+1 (i < n) with scrambled values into `model` too.
+Result<IntTree> BulkLoadSpaced(BufferPool* pool, uint64_t n, Model* model) {
+  std::vector<IntTree::Entry> entries;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t value = (i * 0x9e3779b97f4a7c15ull) >> (i % 40);
+    entries.push_back({3 * i + 1, value});
+    model->emplace(3 * i + 1, value);
+  }
+  return IntTree::BulkLoad(pool, entries);
+}
+
+/// The cursor is at `want` (past the end when want == model.end()).
+void ExpectCursorAt(const IntTree::Iterator& cursor, const Model& model,
+                    Model::const_iterator want) {
+  if (want == model.end()) {
+    ASSERT_FALSE(cursor.Valid());
+    return;
+  }
+  ASSERT_TRUE(cursor.Valid()) << "expected key " << want->first;
+  ASSERT_EQ(cursor.key(), want->first);
+  ASSERT_EQ(cursor.value(), want->second);
+}
+
+/// Drives one reused cursor through random Reseeks — forward by a few
+/// keys, forward across leaves, backward, past the end — interleaved with
+/// runs of Next across group and leaf boundaries. Every position must be
+/// the model's, and every Reseek must land where a fresh Seek does.
+void ExpectReseeksMatchModel(const IntTree& tree, const Model& model,
+                             uint64_t seed) {
+  Random rng(seed);
+  const uint64_t max_key = model.empty() ? 0 : model.rbegin()->first;
+  const uint64_t far = max_key / 3 + 1;
+  IntTree::Iterator cursor(tree);
+  auto pos = model.end();
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t here = pos == model.end() ? max_key : pos->first;
+    uint64_t target;
+    switch (rng.Uniform(5)) {
+      case 0:
+        for (uint64_t n = rng.Uniform(48); n > 0 && pos != model.end(); --n) {
+          ASSERT_TRUE(cursor.Next().ok());
+          ++pos;
+          ASSERT_NO_FATAL_FAILURE(ExpectCursorAt(cursor, model, pos));
+        }
+        continue;
+      case 1:
+        target = here + rng.Uniform(8);
+        break;
+      case 2:
+        target = here + rng.Uniform(far);
+        break;
+      case 3:
+        target = here - std::min(here, rng.Uniform(far));
+        break;
+      default:
+        target = max_key + 1 + rng.Uniform(4);
+        break;
+    }
+    SCOPED_TRACE("op " + std::to_string(op) + ": reseek " +
+                 std::to_string(target));
+    ASSERT_TRUE(cursor.Reseek(target).ok());
+    pos = model.lower_bound(target);
+    ASSERT_NO_FATAL_FAILURE(ExpectCursorAt(cursor, model, pos));
+    auto fresh = tree.Seek(target);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(fresh->Valid(), cursor.Valid());
+    if (cursor.Valid()) {
+      ASSERT_EQ(fresh->key(), cursor.key());
+    }
+  }
+}
+
+TEST_F(CompressedBtreeTest, ReseekLandsWhereSeekDoesAgainstTheModel) {
+  {
+    SCOPED_TRACE("empty tree");
+    auto empty = IntTree::Create(pool());
+    ASSERT_TRUE(empty.ok());
+    ExpectReseeksMatchModel(*empty, Model{}, 1);
+  }
+  {
+    SCOPED_TRACE("bulk-loaded: full leaves of many groups");
+    Model model;
+    auto tree = BulkLoadSpaced(pool(), 20000, &model);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_GE(tree->height(), 2u);
+    ExpectReseeksMatchModel(*tree, model, 2);
+  }
+  {
+    SCOPED_TRACE("insert-built: split leaves, grown groups, deletes");
+    auto tree = IntTree::Create(pool());
+    ASSERT_TRUE(tree.ok());
+    Model model;
+    Random rng(3);
+    for (int i = 0; i < 20000; ++i) {
+      const uint64_t key = rng.Uniform(100000);
+      if (model.emplace(key, i).second) {
+        ASSERT_TRUE(tree->Insert(key, i).ok());
+      }
+    }
+    for (auto it = model.begin(); it != model.end();) {
+      if (rng.Uniform(4) == 0) {
+        ASSERT_TRUE(tree->Delete(it->first).ok());
+        it = model.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    ASSERT_GE(tree->height(), 2u);
+    ExpectReseeksMatchModel(*tree, model, 4);
+  }
+  EXPECT_TRUE(pool()->Clear().ok()) << "a cursor leaked a pin";
+}
+
+TEST_F(CompressedBtreeTest, ReseekReentersTheLeafOnlyWhereARootDescentLands) {
+  // Node charges show which path a Reseek took: the current leaf alone
+  // (one node) or a descent from the root (root + leaf). Leaf j of the
+  // bulk-loaded tree starts at key seps[j-1]; its entries are 3 apart and
+  // its restart groups kRestart entries long.
+  Model model;
+  auto tree = BulkLoadSpaced(pool(), 20000, &model);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->height(), 2u);
+  const RootLayout root = ReadRoot(pool(), *tree);
+  ASSERT_GE(root.seps.size(), 4u);
+  const uint64_t leaf3 = root.seps[2];
+  const uint64_t leaf4 = root.seps[3];
+  ASSERT_GE((leaf4 - leaf3) / 3, 3 * kRestart) << "want several groups";
+
+  MetricsContext ctx;
+  IntTree::Iterator cursor(*tree);
+  auto reseek = [&](uint64_t key) {
+    const uint64_t before = ctx.counters.btree_nodes;
+    EXPECT_TRUE(cursor.Reseek(key).ok()) << key;
+    ExpectCursorAt(cursor, model, model.lower_bound(key));
+    return ctx.counters.btree_nodes - before;
+  };
+  auto next = [&]() {
+    const uint64_t before = ctx.counters.btree_nodes;
+    const uint64_t was = cursor.key();
+    EXPECT_TRUE(cursor.Next().ok());
+    ExpectCursorAt(cursor, model, model.upper_bound(was));
+    return ctx.counters.btree_nodes - before;
+  };
+
+  EXPECT_EQ(reseek(leaf3 + 3 * (kRestart + 4)), 2u) << "fresh: from root";
+  EXPECT_EQ(reseek(leaf3 + 3 * (2 * kRestart + 1)), 1u) << "later group";
+  EXPECT_EQ(reseek(leaf3 + 3 * (2 * kRestart + 2)), 1u) << "same group";
+  EXPECT_EQ(reseek(leaf3), 1u) << "backward within the leaf";
+  // Just below the leaf's first key routes to leaf 2, which holds nothing
+  // that large: root, leaf 2, then root again and leaf 3.
+  EXPECT_EQ(reseek(leaf3 - 1), 4u) << "gap before the leaf";
+  EXPECT_EQ(reseek(leaf4 + 3), 2u) << "forward into a later leaf";
+  EXPECT_EQ(reseek(root.seps[0] + 3), 2u) << "backward into an earlier leaf";
+
+  // Next is free inside a group, re-fetches the leaf for its next group,
+  // and re-fetches the parent to cross into the next leaf.
+  EXPECT_EQ(reseek(leaf3), 2u);
+  for (size_t i = 1; i < kRestart; ++i) EXPECT_EQ(next(), 0u) << i;
+  EXPECT_EQ(next(), 1u) << "into group 1";
+  EXPECT_EQ(reseek(leaf4 - 3), 1u) << "the leaf's last entry";
+  EXPECT_EQ(next(), 2u) << "into leaf 4";
+  EXPECT_EQ(cursor.key(), leaf4);
+
+  EXPECT_EQ(reseek(UINT64_MAX), 2u) << "past the end: root, last leaf";
+  EXPECT_EQ(reseek(leaf3), 2u) << "from the end: root again";
+  EXPECT_TRUE(pool()->Clear().ok()) << "a cursor leaked a pin";
+}
+
+TEST_F(CompressedBtreeTest, ReusedCursorOutlivesThePageCountButCyclesFail) {
+  Model model;
+  auto tree = BulkLoadSpaced(pool(), 60000, &model);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->height(), 2u);
+  const RootLayout root = ReadRoot(pool(), *tree);
+  const uint64_t pages = pool()->disk()->num_pages();
+
+  // The cycle guard bounds one positioning, not the cursor's lifetime.
+  IntTree::Iterator cursor(*tree);
+  Random rng(5);
+  for (uint64_t r = 0; r < 3 * pages + 10; ++r) {
+    const uint64_t target = rng.Uniform(3 * 60000 + 3);
+    ASSERT_TRUE(cursor.Reseek(target).ok()) << "reseek " << r;
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectCursorAt(cursor, model, model.lower_bound(target)));
+  }
+
+  // A child pointer into its own node: the level check refuses it both on
+  // a descent through it and on a Next that crosses into it.
+  const size_t slot = 2;  // separator slot - 1 holds the child pointer
+  const size_t child_at = 16 + 12 * (slot - 1) + 8;
+  PatchPage(pool(), root.id, child_at, &root.id, sizeof(PageId));
+  EXPECT_EQ(cursor.Reseek(root.seps[slot - 1]).code(),
+            StatusCode::kCorruption);
+  EXPECT_FALSE(cursor.Valid());
+  ASSERT_TRUE(cursor.Reseek(root.seps[slot - 1] - 3).ok());
+  EXPECT_EQ(cursor.Next().code(), StatusCode::kCorruption);
+  EXPECT_FALSE(cursor.Valid());
+  PatchPage(pool(), root.id, child_at, &root.children[slot], sizeof(PageId));
+  ASSERT_TRUE(cursor.Reseek(root.seps[slot - 1]).ok());
+  EXPECT_EQ(cursor.key(), root.seps[slot - 1]);
+
+  // Every root slot naming one emptied leaf: each node on the walk passes
+  // its checks, and only the per-positioning fetch bound ends it.
+  ASSERT_GT(2 * root.children.size(), pages) << "need more leaves than that";
+  const uint16_t zero = 0;
+  for (size_t at : {4, 12, 14}) {  // count, stream length, restart count
+    PatchPage(pool(), root.children[0], at, &zero, 2);
+  }
+  for (size_t j = 1; j < root.children.size(); ++j) {
+    PatchPage(pool(), root.id, 16 + 12 * (j - 1) + 8, &root.children[0],
+              sizeof(PageId));
+  }
+  auto scan = tree->SeekToFirst();
+  EXPECT_EQ(scan.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(scan.status().ToString().find("does not terminate"),
+            std::string::npos)
+      << scan.status().ToString();
+  EXPECT_EQ(cursor.Reseek(0).code(), StatusCode::kCorruption);
+  EXPECT_TRUE(pool()->Clear().ok()) << "a cursor leaked a pin";
+}
+
+TEST_F(CompressedBtreeTest, LeafGarbledUnderACursorFailsAtItsNextGroup) {
+  // One leaf of six restart groups. The cursor decodes group 0 and drops
+  // its pin; the leaf is then garbled in one of four ways, so that the
+  // re-fetch for group 1 must fail. Group 0's entries still come out
+  // right, and nothing after them does.
+  std::vector<IntTree::Entry> entries;
+  Model model;
+  for (uint64_t i = 0; i < 5 * kRestart + 3; ++i) {
+    entries.push_back({i * 5, i * i});
+    model.emplace(i * 5, i * i);
+  }
+  auto tree = IntTree::BulkLoad(pool(), entries);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_EQ(tree->height(), 1u);
+  const PageId leaf = RootOf(pool(), *tree);
+  ASSERT_TRUE(pool()->FlushAll().ok());
+  uint16_t plen, offsets[2];
+  {
+    auto page = pool()->FetchPage(leaf);
+    ASSERT_TRUE(page.ok());
+    std::memcpy(&plen, (*page)->data() + 12, 2);
+    std::memcpy(offsets, (*page)->data() + 16 + plen, sizeof(offsets));
+    pool()->UnpinPage(leaf, false);
+  }
+  std::vector<char> pristine(kPageSize);
+  ASSERT_TRUE(pool()->disk()->ReadPage(leaf, pristine.data()).ok());
+
+  auto garble_on_disk = [&] {
+    // Bytes the page CRC no longer covers: the pool's re-read refuses them.
+    ASSERT_TRUE(pool()->Clear().ok());
+    std::vector<char> bytes = pristine;
+    bytes[16 + offsets[1]] ^= 0x40;
+    ASSERT_TRUE(pool()->disk()->WritePage(leaf, bytes.data()).ok());
+  };
+  auto garble_group = [&] {
+    // Group 1's restart entry, key 80 coded against zero (zig-zag varint
+    // a0 01), re-coded to key 64: a well-formed group whose keys rise, but
+    // start below group 0's last key, 75.
+    ASSERT_EQ(static_cast<uint8_t>(pristine[16 + offsets[1]]), 0xa0);
+    ASSERT_EQ(static_cast<uint8_t>(pristine[16 + offsets[1] + 1]), 0x01);
+    const uint8_t key64[] = {0x80, 0x01};
+    PatchPage(pool(), leaf, 16 + offsets[1], key64, sizeof(key64));
+  };
+  auto garble_restart = [&] {
+    // Restart 1 no longer rises past restart 0: CheckNode refuses the leaf.
+    PatchPage(pool(), leaf, 16 + plen + 2, &offsets[0], 2);
+  };
+  auto garble_format = [&] {
+    // Every entry still decodes; only CheckNode sees the wrong format byte.
+    const uint8_t format = 2;
+    PatchPage(pool(), leaf, 6, &format, 1);
+  };
+  for (const auto& garble : {std::function<void()>(garble_on_disk),
+                             std::function<void()>(garble_group),
+                             std::function<void()>(garble_restart),
+                             std::function<void()>(garble_format)}) {
+    auto cursor = tree->SeekToFirst();
+    ASSERT_TRUE(cursor.ok());
+    garble();
+    auto want = model.begin();
+    for (size_t i = 1; i < kRestart; ++i) {
+      ASSERT_TRUE(cursor->Next().ok()) << i;
+      ASSERT_NO_FATAL_FAILURE(ExpectCursorAt(*cursor, model, ++want));
+    }
+    EXPECT_EQ(cursor->Next().code(), StatusCode::kCorruption);
+    EXPECT_FALSE(cursor->Valid());
+    // Restore the leaf everywhere it may live, then check the whole tree.
+    ASSERT_TRUE(pool()->Clear().ok());
+    ASSERT_TRUE(pool()->disk()->WritePage(leaf, pristine.data()).ok());
+    ExpectTreeMatchesModel(*tree, model);
+  }
   EXPECT_TRUE(pool()->Clear().ok());
 }
 

@@ -16,6 +16,7 @@ namespace {
 
 using testutil::DocFromSexp;
 using testutil::RandomCollection;
+using testutil::RandomDocument;
 using testutil::RandomDocOptions;
 using testutil::RandomTwig;
 using testutil::RandomTwigOptions;
@@ -325,6 +326,51 @@ TEST_F(PrixE2eTest, DynamicLabelingGivesSameAnswers) {
   for (int trial = 0; trial < 20; ++trial) {
     const Document& doc = docs[rng.Uniform(docs.size())];
     TwigPattern pattern = RandomTwig(rng, doc, &dict);
+    if (pattern.num_nodes() < 2) continue;
+    SCOPED_TRACE(TwigToString(pattern, dict));
+    ExpectAgreesWithOracle(docs, pattern, MatchSemantics::kOrdered, dict);
+  }
+}
+
+TEST_F(PrixE2eTest, BackwardProbesFromSameLabelNestingMatchTheOracle) {
+  // Same-label nesting makes a query depth probe backward: once an outer
+  // tag0 has driven the next depth's cursor through its whole scope, the
+  // tag0 nested inside it probes that depth again from a smaller key. The
+  // hand-written documents nest tag0 directly; the random chains over two
+  // labels add enough trie nodes for multi-leaf trees, where a backward
+  // probe leaves the cursor's leaf and descends from the root.
+  TagDictionary dict;
+  std::vector<Document> docs;
+  for (const char* sexp : {"(tag0 (tag0 (tag1) (tag0 (tag1))))",
+                           "(tag0 (tag0 (tag0 (tag1)) (tag1)) (tag1))",
+                           "(tag0 (tag1 (tag0 (tag1 (tag0)))))"}) {
+    docs.push_back(DocFromSexp(sexp, static_cast<DocId>(docs.size()), &dict));
+  }
+  Random rng(6006);
+  RandomDocOptions deep;
+  deep.max_nodes = 24;
+  deep.alphabet = 2;
+  deep.value_leaf_prob = 0.1;
+  deep.deep_bias = 0.9;
+  while (docs.size() < 400) {
+    docs.push_back(RandomDocument(rng, static_cast<DocId>(docs.size()), &dict,
+                                  deep));
+  }
+  BuildIndexes(docs);
+  ASSERT_GE(ep_->symbol_index().height(), 2u) << "want a multi-leaf tree";
+  for (const char* xpath :
+       {"//tag0//tag0//tag1", "//tag0/tag0/tag1", "//tag0//tag0//tag0",
+        "//tag0[./tag0]//tag1", "//tag0//tag1//tag0", "//tag0/tag0//tag0"}) {
+    SCOPED_TRACE(xpath);
+    auto pattern = ParseXPath(xpath, &dict);
+    ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+    ExpectAgreesWithOracle(docs, *pattern, MatchSemantics::kOrdered, dict);
+  }
+  RandomTwigOptions twig_opts;
+  twig_opts.descendant_prob = 0.5;
+  for (int trial = 0; trial < 20; ++trial) {
+    TwigPattern pattern =
+        RandomTwig(rng, docs[rng.Uniform(docs.size())], &dict, twig_opts);
     if (pattern.num_nodes() < 2) continue;
     SCOPED_TRACE(TwigToString(pattern, dict));
     ExpectAgreesWithOracle(docs, pattern, MatchSemantics::kOrdered, dict);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/random.h"
 #include "query/twig_pattern.h"
 #include "query/twig_prufer.h"
 #include "query/xpath_parser.h"
+#include "testutil/mutate.h"
 #include "xml/tag_dictionary.h"
 
 namespace prix {
@@ -172,6 +176,49 @@ TEST(XPathParserTest, ErrorsReportOffendingOffset) {
   EXPECT_NE(no_axis.status().ToString().find("at offset 2"),
             std::string::npos)
       << no_axis.status().ToString();
+}
+
+TEST(XPathParserTest, MutatedQueriesParseOrFailWithATypedStatus) {
+  // Seeded byte-mutation sweep over the grammar's constructs (both axes,
+  // '*', nested and chained predicates, both quote styles, text()): every
+  // mutant parses to a well-formed twig — node 0 the only root, every
+  // other node a child of an earlier one, values only at leaves — or fails
+  // with ParseError.
+  const char* seeds[] = {
+      "//A[./B[./C]]/D[./E[./F]]",
+      "/dblp/inproceedings[./author=\"Jim Gray\"][./year='1990']//title",
+      "//a//*[.//b/c][.//d/e]",
+      "//title[text()='Semantic']",
+      "  //S[ ./NP/* ]//VP[./PP[./NN]]  ",
+  };
+  Random rng(20261018);
+  size_t parsed = 0, refused = 0;
+  for (const char* seed : seeds) {
+    for (int m = 0; m < 4000; ++m) {
+      const std::string text =
+          testutil::MutateBytes(rng, seed, "/[].=*'\" ()text");
+      TagDictionary dict;
+      auto twig = ParseXPath(text, &dict);
+      if (!twig.ok()) {
+        ++refused;
+        ASSERT_EQ(twig.status().code(), StatusCode::kParseError)
+            << twig.status().ToString() << " for " << text;
+        ASSERT_FALSE(twig.status().message().empty());
+        continue;
+      }
+      ++parsed;
+      ASSERT_GT(twig->num_nodes(), 0u) << text;
+      ASSERT_EQ(twig->node(0).parent, TwigPattern::kNoParent) << text;
+      for (uint32_t id = 1; id < twig->num_nodes(); ++id) {
+        const TwigPattern::Node& node = twig->node(id);
+        ASSERT_LT(node.parent, id) << text;
+        ASSERT_FALSE(twig->node(node.parent).is_value) << text;
+      }
+    }
+  }
+  // Both outcomes must occur, or the sweep tests nothing.
+  EXPECT_GT(parsed, 500u);
+  EXPECT_GT(refused, 500u);
 }
 
 TEST(EffectiveTwigTest, PlainChildQueryIsExact) {

@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "common/random.h"
+#include "testutil/mutate.h"
 #include "xml/document.h"
 #include "xml/tag_dictionary.h"
 #include "xml/xml_parser.h"
@@ -201,6 +203,49 @@ TEST(XmlParserTest, FarTooDeepInputIsRefusedNotACrash) {
   unclosed.resize(unclosed.size() / 2);
   EXPECT_EQ(ParseXml(unclosed, &dict).status().code(),
             StatusCode::kParseError);
+}
+
+TEST(XmlParserTest, MutatedDocumentsParseOrFailWithATypedStatus) {
+  // Seeded byte-mutation sweep: every mutant of a small seed document
+  // parses, or fails with ParseError (bad syntax) or InvalidArgument (too
+  // deep); a document that parses is no deeper than kMaxDocumentDepth.
+  // The limit-deep chain makes depth-changing mutants likely.
+  const std::string seeds[] = {
+      "<a><b>text</b><c x=\"1\" y='2'/></a>",
+      "<?xml version=\"1.0\"?><!DOCTYPE r [<!ENTITY e \"v\">]><!-- c -->"
+      "<r><?pi x?><s>&lt;&amp;&#65;&#x42;</s></r>",
+      "<r><![CDATA[<not>&markup;]]><t a=\"&quot;\">x y</t>tail</r>",
+      "<dblp><article key=\"k\"><author>A</author><title>T</title>"
+      "<year>1990</year></article></dblp>",
+      Chain(kMaxDocumentDepth),
+  };
+  Random rng(20261018);
+  size_t parsed = 0, refused = 0;
+  for (const std::string& seed : seeds) {
+    const int mutants = seed.size() > 1000 ? 200 : 4000;
+    for (int m = 0; m < mutants; ++m) {
+      const std::string text =
+          testutil::MutateBytes(rng, seed, "<>/&;#=\"'![]?- x");
+      TagDictionary dict;
+      auto doc = ParseXml(text, &dict);
+      if (doc.ok()) {
+        ++parsed;
+        ASSERT_GT(doc->num_nodes(), 0u);
+        ASSERT_LE(doc->MaxDepth(), kMaxDocumentDepth) << text.substr(0, 200);
+        ASSERT_TRUE(CheckDocumentDepth(*doc).ok());
+        continue;
+      }
+      ++refused;
+      const StatusCode code = doc.status().code();
+      ASSERT_TRUE(code == StatusCode::kParseError ||
+                  code == StatusCode::kInvalidArgument)
+          << doc.status().ToString() << " for " << text.substr(0, 200);
+      ASSERT_FALSE(doc.status().message().empty());
+    }
+  }
+  // Both outcomes must occur, or the sweep tests nothing.
+  EXPECT_GT(parsed, 500u);
+  EXPECT_GT(refused, 500u);
 }
 
 TEST(XmlWriterTest, RoundTripPreservesStructure) {
