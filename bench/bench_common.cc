@@ -2,14 +2,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/build_info.h"
 #include "common/macros.h"
+#include "datagen/dblp_gen.h"
+#include "datagen/swissprot_gen.h"
+#include "datagen/treebank_gen.h"
 #include "naive/naive_matcher.h"
 #include "query/xpath_parser.h"
+#include "vist/vist_query.h"
 
 namespace prix::bench {
 
@@ -24,38 +30,82 @@ const std::vector<QuerySpec>& AllQueries() {
   return kQueries;
 }
 
-double ScaleFromEnv() {
+namespace {
+
+/// Documents a dataset has at scale 1, and the fewest its generator needs
+/// to plant every Table 3 answer and decoy.
+struct DatasetSize {
+  size_t base;
+  size_t min;
+};
+
+DatasetSize SizeOf(std::string_view name) {
+  if (name == "DBLP") return {20000, datagen::DblpConfig{}.min_records()};
+  if (name == "SWISSPROT") {
+    return {6000, datagen::SwissprotConfig{}.min_entries()};
+  }
+  PRIX_CHECK(name == "TREEBANK");
+  return {6000, datagen::TreebankConfig{}.min_sentences()};
+}
+
+size_t DocCount(DatasetSize size, double scale) {
+  return static_cast<size_t>(size.base * scale);
+}
+
+bool IsPrix(Variant v) { return v <= Variant::kPrixFullTwig; }
+
+}  // namespace
+
+double ScaleFromEnv(std::initializer_list<std::string_view> datasets) {
   const char* env = std::getenv("PRIX_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  double scale = std::atof(env);
-  return scale > 0 ? scale : 1.0;
+  char* end = nullptr;
+  const double scale = std::strtod(env, &end);
+  bool ok = end != env && *end == '\0' && std::isfinite(scale) && scale > 0;
+  double min_scale = 0;  // the smallest on a 0.001 grid that fits them all
+  for (std::string_view name : datasets) {
+    const DatasetSize size = SizeOf(name);
+    ok = ok && DocCount(size, scale) >= size.min;
+    double least = std::ceil(1000.0 * size.min / size.base) / 1000;
+    while (DocCount(size, least) < size.min) least += 0.001;
+    min_scale = std::max(min_scale, least);
+  }
+  if (!ok) {
+    std::fprintf(stderr,
+                 "PRIX_BENCH_SCALE='%s' must be a number of at least %.3f, "
+                 "the smallest scale at which every planted answer fits\n",
+                 env, min_scale);
+    std::exit(2);
+  }
+  return scale;
 }
 
 DocumentCollection MakeDataset(const std::string& name, double scale) {
+  const size_t count = DocCount(SizeOf(name), scale);
   if (name == "DBLP") {
     datagen::DblpConfig config;
-    config.num_records = static_cast<size_t>(20000 * scale);
+    config.num_records = count;
     return datagen::GenerateDblp(config);
   }
   if (name == "SWISSPROT") {
     datagen::SwissprotConfig config;
-    config.num_entries = static_cast<size_t>(6000 * scale);
+    config.num_entries = count;
     return datagen::GenerateSwissprot(config);
   }
-  if (name == "TREEBANK") {
-    datagen::TreebankConfig config;
-    config.num_sentences = static_cast<size_t>(6000 * scale);
-    return datagen::GenerateTreebank(config);
-  }
-  PRIX_CHECK(false && "unknown dataset name");
-  return {};
+  datagen::TreebankConfig config;
+  config.num_sentences = count;
+  return datagen::GenerateTreebank(config);
 }
 
-EngineSet::EngineSet(const std::string& dataset_name, double scale,
-                     const std::string& engines)
-    : name_(dataset_name), engines_(engines) {
-  coll_ = MakeDataset(dataset_name, scale);
+const char* VariantName(Variant v) {
+  static constexpr const char* kNames[] = {
+      "PRIX", "PRIX-maxgap", "PRIX-RP",   "PRIX-EP",
+      "PRIX-fulltwig", "ViST", "TwigStack", "TwigStackXB", "Oracle"};
+  return kNames[static_cast<int>(v)];
 }
+
+EngineSet::EngineSet(const std::string& dataset_name, double scale)
+    : name_(dataset_name), coll_(MakeDataset(dataset_name, scale)) {}
 
 EngineSet::~EngineSet() {
   rp_.reset();
@@ -79,144 +129,108 @@ Status EngineSet::Build() {
   PRIX_ASSIGN_OR_RETURN(db_, Database::Create(dir_ + "/bench.prix"));
 
   auto t0 = std::chrono::steady_clock::now();
-  if (engines_.find("prix") != std::string::npos) {
-    PrixIndexOptions rp_opts;
-    PRIX_ASSIGN_OR_RETURN(rp_, PrixIndex::Build(coll_.documents, db_->pool(),
-                                                rp_opts, &rp_stats_));
-    PrixIndexOptions ep_opts;
-    ep_opts.extended = true;
-    PRIX_ASSIGN_OR_RETURN(ep_, PrixIndex::Build(coll_.documents, db_->pool(),
-                                                ep_opts, &ep_stats_));
-  }
-  if (engines_.find("vist") != std::string::npos) {
-    PRIX_ASSIGN_OR_RETURN(
-        vist_, VistIndex::Build(coll_.documents, db_->pool(), &vist_stats_));
-  }
-  if (engines_.find("twigstack") != std::string::npos) {
-    PRIX_ASSIGN_OR_RETURN(streams_,
-                          StreamStore::Build(coll_.documents, db_->pool()));
-    PRIX_ASSIGN_OR_RETURN(forest_, XbForest::Build(streams_.get()));
-  }
+  PrixIndexOptions rp_opts;
+  PRIX_ASSIGN_OR_RETURN(rp_, PrixIndex::Build(coll_.documents, db_->pool(),
+                                              rp_opts, &rp_stats_));
+  PrixIndexOptions ep_opts;
+  ep_opts.extended = true;
+  PRIX_ASSIGN_OR_RETURN(ep_, PrixIndex::Build(coll_.documents, db_->pool(),
+                                              ep_opts, &ep_stats_));
+  PRIX_ASSIGN_OR_RETURN(
+      vist_, VistIndex::Build(coll_.documents, db_->pool(), &vist_stats_));
+  PRIX_ASSIGN_OR_RETURN(streams_,
+                        StreamStore::Build(coll_.documents, db_->pool()));
+  PRIX_ASSIGN_OR_RETURN(forest_, XbForest::Build(streams_.get()));
   auto t1 = std::chrono::steady_clock::now();
-  std::fprintf(
-      stderr, "[%s] %zu docs, %zu nodes; engines (%s) built in %.1fs\n",
-      name_.c_str(), coll_.documents.size(), coll_.TotalNodes(),
-      engines_.c_str(),
-      std::chrono::duration<double>(t1 - t0).count());
+  std::fprintf(stderr, "[%s] %zu docs, %zu nodes; engines built in %.1fs\n",
+               name_.c_str(), coll_.documents.size(), coll_.TotalNodes(),
+               std::chrono::duration<double>(t1 - t0).count());
   return Status::OK();
 }
 
-Status EngineSet::ColdStart() { return db_->ColdStart(); }
-
-Result<RunResult> EngineSet::RunPrix(const std::string& xpath,
-                                     bool use_maxgap,
-                                     QueryOptions::IndexChoice index) {
-  PRIX_CHECK(rp_ != nullptr);
-  QueryProcessor qp(*db_, rp_.get(), ep_.get());
-  QueryOptions options;
-  options.use_maxgap = use_maxgap;
-  options.index = index;
-  // Two passes: the first absorbs OS-level warm-up (file-cache writeback
-  // after an index build); the reported pass still starts from a cold
-  // buffer pool, which is the paper's direct-I/O measurement.
-  RunResult out;
-  for (int pass = 0; pass < 2; ++pass) {
-    PRIX_RETURN_NOT_OK(ColdStart());
-    // The context captures this run's exact I/O (Execute's inner context
-    // folds into it on return), including parse-time dictionary work.
-    MetricsContext mctx;
-    auto t0 = std::chrono::steady_clock::now();
+Status EngineSet::RunOnce(Variant variant, const std::string& xpath,
+                          const TwigPattern& pattern, RunResult* out) {
+  if (IsPrix(variant)) {
+    QueryOptions options;
+    options.use_maxgap = variant != Variant::kPrixNoMaxGap;
+    if (variant == Variant::kPrixRp) {
+      options.index = QueryOptions::IndexChoice::kRegular;
+    } else if (variant == Variant::kPrixEp) {
+      options.index = QueryOptions::IndexChoice::kExtended;
+    } else if (variant == Variant::kPrixFullTwig) {
+      options.wildcard_filter = QueryOptions::WildcardFilter::kFullTwig;
+    }
+    // PRIX's parse is part of its measured query, as in `prix query`.
+    QueryProcessor qp(*db_, rp_.get(), ep_.get());
     PRIX_ASSIGN_OR_RETURN(QueryResult qr,
                           qp.ExecuteXPath(xpath, &coll_.dictionary, options));
-    auto t1 = std::chrono::steady_clock::now();
-    out.seconds = std::chrono::duration<double>(t1 - t0).count();
-    out.io = mctx.counters;
-    out.pages = qr.stats.pages_read;
-    out.matches = qr.matches.size();
-    out.docs = qr.docs.size();
-    out.prix_stats = qr.stats;
-  }
-  return out;
-}
-
-Result<RunResult> EngineSet::RunVist(const std::string& xpath) {
-  PRIX_CHECK(vist_ != nullptr);
-  PRIX_ASSIGN_OR_RETURN(TwigPattern pattern,
-                        ParseXPath(xpath, &coll_.dictionary));
-  VistQueryProcessor qp(vist_.get());
-  RunResult out;
-  for (int pass = 0; pass < 2; ++pass) {
-    PRIX_RETURN_NOT_OK(ColdStart());
-    MetricsContext mctx;
-    auto t0 = std::chrono::steady_clock::now();
+    out->matches = qr.matches.size();
+    out->docs = qr.docs.size();
+    out->match_us = qr.stats.match_us;
+    out->refine_us = qr.stats.refine_us;
+    out->verify_us = qr.stats.verify_us;
+    out->total_us = qr.stats.total_us;
+    out->trie_nodes_scanned = qr.stats.matcher.nodes_scanned;
+    out->refine_candidates = qr.stats.refine.candidates;
+    out->maxgap_pruned = qr.stats.matcher.pruned_by_maxgap;
+  } else if (variant == Variant::kVist) {
+    VistQueryProcessor qp(vist_.get());
     PRIX_ASSIGN_OR_RETURN(VistQueryResult qr, qp.Execute(pattern));
-    auto t1 = std::chrono::steady_clock::now();
-    out.seconds = std::chrono::duration<double>(t1 - t0).count();
-    out.io = mctx.counters;
-    out.pages = out.io.physical_reads;
-    out.matches = qr.matches.size();
-    out.docs = qr.docs.size();
-    out.vist_stats = qr.stats;
+    out->matches = qr.matches.size();
+    out->docs = qr.docs.size();
+    out->vist_keys_matched = qr.stats.matched_prefixes;
+  } else if (variant == Variant::kOracle) {
+    std::vector<TwigMatch> matches =
+        NaiveMatchCollection(coll_.documents, EffectiveTwig::Build(pattern),
+                             MatchSemantics::kOrdered);
+    out->matches = matches.size();
+    for (size_t i = 0; i < matches.size(); ++i) {  // grouped by document
+      out->docs += i == 0 || matches[i].doc != matches[i - 1].doc;
+    }
+  } else {
+    TwigStackEngine engine(
+        streams_.get(),
+        variant == Variant::kTwigStackXB ? forest_.get() : nullptr);
+    PRIX_ASSIGN_OR_RETURN(TwigStackResult qr, engine.Execute(pattern));
+    out->matches = qr.matches.size();
+    out->docs = qr.docs.size();
+    out->ts_elements = qr.stats.elements_processed;
+    out->xb_drilldowns = qr.stats.drilldowns;
   }
-  return out;
+  return Status::OK();
 }
 
-Result<RunResult> EngineSet::RunTwigStack(const std::string& xpath,
-                                          bool use_xb) {
-  PRIX_CHECK(streams_ != nullptr);
+Result<RunResult> EngineSet::Measure(Variant variant,
+                                     const std::string& xpath) {
   PRIX_ASSIGN_OR_RETURN(TwigPattern pattern,
                         ParseXPath(xpath, &coll_.dictionary));
-  TwigStackEngine engine(streams_.get(), use_xb ? forest_.get() : nullptr);
   RunResult out;
   for (int pass = 0; pass < 2; ++pass) {
-    PRIX_RETURN_NOT_OK(ColdStart());
+    PRIX_RETURN_NOT_OK(db_->ColdStart());
+    out = RunResult{};
     MetricsContext mctx;
     auto t0 = std::chrono::steady_clock::now();
-    PRIX_ASSIGN_OR_RETURN(TwigStackResult qr, engine.Execute(pattern));
+    PRIX_RETURN_NOT_OK(RunOnce(variant, xpath, pattern, &out));
     auto t1 = std::chrono::steady_clock::now();
     out.seconds = std::chrono::duration<double>(t1 - t0).count();
     out.io = mctx.counters;
     out.pages = out.io.physical_reads;
-    out.matches = qr.matches.size();
-    out.docs = qr.docs.size();
-    out.twig_stats = qr.stats;
   }
   return out;
 }
 
-size_t EngineSet::OracleCount(const std::string& xpath) {
-  auto pattern = ParseXPath(xpath, &coll_.dictionary);
-  PRIX_CHECK(pattern.ok());
-  EffectiveTwig twig = EffectiveTwig::Build(*pattern);
-  return NaiveMatchCollection(coll_.documents, twig,
-                              MatchSemantics::kOrdered)
-      .size();
-}
-
-std::string Secs(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f secs", seconds);
-  return buf;
-}
-
-std::string PagesStr(uint64_t pages) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu pages",
-                static_cast<unsigned long long>(pages));
-  return buf;
-}
-
-BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
+BenchReport::BenchReport(std::string name, double scale)
+    : name_(std::move(name)), scale_(scale) {
   MetricsRegistry::Global().set_enabled(true);
   MetricsRegistry::Global().Reset();
 }
 
-void BenchReport::AddRow(std::string_view engine, std::string_view dataset,
+void BenchReport::AddRow(Variant variant, std::string_view dataset,
                          std::string_view query, std::string_view xpath,
                          const RunResult& r) {
   JsonWriter w;
   w.BeginObject();
-  w.Key("engine").String(engine);
+  w.Key("engine").String(VariantName(variant));
   w.Key("dataset").String(dataset);
   w.Key("query").String(query);
   w.Key("xpath").String(xpath);
@@ -231,12 +245,14 @@ void BenchReport::AddRow(std::string_view engine, std::string_view dataset,
   w.Key("physical_writes").UInt(r.io.physical_writes);
   w.Key("btree_nodes").UInt(r.io.btree_nodes);
   w.EndObject();
-  w.Key("phases_us").BeginObject();
-  w.Key("match").UInt(r.prix_stats.match_us);
-  w.Key("refine").UInt(r.prix_stats.refine_us);
-  w.Key("verify").UInt(r.prix_stats.verify_us);
-  w.Key("total").UInt(r.prix_stats.total_us);
-  w.EndObject();
+  if (IsPrix(variant)) {
+    w.Key("phases_us").BeginObject();
+    w.Key("match").UInt(r.match_us);
+    w.Key("refine").UInt(r.refine_us);
+    w.Key("verify").UInt(r.verify_us);
+    w.Key("total").UInt(r.total_us);
+    w.EndObject();
+  }
   w.EndObject();
   rows_.push_back(w.Take());
 }
@@ -250,7 +266,7 @@ Status BenchReport::Write() {
   w.BeginObject();
   w.Key("bench").String(name_);
   AppendBuildInfoJson(&w);
-  w.Key("scale").Double(ScaleFromEnv());
+  w.Key("scale").Double(scale_);
   w.Key("rows").BeginArray();
   for (const std::string& row : rows_) w.RawValue(row);
   w.EndArray();
@@ -258,9 +274,14 @@ Status BenchReport::Write() {
   // (prix.query.*_us) accumulated since construction.
   w.Key("metrics").RawValue(MetricsRegistry::Global().ToJson());
   w.EndObject();
-  std::string doc = w.Take();
-  PRIX_RETURN_NOT_OK(ValidateJson(doc).Annotate("BENCH_" + name_ + ".json"));
-  std::string path = "BENCH_" + name_ + ".json";
+  const std::string path = "BENCH_" + name_ + ".json";
+  PRIX_RETURN_NOT_OK(WriteJsonFile(path, w.Take()));
+  std::fprintf(stderr, "wrote %s (%zu rows)\n", path.c_str(), rows_.size());
+  return Status::OK();
+}
+
+Status WriteJsonFile(const std::string& path, const std::string& doc) {
+  PRIX_RETURN_NOT_OK(ValidateJson(doc).Annotate(path));
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::IoError("cannot open " + path);
   size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
@@ -269,7 +290,6 @@ Status BenchReport::Write() {
     return Status::IoError("short write to " + path);
   }
   if (std::fclose(f) != 0) return Status::IoError("close failed: " + path);
-  std::fprintf(stderr, "wrote %s (%zu rows)\n", path.c_str(), rows_.size());
   return Status::OK();
 }
 

@@ -1,21 +1,19 @@
 #ifndef PRIX_BENCH_BENCH_COMMON_H_
 #define PRIX_BENCH_BENCH_COMMON_H_
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "datagen/dblp_gen.h"
 #include "db/database.h"
-#include "datagen/swissprot_gen.h"
-#include "datagen/treebank_gen.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
 #include "twigstack/twig_stack.h"
 #include "vist/vist_index.h"
-#include "vist/vist_query.h"
 
 namespace prix::bench {
 
@@ -35,19 +33,40 @@ inline constexpr const char* kQ8 = "//NP[./RBR_OR_JJR]/PP";
 inline constexpr const char* kQ9 = "//NP/PP/NP[./NNS_OR_NN][./NN]";
 
 struct QuerySpec {
-  const char* id;
-  const char* xpath;
+  std::string id;
+  std::string xpath;
   const char* dataset;  // "DBLP", "SWISSPROT", "TREEBANK"
-  size_t paper_matches;
+  size_t paper_matches;  // Table 3's count; 0 for queries the paper lacks
 };
 
 /// All nine queries with the paper's match counts (Table 3).
 const std::vector<QuerySpec>& AllQueries();
 
-/// Scale factor from $PRIX_BENCH_SCALE (default 1.0).
-double ScaleFromEnv();
+/// Scale factor from $PRIX_BENCH_SCALE (default 1.0). A value that is not a
+/// number, or that is too small for one of `datasets` to hold every planted
+/// Table 3 answer, ends the process with exit status 2 and a message naming
+/// the smallest scale at which all of them fit.
+double ScaleFromEnv(std::initializer_list<std::string_view> datasets =
+                                {"DBLP", "SWISSPROT", "TREEBANK"});
 
 DocumentCollection MakeDataset(const std::string& name, double scale);
+
+/// One way of answering a twig: an engine, and for PRIX the option that an
+/// experiment varies. The paper's matrix is Table 3's queries × these.
+enum class Variant {  // the PRIX variants come first
+  kPrix,           // the defaults: MaxGap on, index chosen, sound filter
+  kPrixNoMaxGap,   // A1
+  kPrixRp,         // A2: forced RPIndex
+  kPrixEp,         // A2: forced EPIndex
+  kPrixFullTwig,   // A4: the paper's full-twig wildcard filter
+  kVist,
+  kTwigStack,
+  kTwigStackXB,
+  kOracle,  // the naive matcher over the in-memory documents; no pages
+};
+
+/// "PRIX", "PRIX-maxgap", ..., "Oracle": the row name in reports.
+const char* VariantName(Variant v);
 
 /// Outcome of one cold-cache query run. `pages` and `io` come from a
 /// thread-local MetricsContext opened around the measured pass, so they are
@@ -55,12 +74,15 @@ DocumentCollection MakeDataset(const std::string& name, double scale);
 struct RunResult {
   double seconds = 0;
   uint64_t pages = 0;  ///< physical page reads (the paper's "Disk IO")
-  size_t matches = 0;
-  size_t docs = 0;
-  MetricCounters io;              // exact hit/miss/read/write/node counts
-  QueryStats prix_stats;          // engine-specific extras (when applicable)
-  VistQueryStats vist_stats;
-  TwigStackStats twig_stats;
+  uint64_t matches = 0;
+  uint64_t docs = 0;
+  MetricCounters io;  // exact hit/miss/read/write/node counts
+  // PRIX: phase wall times (µs) and the work A1/A2 compare.
+  uint64_t match_us = 0, refine_us = 0, verify_us = 0, total_us = 0;
+  uint64_t trie_nodes_scanned = 0, refine_candidates = 0, maxgap_pruned = 0;
+  uint64_t vist_keys_matched = 0;   ///< ViST: (symbol, prefix) keys matched
+  uint64_t ts_elements = 0;         ///< TwigStack(XB): stream elements read
+  uint64_t xb_drilldowns = 0;       ///< TwigStackXB: XB-tree drill-downs
 };
 
 /// One dataset with every engine built inside one Database (Sec. 6.1 setup:
@@ -68,24 +90,18 @@ struct RunResult {
 /// cleared pool, emulating the paper's direct-I/O cold-cache measurements.
 class EngineSet {
  public:
-  /// `engines` is a subset of "prix,vist,twigstack"; building only what a
-  /// bench needs keeps its setup time down.
-  EngineSet(const std::string& dataset_name, double scale,
-            const std::string& engines = "prix,vist,twigstack");
+  EngineSet(const std::string& dataset_name, double scale);
   ~EngineSet();
 
   Status Build();
 
-  Result<RunResult> RunPrix(
-      const std::string& xpath, bool use_maxgap = true,
-      QueryOptions::IndexChoice index = QueryOptions::IndexChoice::kAuto);
-  Result<RunResult> RunVist(const std::string& xpath);
-  Result<RunResult> RunTwigStack(const std::string& xpath, bool use_xb);
-  /// In-memory oracle count (ordered semantics), for result validation.
-  size_t OracleCount(const std::string& xpath);
+  /// Runs `xpath` twice, each time from a cold pool, and reports the second
+  /// pass: the first absorbs OS-level warm-up (file-cache writeback after
+  /// the build), while the reported one still starts from a cold buffer
+  /// pool, which is the paper's direct-I/O measurement.
+  Result<RunResult> Measure(Variant variant, const std::string& xpath);
 
   DocumentCollection& collection() { return coll_; }
-  const std::string& name() const { return name_; }
   Database& db() { return *db_; }
   BufferPool* pool() { return db_->pool(); }
   const PrixIndexBuildStats& rp_stats() const { return rp_stats_; }
@@ -95,10 +111,11 @@ class EngineSet {
   PrixIndex* ep() { return ep_.get(); }
 
  private:
-  Status ColdStart();
+  /// One pass of `variant`; fills `out`'s answer and engine counters.
+  Status RunOnce(Variant variant, const std::string& xpath,
+                 const TwigPattern& pattern, RunResult* out);
 
   std::string name_;
-  std::string engines_;
   DocumentCollection coll_;
   std::string dir_;
   std::unique_ptr<Database> db_;
@@ -112,10 +129,6 @@ class EngineSet {
   VistIndexBuildStats vist_stats_;
 };
 
-/// "0.123 secs" / "1234 pages" formatting used by the table benches.
-std::string Secs(double seconds);
-std::string PagesStr(uint64_t pages);
-
 /// Collects benchmark rows and writes them as `BENCH_<name>.json` in the
 /// working directory. Construction enables and resets the global
 /// MetricsRegistry, so the per-phase latency histograms the query layer
@@ -126,11 +139,12 @@ std::string PagesStr(uint64_t pages);
 /// malformed JSON.
 class BenchReport {
  public:
-  explicit BenchReport(std::string name);
+  BenchReport(std::string name, double scale);
 
-  /// Appends one result row. `query` is the short id ("Q1"); `xpath` may
-  /// contain quotes/backslashes — it is escaped on emission.
-  void AddRow(std::string_view engine, std::string_view dataset,
+  /// Appends one measured cell. `query` is the short id ("Q1"); `xpath`
+  /// may contain quotes/backslashes — it is escaped on emission. Only PRIX
+  /// rows carry `phases_us`; the other engines have no such phases.
+  void AddRow(Variant variant, std::string_view dataset,
               std::string_view query, std::string_view xpath,
               const RunResult& r);
 
@@ -143,8 +157,13 @@ class BenchReport {
 
  private:
   std::string name_;
+  double scale_;
   std::vector<std::string> rows_;
 };
+
+/// Validates `doc` with ValidateJson, then writes it and a newline to
+/// `path`; nothing is written when validation fails.
+Status WriteJsonFile(const std::string& path, const std::string& doc);
 
 }  // namespace prix::bench
 

@@ -88,7 +88,7 @@ Status IngestRange(Database* db, const DocumentCollection& coll, size_t begin,
 }  // namespace
 
 int main() {
-  double scale = ScaleFromEnv();
+  const double scale = ScaleFromEnv({"DBLP"});
   DocumentCollection coll = MakeDataset("DBLP", scale);
   const size_t total = coll.documents.size();
   const size_t seed_count = total / 2;
@@ -393,20 +393,10 @@ int main() {
   w.Key("twigstackxb_batch_p95_us").UInt(twigstack_latency.Percentile(0.95));
   w.EndObject();
   w.EndObject();
-  std::string doc = w.Take();
-  if (Status v = ValidateJson(doc); !v.ok()) {
-    std::fprintf(stderr, "BENCH_ingest.json would be invalid: %s\n",
-                 v.ToString().c_str());
+  if (Status st = WriteJsonFile("BENCH_ingest.json", w.Take()); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  FILE* json = std::fopen("BENCH_ingest.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_ingest.json\n");
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), json);
-  std::fputc('\n', json);
-  std::fclose(json);
   std::printf("wrote BENCH_ingest.json\n");
   return 0;
 }

@@ -2,8 +2,7 @@
 // Table-3 query mix per dataset with a WARM buffer pool (the concurrent-
 // traffic regime of ROADMAP.md, as opposed to the paper's cold-cache
 // single-query measurements) and reports queries/second plus buffer-pool
-// hit rates. Also re-measures the standard single-thread cold-cache numbers
-// so regressions against the serial path are visible in the same run.
+// hit rates. The paper's cold-cache single-query numbers are bench_paper's.
 // Emits BENCH_parallel.json.
 
 #include <unistd.h>
@@ -38,8 +37,6 @@ struct SweepPoint {
 
 struct DatasetReport {
   std::string name;
-  std::vector<const QuerySpec*> specs;
-  std::vector<RunResult> cold_single;  // per-spec cold-cache serial runs
   std::vector<SweepPoint> sweep;
   bool results_consistent = true;
 };
@@ -52,7 +49,7 @@ double HitRate(const BufferPoolStats& stats) {
 }  // namespace
 
 int main() {
-  double scale = ScaleFromEnv();
+  const double scale = ScaleFromEnv();
   unsigned hw = std::thread::hardware_concurrency();
   // hardware_concurrency may return 0 ("unknown"); the sysconf count of
   // ONLINE processors is the authoritative host annotation (ROADMAP item:
@@ -67,7 +64,7 @@ int main() {
 
   std::vector<DatasetReport> reports;
   for (const char* dataset : {"DBLP", "SWISSPROT", "TREEBANK"}) {
-    EngineSet set(dataset, scale, /*engines=*/"prix");
+    EngineSet set(dataset, scale);
     if (!set.Build().ok()) return 1;
     DatasetReport report;
     report.name = dataset;
@@ -75,26 +72,13 @@ int main() {
     std::vector<TwigPattern> mix;
     for (const QuerySpec& spec : AllQueries()) {
       if (std::strcmp(spec.dataset, dataset) != 0) continue;
-      report.specs.push_back(&spec);
       auto pattern = ParseXPath(spec.xpath, &set.collection().dictionary);
       if (!pattern.ok()) {
-        std::fprintf(stderr, "parse %s: %s\n", spec.id,
+        std::fprintf(stderr, "parse %s: %s\n", spec.id.c_str(),
                      pattern.status().ToString().c_str());
         return 1;
       }
       mix.push_back(std::move(*pattern));
-    }
-
-    // Cold-cache serial reference (the paper's measurement; must stay
-    // unchanged by the concurrency work within noise).
-    for (const QuerySpec* spec : report.specs) {
-      auto run = set.RunPrix(spec->xpath);
-      if (!run.ok()) {
-        std::fprintf(stderr, "query %s failed: %s\n", spec->id,
-                     run.status().ToString().c_str());
-        return 1;
-      }
-      report.cold_single.push_back(*run);
     }
 
     // Warm the pool once (serial), then sweep thread counts on the same
@@ -181,17 +165,6 @@ int main() {
     w.BeginObject();
     w.Key("name").String(report.name);
     w.Key("results_consistent").Bool(report.results_consistent);
-    w.Key("cold_single_thread").BeginArray();
-    for (size_t i = 0; i < report.specs.size(); ++i) {
-      const RunResult& run = report.cold_single[i];
-      w.BeginObject();
-      w.Key("id").String(report.specs[i]->id);
-      w.Key("seconds").Double(run.seconds);
-      w.Key("pages").UInt(run.pages);
-      w.Key("matches").UInt(run.matches);
-      w.EndObject();
-    }
-    w.EndArray();
     w.Key("warm_sweep").BeginArray();
     for (const SweepPoint& point : report.sweep) {
       w.BeginObject();
@@ -217,20 +190,10 @@ int main() {
   }
   w.EndArray();
   w.EndObject();
-  std::string doc = w.Take();
-  if (Status v = ValidateJson(doc); !v.ok()) {
-    std::fprintf(stderr, "BENCH_parallel.json would be invalid: %s\n",
-                 v.ToString().c_str());
+  if (Status st = WriteJsonFile("BENCH_parallel.json", w.Take()); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  FILE* json = std::fopen("BENCH_parallel.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_parallel.json\n");
-    return 1;
-  }
-  std::fwrite(doc.data(), 1, doc.size(), json);
-  std::fputc('\n', json);
-  std::fclose(json);
   std::printf("\nwrote BENCH_parallel.json\n");
   return 0;
 }

@@ -65,7 +65,7 @@ bool WaitApplied(ReplClient* client, uint64_t target, double timeout_s) {
 }  // namespace
 
 int main() {
-  double scale = ScaleFromEnv();
+  const double scale = ScaleFromEnv({"DBLP"});
   DocumentCollection coll = MakeDataset("DBLP", scale);
   const size_t total = coll.documents.size();
   const size_t seed_count = total / 2;
@@ -86,7 +86,7 @@ int main() {
   const std::string leader_path = std::string(dir) + "/leader.prix";
   const std::string follower_path = std::string(dir) + "/follower.prix";
 
-  BenchReport report("replication");
+  BenchReport report("replication", scale);
 
   auto leader = Database::Create(leader_path,
                                  Database::Options{.pool_pages = 2000});

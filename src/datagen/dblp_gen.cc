@@ -144,8 +144,7 @@ DocumentCollection GenerateDblp(const DblpConfig& config) {
   DblpBuilder builder(&coll.dictionary, &rng, config);
 
   const size_t n = config.num_records;
-  PRIX_CHECK(n >= config.q1_matches + config.q2_matches + config.q3_matches +
-                      config.jim_gray_decoys + 10);
+  PRIX_CHECK(n >= config.min_records());
   std::set<DocId> used;
   auto pick_set = [&](size_t count) {
     std::vector<DocId> v = PickDistinct(rng, count, n, &used);

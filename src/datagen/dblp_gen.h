@@ -25,6 +25,11 @@ struct DblpConfig {
   size_t q3_matches = 1;
   /// Additional "Jim Gray" records with non-1990 years (author selectivity).
   size_t jim_gray_decoys = 60;
+
+  /// Fewest records that hold every planted answer and decoy.
+  size_t min_records() const {
+    return q1_matches + q2_matches + q3_matches + jim_gray_decoys + 10;
+  }
 };
 
 DocumentCollection GenerateDblp(const DblpConfig& config = {});

@@ -138,8 +138,7 @@ DocumentCollection GenerateSwissprot(const SwissprotConfig& config) {
   SwissprotBuilder builder(&coll.dictionary, &rng);
 
   const size_t n = config.num_entries;
-  PRIX_CHECK(n >= config.q4_matches + config.q5_matches + config.q6_matches +
-                      config.piro_decoys + config.q5_decoys + 10);
+  PRIX_CHECK(n >= config.min_entries());
   std::set<DocId> used;
   auto pick_set = [&](size_t count) {
     std::vector<DocId> v = PickDistinct(rng, count, n, &used);

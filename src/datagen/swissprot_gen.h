@@ -24,6 +24,12 @@ struct SwissprotConfig {
   size_t piro_decoys = 450;
   /// Refs with only one of the two Q5 authors.
   size_t q5_decoys = 60;
+
+  /// Fewest entries that hold every planted answer and decoy.
+  size_t min_entries() const {
+    return q4_matches + q5_matches + q6_matches + piro_decoys + q5_decoys +
+           10;
+  }
 };
 
 DocumentCollection GenerateSwissprot(const SwissprotConfig& config = {});

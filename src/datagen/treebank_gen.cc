@@ -152,8 +152,7 @@ DocumentCollection GenerateTreebank(const TreebankConfig& config) {
   TreebankBuilder builder(&coll.dictionary, &rng, config.max_depth);
 
   const size_t n = config.num_sentences;
-  PRIX_CHECK(n >= config.q7_matches + config.q8_matches + config.q9_matches +
-                      config.q8_decoys + 10);
+  PRIX_CHECK(n >= config.min_sentences());
   std::set<DocId> used;
   auto pick_set = [&](size_t count) {
     std::vector<DocId> v = PickDistinct(rng, count, n, &used);

@@ -25,6 +25,11 @@ struct TreebankConfig {
   /// RBR_OR_JJR and PP (TwigStack's parent-child sub-optimality,
   /// Sec. 6.4.2).
   size_t q8_decoys = 400;
+
+  /// Fewest sentences that hold every planted answer and decoy.
+  size_t min_sentences() const {
+    return q7_matches + q8_matches + q9_matches + q8_decoys + 10;
+  }
 };
 
 DocumentCollection GenerateTreebank(const TreebankConfig& config = {});

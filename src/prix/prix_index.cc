@@ -1,6 +1,7 @@
 #include "prix/prix_index.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/macros.h"
 
@@ -122,9 +123,7 @@ void PrixIndex::SerializeCatalog(std::vector<char>* blob) const {
   maxgap_.SerializeTo(blob);
   PutU32(blob, static_cast<uint32_t>(childless_labels_.size()));
   for (LabelId l : childless_labels_) PutU32(blob, l);
-  // Tombstone set, appended after the childless labels. Blobs written
-  // before ingest existed end right above; Open treats the absent section
-  // as an empty set.
+  // Tombstone set: a count (0 when nothing was deleted), then the DocIds.
   PutU32(blob, static_cast<uint32_t>(tombstones_.size()));
   for (DocId d : tombstones_) PutU32(blob, d);
 }
@@ -216,27 +215,25 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   std::vector<LabelId>& labels = index->childless_labels_;
   labels.resize(childless);
   for (uint32_t i = 0; i < childless; ++i, p += 4) labels[i] = GetU32(p);
-  // Catalogs written by earlier builds list the labels in hash order.
-  if (!std::is_sorted(labels.begin(), labels.end())) {
-    std::sort(labels.begin(), labels.end());
-    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  // Lookups binary-search the list, so it must be strictly increasing.
+  if (std::adjacent_find(labels.begin(), labels.end(),
+                         std::greater_equal<LabelId>()) != labels.end()) {
+    return Status::Corruption("childless labels not strictly increasing");
   }
-  // Optional tombstone section (absent in blobs from before ingest).
-  if (static_cast<size_t>(end - p) >= 4) {
-    uint32_t dead = GetU32(p);
-    p += 4;
-    PRIX_RETURN_NOT_OK(need(4ull * dead));
-    index->tombstones_.reserve(dead);
-    for (uint32_t i = 0; i < dead; ++i, p += 4) {
-      DocId d = GetU32(p);
-      if (d >= index->docs_->num_docs()) {
-        return Status::Corruption("tombstone for DocId " + std::to_string(d) +
-                                  " beyond the store's " +
-                                  std::to_string(index->docs_->num_docs()) +
-                                  " records");
-      }
-      index->tombstones_.insert(d);
+  PRIX_RETURN_NOT_OK(need(4));
+  uint32_t dead = GetU32(p);
+  p += 4;
+  PRIX_RETURN_NOT_OK(need(4ull * dead));
+  index->tombstones_.reserve(dead);
+  for (uint32_t i = 0; i < dead; ++i, p += 4) {
+    DocId d = GetU32(p);
+    if (d >= index->docs_->num_docs()) {
+      return Status::Corruption("tombstone for DocId " + std::to_string(d) +
+                                " beyond the store's " +
+                                std::to_string(index->docs_->num_docs()) +
+                                " records");
     }
+    index->tombstones_.insert(d);
   }
   return index;
 }

@@ -1,8 +1,10 @@
 #include "query/xpath_parser.h"
 
 #include <cctype>
+#include <vector>
 
 #include "common/macros.h"
+#include "xml/document.h"
 
 namespace prix {
 
@@ -13,13 +15,55 @@ class Parser {
   Parser(std::string_view text, TagDictionary* dict)
       : text_(text), dict_(dict) {}
 
+  /// One left-to-right pass. Open predicates live on an explicit stack, not
+  /// the call stack, so nesting depth costs heap, not recursion.
   Result<TwigPattern> Run() {
     SkipSpace();
     PRIX_ASSIGN_OR_RETURN(Axis axis, ParseAxis());
-    PRIX_RETURN_NOT_OK(ParseStep(TwigPattern::kNoParent, axis));
-    while (SkipSpace(), !AtEnd()) {
-      PRIX_ASSIGN_OR_RETURN(Axis next, ParseAxis());
-      PRIX_RETURN_NOT_OK(ParseStep(current_, next));
+    // The step a '[' attaches to and the next '/' step chains from.
+    PRIX_ASSIGN_OR_RETURN(uint32_t node,
+                          ParseNodeTest(TwigPattern::kNoParent, axis));
+    std::vector<uint32_t> owners;  // the step each open predicate is on
+    bool after_step = true;        // a '[' may follow (not after '.' or '=')
+    while (SkipSpace(), !AtEnd() || !owners.empty()) {
+      if (after_step && !AtEnd() && Peek() == '[') {
+        ++pos_;
+        SkipSpace();
+        if (Consume("text()")) {
+          SkipSpace();
+          if (!Consume("=")) return Error("expected '=' after text()");
+          PRIX_RETURN_NOT_OK(AddValue(node));
+          SkipSpace();
+          if (!Consume("]")) return Error("expected ']'");
+          continue;
+        }
+        if (!Consume(".")) {
+          return Error("expected '.' or 'text()' in predicate");
+        }
+        // A twig nested deeper than any accepted document can never match.
+        if (owners.size() == kMaxDocumentDepth) {
+          return Error("predicates nested deeper than " +
+                       std::to_string(kMaxDocumentDepth) + " levels");
+        }
+        owners.push_back(node);
+        after_step = false;
+      } else if (!AtEnd() && Peek() == '/') {
+        PRIX_ASSIGN_OR_RETURN(Axis next, ParseAxis());
+        PRIX_ASSIGN_OR_RETURN(node, ParseNodeTest(node, next));
+        after_step = true;
+      } else if (owners.empty()) {
+        return Error("expected '/' or '//'");
+      } else {
+        // A predicate path ends in an optional '= STRING', then ']'.
+        if (Consume("=")) {
+          PRIX_RETURN_NOT_OK(AddValue(node));
+          SkipSpace();
+        }
+        if (!Consume("]")) return Error("expected ']'");
+        node = owners.back();
+        owners.pop_back();
+        after_step = true;
+      }
     }
     return std::move(twig_);
   }
@@ -90,56 +134,26 @@ class Parser {
     return value;
   }
 
-  /// Parses one step and its predicates; sets current_ to the step's node.
-  Status ParseStep(uint32_t parent, Axis axis) {
+  /// Parses a name test or '*' and adds it as a child of `parent` (the
+  /// root when kNoParent).
+  Result<uint32_t> ParseNodeTest(uint32_t parent, Axis axis) {
     SkipSpace();
-    uint32_t node;
-    if (Consume("*")) {
-      node = parent == TwigPattern::kNoParent
-                 ? twig_.AddRoot(kInvalidLabel, axis, /*is_star=*/true)
-                 : twig_.AddChild(parent, kInvalidLabel, axis,
-                                  /*is_star=*/true);
-    } else {
+    const bool star = Consume("*");
+    LabelId label = kInvalidLabel;
+    if (!star) {
       PRIX_ASSIGN_OR_RETURN(std::string name, ParseName());
-      LabelId label = dict_->Intern(name);
-      node = parent == TwigPattern::kNoParent
-                 ? twig_.AddRoot(label, axis)
-                 : twig_.AddChild(parent, label, axis);
+      label = dict_->Intern(name);
     }
-    while (SkipSpace(), !AtEnd() && Peek() == '[') {
-      ++pos_;
-      PRIX_RETURN_NOT_OK(ParsePredicate(node));
-      SkipSpace();
-      if (!Consume("]")) return Error("expected ']'");
-    }
-    current_ = node;
-    return Status::OK();
+    return parent == TwigPattern::kNoParent
+               ? twig_.AddRoot(label, axis, star)
+               : twig_.AddChild(parent, label, axis, star);
   }
 
-  Status ParsePredicate(uint32_t context) {
-    SkipSpace();
-    if (Consume("text()")) {
-      SkipSpace();
-      if (!Consume("=")) return Error("expected '=' after text()");
-      PRIX_ASSIGN_OR_RETURN(std::string value, ParseString());
-      twig_.AddChild(context, dict_->Intern(value), Axis::kChild,
-                     /*is_star=*/false, /*is_value=*/true);
-      return Status::OK();
-    }
-    if (!Consume(".")) return Error("expected '.' or 'text()' in predicate");
-    uint32_t saved = current_;
-    uint32_t tip = context;
-    while (SkipSpace(), !AtEnd() && Peek() == '/') {
-      PRIX_ASSIGN_OR_RETURN(Axis axis, ParseAxis());
-      PRIX_RETURN_NOT_OK(ParseStep(tip, axis));
-      tip = current_;
-    }
-    if (Consume("=")) {
-      PRIX_ASSIGN_OR_RETURN(std::string value, ParseString());
-      twig_.AddChild(tip, dict_->Intern(value), Axis::kChild,
-                     /*is_star=*/false, /*is_value=*/true);
-    }
-    current_ = saved;
+  /// Parses a quoted string and adds it as a value child of `node`.
+  Status AddValue(uint32_t node) {
+    PRIX_ASSIGN_OR_RETURN(std::string value, ParseString());
+    twig_.AddChild(node, dict_->Intern(value), Axis::kChild,
+                   /*is_star=*/false, /*is_value=*/true);
     return Status::OK();
   }
 
@@ -147,7 +161,6 @@ class Parser {
   TagDictionary* dict_;
   TwigPattern twig_;
   size_t pos_ = 0;
-  uint32_t current_ = TwigPattern::kNoParent;
 };
 
 }  // namespace

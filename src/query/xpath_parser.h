@@ -20,7 +20,9 @@ namespace prix {
 ///
 /// Whitespace between tokens is insignificant (XPath 1.0 ExprWhitespace);
 /// only quoted string literals preserve it. Parse errors carry the byte
-/// offset of the offending character.
+/// offset of the offending character. Predicates nest at most
+/// kMaxDocumentDepth levels (xml/document.h); deeper nesting is a
+/// ParseError.
 ///
 /// Examples: //inproceedings[./author="Jim Gray"][./year="1990"],
 /// //inproceedings[ ./author = 'Jim Gray' ], //S//NP/SYM,

@@ -1,8 +1,9 @@
 // JsonEscape / JsonWriter / ValidateJson tests. The writer-to-validator
-// round trip here is the same check every bench runs at emission time:
-// BenchReport::Write (and bench_parallel_throughput) validate the full
-// document with ValidateJson before any BENCH_*.json reaches disk, so an
-// escaping bug fails the bench instead of producing an unparseable file.
+// round trip here is the same check the benches in bench/ run at emission
+// time: they write BENCH_*.json through bench_common's WriteJsonFile, which
+// validates the full document with ValidateJson before any byte reaches
+// disk, so an escaping bug fails the bench instead of producing an
+// unparseable file.
 
 #include <gtest/gtest.h>
 

@@ -153,9 +153,12 @@ TEST(PersistenceTest, VistIndexSurvivesProcessRestart) {
   }
 }
 
-TEST(PersistenceTest, OpenAcceptsChildlessLabelsInAnyOrder) {
-  // Catalogs written by earlier builds list the childless labels in hash
-  // order; Open must answer LabelOccursChildless exactly as the built index.
+TEST(PersistenceTest, OpenRefusesMalformedChildlessAndTombstoneSections) {
+  // The catalog ends with the childless section (count, strictly increasing
+  // labels) and the tombstone section (count 0 here). Neither is optional
+  // or reordered in any catalog a current build reads, so a blob truncated
+  // before the tombstone count, or with two childless labels swapped, is
+  // corruption.
   TagDictionary dict;
   Random rng(78);
   std::vector<Document> docs = RandomCollection(rng, 40, &dict);
@@ -167,29 +170,36 @@ TEST(PersistenceTest, OpenAcceptsChildlessLabelsInAnyOrder) {
     if ((*rp)->LabelOccursChildless(l)) childless.push_back(l);
   }
   ASSERT_GE(childless.size(), 2u);
-
-  // The catalog ends with the childless section (count, labels) and an
-  // empty tombstone section (count 0). Reverse the labels in place.
-  std::vector<char> blob;
-  (*rp)->SerializeCatalog(&blob);
-  char* labels = blob.data() + blob.size() - 4 - 4 * childless.size();
+  std::vector<char> saved;
+  (*rp)->SerializeCatalog(&saved);
+  ASSERT_EQ(GetU32(saved.data() + saved.size() - 4), 0u);
+  char* labels = saved.data() + saved.size() - 4 - 4 * childless.size();
   ASSERT_EQ(GetU32(labels - 4), childless.size());
-  for (size_t i = 0, j = childless.size() - 1; i < j; ++i, --j) {
-    std::swap_ranges(labels + 4 * i, labels + 4 * i + 4, labels + 4 * j);
-  }
-  auto root = WriteBlob(db.pool(), blob);
-  ASSERT_TRUE(root.ok()) << root.status().ToString();
-  Database::IndexEntry entry;
-  entry.name = "rp";
-  entry.kind = Database::IndexKind::kPrixRegular;
-  entry.root = *root;
-  auto reopened = PrixIndex::OpenFromEntry(db.pool(), entry);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  for (LabelId l = 0; l <= dict.size(); ++l) {
-    EXPECT_EQ((*reopened)->LabelOccursChildless(l),
-              (*rp)->LabelOccursChildless(l))
-        << "label " << l;
-  }
+
+  auto open = [&](const std::vector<char>& blob) {
+    auto root = WriteBlob(db.pool(), blob);
+    EXPECT_TRUE(root.ok()) << root.status().ToString();
+    Database::IndexEntry entry;
+    entry.name = "rp";
+    entry.kind = Database::IndexKind::kPrixRegular;
+    entry.root = *root;
+    return PrixIndex::OpenFromEntry(db.pool(), entry);
+  };
+  ASSERT_TRUE(open(saved).ok());
+
+  std::vector<char> truncated(saved.begin(), saved.end() - 4);
+  auto no_count = open(truncated);
+  ASSERT_FALSE(no_count.ok());
+  EXPECT_EQ(no_count.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(no_count.status().ToString().find("truncated index catalog"),
+            std::string::npos)
+      << no_count.status().ToString();
+
+  std::swap_ranges(labels, labels + 4, labels + 4);
+  auto swapped = open(saved);
+  ASSERT_FALSE(swapped.ok());
+  EXPECT_EQ(swapped.status().code(), StatusCode::kCorruption)
+      << swapped.status().ToString();
 }
 
 TEST(PersistenceTest, StreamCatalogsBeforeV3AreRefused) {

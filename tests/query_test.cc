@@ -7,6 +7,7 @@
 #include "query/twig_prufer.h"
 #include "query/xpath_parser.h"
 #include "testutil/mutate.h"
+#include "xml/document.h"
 #include "xml/tag_dictionary.h"
 
 namespace prix {
@@ -176,6 +177,29 @@ TEST(XPathParserTest, ErrorsReportOffendingOffset) {
   EXPECT_NE(no_axis.status().ToString().find("at offset 2"),
             std::string::npos)
       << no_axis.status().ToString();
+}
+
+TEST(XPathParserTest, NestingBeyondDocumentDepthIsRefused) {
+  // "//a" and `levels` nested "[./a" predicates. 100,000 levels (500 KB,
+  // one kQuery frame) overflowed an 8 MB stack when the parser recursed per
+  // level; a twig deeper than any accepted document is now refused.
+  auto nested = [](size_t levels) {
+    std::string xpath = "//a";
+    for (size_t i = 0; i < levels; ++i) xpath += "[./a";
+    return xpath + std::string(levels, ']');
+  };
+  TagDictionary dict;
+  auto at_limit = ParseXPath(nested(kMaxDocumentDepth), &dict);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->num_nodes(), kMaxDocumentDepth + 1u);
+  for (size_t levels : {size_t{kMaxDocumentDepth} + 1, size_t{100000}}) {
+    auto deeper = ParseXPath(nested(levels), &dict);
+    ASSERT_FALSE(deeper.ok()) << levels;
+    EXPECT_EQ(deeper.status().code(), StatusCode::kParseError);
+    EXPECT_NE(deeper.status().ToString().find("nested deeper than"),
+              std::string::npos)
+        << deeper.status().ToString().substr(0, 200);
+  }
 }
 
 TEST(XPathParserTest, MutatedQueriesParseOrFailWithATypedStatus) {

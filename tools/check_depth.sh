@@ -3,8 +3,10 @@
 # kMaxDocumentDepth levels deep (src/xml/document.h) must index and insert,
 # and one level more must be refused with InvalidArgument (exit 1, no
 # crash) by both `prix index` and `prix insert`, leaving the database
-# intact; and `prix query --timeout-ms` must stop a ViST query over a deep
-# chain with DeadlineExceeded. Run against a plain build by check_serve.sh and against the
+# intact; `prix query --timeout-ms` must stop a ViST query over a deep
+# chain with DeadlineExceeded; and a query nested kMaxDocumentDepth
+# predicates deep must run on every engine, while one level more is
+# refused. Run against a plain build by check_serve.sh and against the
 # sanitized build by check_asan.sh.
 #
 # Usage: tools/check_depth.sh [build-dir]   (default: build; prix_cli built)
@@ -56,6 +58,31 @@ timeout 30 "$PRIX" query --engine vist --timeout-ms 100 "$WORK/chain.prix" \
 if [[ "$rc" -ne 0 ]] || ! grep -q "DeadlineExceeded" "$WORK/out.txt"; then
   echo "expected DeadlineExceeded within 30 s, got exit $rc:"
   cat "$WORK/out.txt"
+  exit 1
+fi
+# ParseXPath accepts predicates nested kMaxDocumentDepth levels deep and
+# refuses one more with ParseError. Every engine must answer the deepest
+# accepted twig (nothing matches a 3-level document) without running out
+# of stack.
+echo "---- a query nested $LIMIT predicates deep runs on every engine ----"
+nested() {
+  python3 -c "import sys; n = int(sys.argv[1]); \
+print('//a' + '[./a' * n + ']' * n)" "$1"
+}
+echo '<r><a><a/></a></r>' > "$WORK/small.xml"
+"$PRIX" index "$WORK/small.prix" "$WORK/small.xml" > /dev/null
+"$PRIX" query --engine all "$WORK/small.prix" "$(nested "$LIMIT")" \
+  > "$WORK/out.txt"
+if ! grep -q "\[prix\] 0 document(s).*(all agree)" "$WORK/out.txt"; then
+  echo "expected every engine to answer 0 documents:"
+  tail -c 2000 "$WORK/out.txt"
+  exit 1
+fi
+"$PRIX" query --engine all "$WORK/small.prix" "$(nested $((LIMIT + 1)))" \
+  > "$WORK/out.txt" || true
+if ! grep -q "ParseError.*nested deeper than $LIMIT" "$WORK/out.txt"; then
+  echo "expected a ParseError for $((LIMIT + 1)) nested predicates:"
+  tail -c 2000 "$WORK/out.txt"
   exit 1
 fi
 echo "depth gate: all checks passed."

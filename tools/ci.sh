@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full gate, staged by ctest label (tests/CMakeLists.txt):
-#   1. plain build + tier1 (fast correctness tests)
+#   1. plain build + tier1 (fast correctness tests) + the bench smoke (every
+#      bench_paper section at a small scale)
 #   2. faults tier (fault-injection / crash-recovery matrices)
 #   3. corruption tier (single-page garble fuzz, scrub, salvage)
 #   4. ingest tier (online insert/update/delete with the co-resident
@@ -32,10 +33,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==== 1/11 build + tier1 tests ===="
+echo "==== 1/11 build + tier1 tests + bench smoke ===="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
-ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
+ctest --test-dir build -L 'tier1|bench' --output-on-failure -j "$(nproc)"
 
 echo "==== 2/11 fault-injection tier ===="
 ctest --test-dir build -L faults --output-on-failure -j "$(nproc)"
