@@ -15,7 +15,7 @@
 #include "datagen/treebank_gen.h"
 #include "naive/naive_matcher.h"
 #include "query/xpath_parser.h"
-#include "vist/vist_query.h"
+#include "twigstack/twig_stack.h"
 
 namespace prix::bench {
 
@@ -51,8 +51,6 @@ DatasetSize SizeOf(std::string_view name) {
 size_t DocCount(DatasetSize size, double scale) {
   return static_cast<size_t>(size.base * scale);
 }
-
-bool IsPrix(Variant v) { return v <= Variant::kPrixFullTwig; }
 
 }  // namespace
 
@@ -104,15 +102,34 @@ const char* VariantName(Variant v) {
   return kNames[static_cast<int>(v)];
 }
 
+EngineKind VariantEngine(Variant v) {
+  PRIX_CHECK(v != Variant::kOracle);
+  if (v == Variant::kVist) return EngineKind::kVist;
+  if (v == Variant::kTwigStack) return EngineKind::kTwigStack;
+  if (v == Variant::kTwigStackXB) return EngineKind::kTwigStackXB;
+  return EngineKind::kPrix;
+}
+
+QueryOptions VariantOptions(Variant v) {
+  QueryOptions options;
+  options.use_maxgap = v != Variant::kPrixNoMaxGap;
+  if (v == Variant::kPrixRp) {
+    options.index = QueryOptions::IndexChoice::kRegular;
+  } else if (v == Variant::kPrixEp) {
+    options.index = QueryOptions::IndexChoice::kExtended;
+  } else if (v == Variant::kPrixFullTwig) {
+    options.wildcard_filter = QueryOptions::WildcardFilter::kFullTwig;
+  }
+  return options;
+}
+
 EngineSet::EngineSet(const std::string& dataset_name, double scale)
     : name_(dataset_name), coll_(MakeDataset(dataset_name, scale)) {}
 
 EngineSet::~EngineSet() {
   rp_.reset();
   ep_.reset();
-  vist_.reset();
-  streams_.reset();
-  forest_.reset();
+  engines_.reset();
   db_.reset();
   if (!dir_.empty()) {
     std::string cmd = "rm -rf " + dir_;
@@ -137,66 +154,22 @@ Status EngineSet::Build() {
   PRIX_ASSIGN_OR_RETURN(ep_, PrixIndex::Build(coll_.documents, db_->pool(),
                                               ep_opts, &ep_stats_));
   PRIX_ASSIGN_OR_RETURN(
-      vist_, VistIndex::Build(coll_.documents, db_->pool(), &vist_stats_));
-  PRIX_ASSIGN_OR_RETURN(streams_,
+      std::unique_ptr<VistIndex> vist,
+      VistIndex::Build(coll_.documents, db_->pool(), &vist_stats_));
+  PRIX_ASSIGN_OR_RETURN(std::unique_ptr<StreamStore> streams,
                         StreamStore::Build(coll_.documents, db_->pool()));
-  PRIX_ASSIGN_OR_RETURN(forest_, XbForest::Build(streams_.get()));
+  PRIX_ASSIGN_OR_RETURN(std::unique_ptr<XbForest> forest,
+                        XbForest::Build(streams.get()));
   auto t1 = std::chrono::steady_clock::now();
+  PRIX_RETURN_NOT_OK(rp_->Save(db_.get(), "rp"));
+  PRIX_RETURN_NOT_OK(ep_->Save(db_.get(), "ep"));
+  PRIX_RETURN_NOT_OK(vist->Save(db_.get(), "v"));
+  PRIX_RETURN_NOT_OK(streams->Save(db_.get(), "ts"));
+  PRIX_RETURN_NOT_OK(forest->Save(db_.get(), "xb"));
+  engines_ = std::make_unique<Engines>(db_.get(), db_->OpenSnapshot());
   std::fprintf(stderr, "[%s] %zu docs, %zu nodes; engines built in %.1fs\n",
                name_.c_str(), coll_.documents.size(), coll_.TotalNodes(),
                std::chrono::duration<double>(t1 - t0).count());
-  return Status::OK();
-}
-
-Status EngineSet::RunOnce(Variant variant, const std::string& xpath,
-                          const TwigPattern& pattern, RunResult* out) {
-  if (IsPrix(variant)) {
-    QueryOptions options;
-    options.use_maxgap = variant != Variant::kPrixNoMaxGap;
-    if (variant == Variant::kPrixRp) {
-      options.index = QueryOptions::IndexChoice::kRegular;
-    } else if (variant == Variant::kPrixEp) {
-      options.index = QueryOptions::IndexChoice::kExtended;
-    } else if (variant == Variant::kPrixFullTwig) {
-      options.wildcard_filter = QueryOptions::WildcardFilter::kFullTwig;
-    }
-    // PRIX's parse is part of its measured query, as in `prix query`.
-    QueryProcessor qp(*db_, rp_.get(), ep_.get());
-    PRIX_ASSIGN_OR_RETURN(QueryResult qr,
-                          qp.ExecuteXPath(xpath, &coll_.dictionary, options));
-    out->matches = qr.matches.size();
-    out->docs = qr.docs.size();
-    out->match_us = qr.stats.match_us;
-    out->refine_us = qr.stats.refine_us;
-    out->verify_us = qr.stats.verify_us;
-    out->total_us = qr.stats.total_us;
-    out->trie_nodes_scanned = qr.stats.matcher.nodes_scanned;
-    out->refine_candidates = qr.stats.refine.candidates;
-    out->maxgap_pruned = qr.stats.matcher.pruned_by_maxgap;
-  } else if (variant == Variant::kVist) {
-    VistQueryProcessor qp(vist_.get());
-    PRIX_ASSIGN_OR_RETURN(VistQueryResult qr, qp.Execute(pattern));
-    out->matches = qr.matches.size();
-    out->docs = qr.docs.size();
-    out->vist_keys_matched = qr.stats.matched_prefixes;
-  } else if (variant == Variant::kOracle) {
-    std::vector<TwigMatch> matches =
-        NaiveMatchCollection(coll_.documents, EffectiveTwig::Build(pattern),
-                             MatchSemantics::kOrdered);
-    out->matches = matches.size();
-    for (size_t i = 0; i < matches.size(); ++i) {  // grouped by document
-      out->docs += i == 0 || matches[i].doc != matches[i - 1].doc;
-    }
-  } else {
-    TwigStackEngine engine(
-        streams_.get(),
-        variant == Variant::kTwigStackXB ? forest_.get() : nullptr);
-    PRIX_ASSIGN_OR_RETURN(TwigStackResult qr, engine.Execute(pattern));
-    out->matches = qr.matches.size();
-    out->docs = qr.docs.size();
-    out->ts_elements = qr.stats.elements_processed;
-    out->xb_drilldowns = qr.stats.drilldowns;
-  }
   return Status::OK();
 }
 
@@ -208,13 +181,25 @@ Result<RunResult> EngineSet::Measure(Variant variant,
   for (int pass = 0; pass < 2; ++pass) {
     PRIX_RETURN_NOT_OK(db_->ColdStart());
     out = RunResult{};
-    MetricsContext mctx;
     auto t0 = std::chrono::steady_clock::now();
-    PRIX_RETURN_NOT_OK(RunOnce(variant, xpath, pattern, &out));
+    if (variant == Variant::kOracle) {
+      std::vector<TwigMatch> matches =
+          NaiveMatchCollection(coll_.documents, EffectiveTwig::Build(pattern),
+                               MatchSemantics::kOrdered);
+      out.matches = matches.size();
+      for (size_t i = 0; i < matches.size(); ++i) {  // grouped by document
+        out.docs += i == 0 || matches[i].doc != matches[i - 1].doc;
+      }
+    } else {
+      PRIX_ASSIGN_OR_RETURN(
+          QueryResult qr, engines_->Execute(VariantEngine(variant), pattern,
+                                            VariantOptions(variant)));
+      out.matches = qr.matches.size();
+      out.docs = qr.docs.size();
+      out.stats = qr.stats;
+    }
     auto t1 = std::chrono::steady_clock::now();
     out.seconds = std::chrono::duration<double>(t1 - t0).count();
-    out.io = mctx.counters;
-    out.pages = out.io.physical_reads;
   }
   return out;
 }
@@ -237,20 +222,21 @@ void BenchReport::AddRow(Variant variant, std::string_view dataset,
   w.Key("seconds").Double(r.seconds);
   w.Key("matches").UInt(r.matches);
   w.Key("docs").UInt(r.docs);
-  w.Key("pages_read").UInt(r.pages);
+  w.Key("pages_read").UInt(r.stats.pages_read);
   w.Key("io").BeginObject();
-  w.Key("pool_hits").UInt(r.io.pool_hits);
-  w.Key("pool_misses").UInt(r.io.pool_misses);
-  w.Key("physical_reads").UInt(r.io.physical_reads);
-  w.Key("physical_writes").UInt(r.io.physical_writes);
-  w.Key("btree_nodes").UInt(r.io.btree_nodes);
+  w.Key("pool_hits").UInt(r.stats.pool_hits);
+  w.Key("pool_misses").UInt(r.stats.pool_misses);
+  w.Key("physical_reads").UInt(r.stats.pages_read);
+  w.Key("physical_writes").UInt(r.stats.pages_written);
+  w.Key("btree_nodes").UInt(r.stats.btree_nodes);
   w.EndObject();
-  if (IsPrix(variant)) {
+  if (variant != Variant::kOracle &&
+      VariantEngine(variant) == EngineKind::kPrix) {
     w.Key("phases_us").BeginObject();
-    w.Key("match").UInt(r.match_us);
-    w.Key("refine").UInt(r.refine_us);
-    w.Key("verify").UInt(r.verify_us);
-    w.Key("total").UInt(r.total_us);
+    w.Key("match").UInt(r.stats.match_us);
+    w.Key("refine").UInt(r.stats.refine_us);
+    w.Key("verify").UInt(r.stats.verify_us);
+    w.Key("total").UInt(r.stats.total_us);
     w.EndObject();
   }
   w.EndObject();

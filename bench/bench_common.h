@@ -10,9 +10,9 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "db/database.h"
+#include "prix/engine.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
-#include "twigstack/twig_stack.h"
 #include "vist/vist_index.h"
 
 namespace prix::bench {
@@ -51,8 +51,9 @@ double ScaleFromEnv(std::initializer_list<std::string_view> datasets =
 
 DocumentCollection MakeDataset(const std::string& name, double scale);
 
-/// One way of answering a twig: an engine, and for PRIX the option that an
-/// experiment varies. The paper's matrix is Table 3's queries × these.
+/// One way of answering a twig: an engine kind plus the QueryOptions an
+/// experiment varies (VariantEngine, VariantOptions). The paper's matrix is
+/// Table 3's queries × these.
 enum class Variant {  // the PRIX variants come first
   kPrix,           // the defaults: MaxGap on, index chosen, sound filter
   kPrixNoMaxGap,   // A1
@@ -62,32 +63,32 @@ enum class Variant {  // the PRIX variants come first
   kVist,
   kTwigStack,
   kTwigStackXB,
-  kOracle,  // the naive matcher over the in-memory documents; no pages
+  kOracle,  // the naive matcher over the in-memory documents; no engine
 };
 
 /// "PRIX", "PRIX-maxgap", ..., "Oracle": the row name in reports.
 const char* VariantName(Variant v);
 
-/// Outcome of one cold-cache query run. `pages` and `io` come from a
-/// thread-local MetricsContext opened around the measured pass, so they are
-/// exact for that run even if the process has other I/O in flight.
+/// The engine `v` runs on (not for kOracle).
+EngineKind VariantEngine(Variant v);
+
+/// The options `v` runs its engine with.
+QueryOptions VariantOptions(Variant v);
+
+/// Outcome of one cold-cache query run: the engine's own QueryStats, whose
+/// I/O counters are exact for the run (Engines::Execute), and the wall
+/// time around it. The Oracle fills only `matches` and `docs`.
 struct RunResult {
   double seconds = 0;
-  uint64_t pages = 0;  ///< physical page reads (the paper's "Disk IO")
   uint64_t matches = 0;
   uint64_t docs = 0;
-  MetricCounters io;  // exact hit/miss/read/write/node counts
-  // PRIX: phase wall times (µs) and the work A1/A2 compare.
-  uint64_t match_us = 0, refine_us = 0, verify_us = 0, total_us = 0;
-  uint64_t trie_nodes_scanned = 0, refine_candidates = 0, maxgap_pruned = 0;
-  uint64_t vist_keys_matched = 0;   ///< ViST: (symbol, prefix) keys matched
-  uint64_t ts_elements = 0;         ///< TwigStack(XB): stream elements read
-  uint64_t xb_drilldowns = 0;       ///< TwigStackXB: XB-tree drill-downs
+  QueryStats stats;
 };
 
-/// One dataset with every engine built inside one Database (Sec. 6.1 setup:
-/// a shared paged file behind a 2000-page pool). Queries run against a
-/// cleared pool, emulating the paper's direct-I/O cold-cache measurements.
+/// One dataset with every engine built and saved inside one Database (Sec.
+/// 6.1 setup: a shared paged file behind a 2000-page pool). Queries run
+/// through an Engines handle at the saved generation, against a cleared
+/// pool, emulating the paper's direct-I/O cold-cache measurements.
 class EngineSet {
  public:
   EngineSet(const std::string& dataset_name, double scale);
@@ -97,8 +98,9 @@ class EngineSet {
 
   /// Runs `xpath` twice, each time from a cold pool, and reports the second
   /// pass: the first absorbs OS-level warm-up (file-cache writeback after
-  /// the build), while the reported one still starts from a cold buffer
-  /// pool, which is the paper's direct-I/O measurement.
+  /// the build) and the engine's one open at the generation, while the
+  /// reported one still starts from a cold buffer pool, which is the
+  /// paper's direct-I/O measurement.
   Result<RunResult> Measure(Variant variant, const std::string& xpath);
 
   DocumentCollection& collection() { return coll_; }
@@ -111,19 +113,13 @@ class EngineSet {
   PrixIndex* ep() { return ep_.get(); }
 
  private:
-  /// One pass of `variant`; fills `out`'s answer and engine counters.
-  Status RunOnce(Variant variant, const std::string& xpath,
-                 const TwigPattern& pattern, RunResult* out);
-
   std::string name_;
   DocumentCollection coll_;
   std::string dir_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<PrixIndex> rp_;
   std::unique_ptr<PrixIndex> ep_;
-  std::unique_ptr<VistIndex> vist_;
-  std::unique_ptr<StreamStore> streams_;
-  std::unique_ptr<XbForest> forest_;
+  std::unique_ptr<Engines> engines_;
   PrixIndexBuildStats rp_stats_;
   PrixIndexBuildStats ep_stats_;
   VistIndexBuildStats vist_stats_;

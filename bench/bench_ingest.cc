@@ -19,9 +19,10 @@
 //                     engines. The docs/sec delta against phase 1 is the
 //                     price of keeping every engine live.
 //   4. tri contended- tri-engine ingest under a PRIX snapshot reader plus a
-//                     derived-engine reader that opens ViST/TwigStack from
-//                     pinned snapshot entries each batch; reports per-engine
-//                     reader p50/p95.
+//                     derived-engine reader that runs ViST and TwigStackXB
+//                     batches through ExecuteXPathBatchSnapshot; reports
+//                     per-engine reader p50/p95, which include each
+//                     engine's one open per committed generation.
 //
 // Emits BENCH_ingest.json. PRIX_BENCH_SCALE scales the collection.
 
@@ -37,11 +38,6 @@
 
 #include "bench_common.h"
 #include "prix/query_driver.h"
-#include "query/xpath_parser.h"
-#include "twigstack/position_stream.h"
-#include "twigstack/twig_stack.h"
-#include "vist/vist_index.h"
-#include "vist/vist_query.h"
 
 using namespace prix;
 using namespace prix::bench;
@@ -149,8 +145,8 @@ int main() {
       QueryDriver driver(**db, nullptr, nullptr, 2);
       while (!stop.load(std::memory_order_relaxed)) {
         double s = Now();
-        auto batch = driver.ExecuteXPathBatchSnapshot("rp", "", mix,
-                                                      &coll.dictionary);
+        auto batch = driver.ExecuteXPathBatchSnapshot(
+            EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
         if (!batch.ok()) {
           std::fprintf(stderr, "reader batch: %s\n",
                        batch.status().ToString().c_str());
@@ -239,16 +235,8 @@ int main() {
   // Structural members of the mix only: the derived readers measure
   // snapshot/page contention, and value-predicate handling differs per
   // engine.
-  std::vector<TwigPattern> derived_mix;
-  for (const char* q : {kQ2, "//inproceedings/title", "//www//url"}) {
-    auto pattern = ParseXPath(q, &coll.dictionary);
-    if (!pattern.ok()) {
-      std::fprintf(stderr, "parse %s: %s\n", q,
-                   pattern.status().ToString().c_str());
-      return 1;
-    }
-    derived_mix.push_back(*pattern);
-  }
+  const std::vector<std::string> derived_mix = {
+      kQ2, "//inproceedings/title", "//www//url"};
   std::atomic<bool> tri_stop{false};
   std::atomic<uint64_t> tri_batches{0};
   std::atomic<bool> tri_failed{false};
@@ -257,8 +245,8 @@ int main() {
     QueryDriver driver(**tdb, nullptr, nullptr, 2);
     while (!tri_stop.load(std::memory_order_relaxed)) {
       double s = Now();
-      auto batch =
-          driver.ExecuteXPathBatchSnapshot("rp", "", mix, &coll.dictionary);
+      auto batch = driver.ExecuteXPathBatchSnapshot(
+          EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
       if (!batch.ok()) {
         std::fprintf(stderr, "tri prix reader: %s\n",
                      batch.status().ToString().c_str());
@@ -270,55 +258,22 @@ int main() {
     }
   });
   std::thread derived_reader([&] {
+    QueryDriver driver(**tdb, nullptr, nullptr, 1);
     while (!tri_stop.load(std::memory_order_relaxed)) {
-      auto snapshot = (*tdb)->OpenSnapshot();
-      auto v_entry = snapshot->GetIndex("v");
-      auto ts_entry = snapshot->GetIndex("ts");
-      auto xb_entry = snapshot->GetIndex("xb");
-      if (!v_entry.ok() || !ts_entry.ok() || !xb_entry.ok()) {
-        std::fprintf(stderr, "derived reader: snapshot entry missing\n");
-        tri_failed.store(true);
-        return;
-      }
-      auto vist = VistIndex::OpenFromEntry((*tdb)->pool(), *v_entry);
-      auto streams = StreamStore::OpenFromEntry((*tdb)->pool(), *ts_entry);
-      if (!vist.ok() || !streams.ok()) {
-        std::fprintf(stderr, "derived reader open: %s / %s\n",
-                     vist.status().ToString().c_str(),
-                     streams.status().ToString().c_str());
-        tri_failed.store(true);
-        return;
-      }
-      auto forest =
-          XbForest::OpenFromEntry((*tdb)->pool(), *xb_entry, streams->get());
-      if (!forest.ok()) {
-        std::fprintf(stderr, "derived reader forest: %s\n",
-                     forest.status().ToString().c_str());
-        tri_failed.store(true);
-        return;
-      }
-      double s = Now();
-      VistQueryProcessor vq(vist->get());
-      for (const TwigPattern& p : derived_mix) {
-        if (auto r = vq.Execute(p); !r.ok()) {
-          std::fprintf(stderr, "vist reader: %s\n",
-                       r.status().ToString().c_str());
+      for (auto [kind, latency] :
+           {std::pair{EngineKind::kVist, &vist_latency},
+            std::pair{EngineKind::kTwigStackXB, &twigstack_latency}}) {
+        double s = Now();
+        auto batch = driver.ExecuteXPathBatchSnapshot(kind, {}, derived_mix,
+                                                      &coll.dictionary);
+        if (!batch.ok()) {
+          std::fprintf(stderr, "%s reader: %s\n", EngineKindName(kind),
+                       batch.status().ToString().c_str());
           tri_failed.store(true);
           return;
         }
+        latency->Record(static_cast<uint64_t>((Now() - s) * 1e6));
       }
-      double mid = Now();
-      vist_latency.Record(static_cast<uint64_t>((mid - s) * 1e6));
-      TwigStackEngine engine(streams->get(), forest->get());
-      for (const TwigPattern& p : derived_mix) {
-        if (auto r = engine.Execute(p); !r.ok()) {
-          std::fprintf(stderr, "twigstack reader: %s\n",
-                       r.status().ToString().c_str());
-          tri_failed.store(true);
-          return;
-        }
-      }
-      twigstack_latency.Record(static_cast<uint64_t>((Now() - mid) * 1e6));
       tri_batches.fetch_add(1, std::memory_order_relaxed);
     }
   });

@@ -242,8 +242,8 @@ int main() {
     QueryDriver driver(*follower, nullptr, nullptr, 2);
     while (!stop.load(std::memory_order_relaxed)) {
       double s = Now();
-      auto batch = driver.ExecuteXPathBatchSnapshot("rp", "", mix,
-                                                    &coll.dictionary);
+      auto batch = driver.ExecuteXPathBatchSnapshot(
+          EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
       if (!batch.ok()) {
         std::fprintf(stderr, "follower reader: %s\n",
                      batch.status().ToString().c_str());

@@ -1,26 +1,21 @@
 #include "prix/query_driver.h"
 
-#include <optional>
 #include <utility>
 
 #include "common/macros.h"
-#include "prix/snapshot_view.h"
 #include "query/xpath_parser.h"
 
 namespace prix {
 
-Result<BatchResult> QueryDriver::ExecuteBatch(
-    const std::vector<TwigPattern>& patterns, const QueryOptions& options) {
+Result<BatchResult> QueryDriver::RunBatch(size_t n, const RunFn& run) {
   BatchResult batch;
-  batch.results.resize(patterns.size());
-  std::vector<Status> statuses(patterns.size());
+  batch.results.resize(n);
   std::vector<std::future<Status>> futures;
-  futures.reserve(patterns.size());
-  for (size_t i = 0; i < patterns.size(); ++i) {
+  futures.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     // Workers write disjoint slots; the future join publishes them.
-    futures.push_back(pool_.Submit([this, &patterns, &batch, i, options] {
-      PRIX_ASSIGN_OR_RETURN(batch.results[i],
-                            processor_.Execute(patterns[i], options));
+    futures.push_back(pool_.Submit([&run, &batch, i] {
+      PRIX_ASSIGN_OR_RETURN(batch.results[i], run(i));
       return Status::OK();
     }));
   }
@@ -34,61 +29,29 @@ Result<BatchResult> QueryDriver::ExecuteBatch(
   return batch;
 }
 
-Result<BatchResult> QueryDriver::RunXPathBatch(
-    const QueryProcessor* processor, const std::vector<std::string>& xpaths,
-    TagDictionary* dict, const QueryOptions& options) {
-  BatchResult batch;
-  batch.results.resize(xpaths.size());
-  std::vector<std::future<Status>> futures;
-  futures.reserve(xpaths.size());
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    // Parse inside the worker: TagDictionary::Intern is thread-safe, and
-    // workers write disjoint result slots; the future join publishes them.
-    futures.push_back(
-        pool_.Submit([processor, &xpaths, dict, &batch, i, options] {
-          PRIX_ASSIGN_OR_RETURN(TwigPattern pattern,
-                                ParseXPath(xpaths[i], dict));
-          PRIX_ASSIGN_OR_RETURN(batch.results[i],
-                                processor->Execute(pattern, options));
-          return Status::OK();
-        }));
-  }
-  Status first_error;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Status st = futures[i].get();
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  PRIX_RETURN_NOT_OK(first_error);
-  for (const QueryResult& r : batch.results) batch.total.MergeFrom(r.stats);
-  return batch;
-}
-
-Result<BatchResult> QueryDriver::ExecuteXPathBatch(
-    const std::vector<std::string>& xpaths, TagDictionary* dict,
-    const QueryOptions& options) {
-  return RunXPathBatch(&processor_, xpaths, dict, options);
+Result<BatchResult> QueryDriver::ExecuteBatch(
+    const std::vector<TwigPattern>& patterns, const QueryOptions& options) {
+  return RunBatch(patterns.size(), [&](size_t i) {
+    return processor_.Execute(patterns[i], options);
+  });
 }
 
 Result<BatchResult> QueryDriver::ExecuteXPathBatchSnapshot(
-    const std::string& rp_name, const std::string& ep_name,
+    EngineKind kind, const PrixIndexNames& names,
     const std::vector<std::string>& xpaths, TagDictionary* dict,
     const QueryOptions& options) {
-  // One snapshot pins both indexes to the same generation; the views (and
-  // with them the pin) live until every worker has joined.
-  std::shared_ptr<const Snapshot> snap = db_->OpenSnapshot();
-  PRIX_ASSIGN_OR_RETURN(SnapshotView rp,
-                        SnapshotView::OpenAt(db_, snap, rp_name));
-  std::optional<SnapshotView> ep;
-  if (!ep_name.empty()) {
-    PRIX_ASSIGN_OR_RETURN(SnapshotView view,
-                          SnapshotView::OpenAt(db_, snap, ep_name));
-    ep.emplace(std::move(view));
-  }
-  QueryProcessor processor(*db_, rp.index(),
-                           ep.has_value() ? ep->index() : nullptr);
-  PRIX_ASSIGN_OR_RETURN(BatchResult batch,
-                        RunXPathBatch(&processor, xpaths, dict, options));
-  batch.generation = snap->generation();
+  // One snapshot pins every engine to the same generation; the handle (and
+  // with it the pin) lives until every worker has joined.
+  const Engines engines(db_, db_->OpenSnapshot(), names);
+  PRIX_ASSIGN_OR_RETURN(
+      BatchResult batch,
+      RunBatch(xpaths.size(), [&](size_t i) -> Result<QueryResult> {
+        // Intern is thread-safe, so workers parse their own queries.
+        PRIX_ASSIGN_OR_RETURN(TwigPattern pattern,
+                              ParseXPath(xpaths[i], dict));
+        return engines.Execute(kind, pattern, options);
+      }));
+  batch.generation = engines.generation();
   return batch;
 }
 

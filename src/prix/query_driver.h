@@ -1,10 +1,12 @@
 #ifndef PRIX_PRIX_QUERY_DRIVER_H_
 #define PRIX_PRIX_QUERY_DRIVER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "prix/engine.h"
 #include "prix/query_processor.h"
 
 namespace prix {
@@ -12,8 +14,8 @@ namespace prix {
 /// Result of a batch run: per-query results in submission order plus the
 /// batch-wide stats aggregate (QueryStats::MergeFrom over all queries).
 /// `generation` is the catalog generation the batch ran against — the
-/// pinned snapshot's for ExecuteXPathBatchSnapshot, 0 for the live-index
-/// paths (which predate generations and never mix with writers).
+/// pinned snapshot's for ExecuteXPathBatchSnapshot, 0 for ExecuteBatch's
+/// live indexes (which predate generations and never mix with writers).
 struct BatchResult {
   std::vector<QueryResult> results;
   QueryStats total;
@@ -29,10 +31,10 @@ struct BatchResult {
 /// The driver owns its thread pool; one driver can serve many batches.
 /// The constructor-supplied indexes must be fully built before the first
 /// batch and never mutated while one runs — the single-writer rule of
-/// DESIGN.md. To query concurrently WITH a writer, use
-/// ExecuteXPathBatchSnapshot, which ignores the constructor indexes and
-/// opens the named ones out of a pinned catalog generation instead. XPath
-/// batches parse inside the workers (Intern is thread-safe), so submission
+/// DESIGN.md. To query concurrently WITH a writer, or with an engine other
+/// than PRIX, use ExecuteXPathBatchSnapshot, which ignores the constructor
+/// indexes and answers from a pinned catalog generation instead. Its XPath
+/// queries parse inside the workers (Intern is thread-safe), so submission
 /// is O(1) in query count.
 class QueryDriver {
  public:
@@ -45,30 +47,26 @@ class QueryDriver {
   Result<BatchResult> ExecuteBatch(const std::vector<TwigPattern>& patterns,
                                    const QueryOptions& options = {});
 
-  /// Fans the XPath batch out directly: each worker parses its query
-  /// (interning into `dict` concurrently) and executes it.
-  Result<BatchResult> ExecuteXPathBatch(const std::vector<std::string>& xpaths,
-                                        TagDictionary* dict,
-                                        const QueryOptions& options = {});
-
   /// Snapshot-isolated batch (DESIGN.md §5i): pins the current committed
-  /// generation, opens the named RP index (and EP index, unless `ep_name`
-  /// is empty) out of it, and runs the whole batch against that one
-  /// generation. A concurrent writer's commits never change any answer
-  /// mid-batch; the generation answered from is returned in the result.
+  /// generation and answers the whole batch with `kind`'s engine through
+  /// one Engines handle (prix/engine.h), which opens each engine once per
+  /// generation; `names` are the PRIX indexes to answer from. Each worker
+  /// parses its query, interning into `dict` concurrently. A concurrent
+  /// writer's commits never change any answer mid-batch; the generation
+  /// answered from is returned in the result.
   Result<BatchResult> ExecuteXPathBatchSnapshot(
-      const std::string& rp_name, const std::string& ep_name,
+      EngineKind kind, const PrixIndexNames& names,
       const std::vector<std::string>& xpaths, TagDictionary* dict,
       const QueryOptions& options = {});
 
   size_t num_threads() const { return pool_.num_threads(); }
 
  private:
-  /// Shared fan-out body for the XPath paths; `processor` outlives the join.
-  Result<BatchResult> RunXPathBatch(const QueryProcessor* processor,
-                                    const std::vector<std::string>& xpaths,
-                                    TagDictionary* dict,
-                                    const QueryOptions& options);
+  using RunFn = std::function<Result<QueryResult>(size_t)>;
+
+  /// The one fan-out body: query i's result is `run(i)`, on a worker. All
+  /// queries run to completion; the first error in submission order wins.
+  Result<BatchResult> RunBatch(size_t n, const RunFn& run);
 
   Database* db_;
   QueryProcessor processor_;

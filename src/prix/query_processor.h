@@ -13,6 +13,8 @@
 #include "prix/subsequence_matcher.h"
 #include "query/twig_pattern.h"
 #include "query/twig_prufer.h"
+#include "twigstack/twig_stack.h"
+#include "vist/vist_query.h"
 
 namespace prix {
 
@@ -52,10 +54,15 @@ struct QueryOptions {
 
 /// Execution counters, aggregated across arrangements. MergeFrom folds the
 /// stats of one query into a batch-wide aggregate (QueryDriver uses it; the
-/// booleans OR together).
+/// booleans OR together). Every engine fills the I/O counters and
+/// `total_us` (prix/engine.h); the work counters are per engine: PRIX's in
+/// `matcher`, `refine` and the phase times, ViST's in `vist`, TwigStack's
+/// and TwigStackXB's in `twigstack`.
 struct QueryStats {
   MatcherStats matcher;
   RefineStats refine;
+  VistQueryStats vist;
+  TwigStackStats twigstack;
   uint64_t docs_loaded = 0;
   uint64_t docs_verified = 0;
   uint64_t arrangements = 0;
@@ -85,6 +92,8 @@ struct QueryStats {
   void MergeFrom(const QueryStats& other) {
     matcher.MergeFrom(other.matcher);
     refine.MergeFrom(other.refine);
+    vist.MergeFrom(other.vist);
+    twigstack.MergeFrom(other.twigstack);
     docs_loaded += other.docs_loaded;
     docs_verified += other.docs_verified;
     arrangements += other.arrangements;

@@ -3,12 +3,40 @@
 
 #include <memory>
 #include <string>
+#include <typeinfo>
 
+#include "common/macros.h"
 #include "common/result.h"
 #include "db/database.h"
 #include "prix/prix_index.h"
 
 namespace prix {
+
+/// Counts one real index open in the registry (prix.db.index_opens).
+void CountIndexOpen();
+
+/// The index memoized in `snapshot` under its catalog name `name`. Only
+/// the first caller at a generation opens it, with `open(entry)` on the
+/// snapshot's catalog entry; every later caller shares that read-only
+/// object, which lives as long as the snapshot. SnapshotView (PRIX) and
+/// Engines (ViST, the stream store, the XB-forest) open through it. The
+/// slot is keyed on `T` as well as the name, so asking for a name as the
+/// wrong type runs that type's open, which refuses the entry's kind.
+template <typename T, typename OpenFromEntry>
+Result<std::shared_ptr<const T>> OpenMemoized(const Snapshot& snapshot,
+                                              const std::string& name,
+                                              const OpenFromEntry& open) {
+  auto open_erased = [&]() -> Result<std::shared_ptr<const void>> {
+    PRIX_ASSIGN_OR_RETURN(Database::IndexEntry entry, snapshot.GetIndex(name));
+    PRIX_ASSIGN_OR_RETURN(std::unique_ptr<T> opened, open(entry));
+    CountIndexOpen();
+    return std::shared_ptr<const void>(std::move(opened));
+  };
+  PRIX_ASSIGN_OR_RETURN(std::shared_ptr<const void> memo,
+                        snapshot.Memoize(name + '/' + typeid(T).name(),
+                                         open_erased));
+  return std::static_pointer_cast<const T>(memo);
+}
 
 /// A PRIX index opened against one pinned catalog generation (DESIGN.md
 /// §5i). Readers that must stay consistent while writers commit open a

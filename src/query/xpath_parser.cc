@@ -1,5 +1,6 @@
 #include "query/xpath_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <vector>
 
@@ -89,10 +90,18 @@ class Parser {
 
   /// `at` is the offset of the offending character, which is not always
   /// pos_ (e.g. an unterminated string is reported at its opening quote,
-  /// not at end-of-input).
+  /// not at end-of-input). The message quotes at most kErrorContext bytes
+  /// on each side of it, with "..." marking a cut end, so its length does
+  /// not grow with the query.
   Status Error(std::string msg, size_t at) {
-    return Status::ParseError(msg + " at offset " + std::to_string(at) +
-                              " in XPath '" + std::string(text_) + "'");
+    constexpr size_t kErrorContext = 32;
+    const size_t begin = at > kErrorContext ? at - kErrorContext : 0;
+    const size_t end = std::min(text_.size(), at + kErrorContext);
+    return Status::ParseError(
+        msg + " at offset " + std::to_string(at) + " in XPath '" +
+        (begin > 0 ? "..." : "") +
+        std::string(text_.substr(begin, end - begin)) +
+        (end < text_.size() ? "..." : "") + "'");
   }
 
   Result<Axis> ParseAxis() {

@@ -400,7 +400,8 @@ std::vector<char> Server::HandleQuery(Conn* conn, const Frame& frame) {
   QueryOptions qopts;
   qopts.deadline = &deadline;
   auto batch = driver_->ExecuteXPathBatchSnapshot(
-      options_.rp_name, options_.ep_name, req.xpaths, dict_, qopts);
+      EngineKind::kPrix, {.rp = options_.rp_name, .ep = options_.ep_name},
+      req.xpaths, dict_, qopts);
   UnregisterExecuting(conn);
   uint64_t service_us = Deadline::NowMicros() - start_us;
   admission_.Release(conn->client_id, service_us);

@@ -97,7 +97,9 @@ class VistIndex {
       BufferPool* pool, const Database::IndexEntry& entry);
 
   DAncestorTree& dancestor() { return *dancestor_; }
+  const DAncestorTree& dancestor() const { return *dancestor_; }
   DocTree& docid_index() { return *docid_; }
+  const DocTree& docid_index() const { return *docid_; }
   const PrefixDictionary& prefixes() const { return prefixes_; }
   /// Distinct prefixes occurring with `symbol` — the unique (symbol,
   /// prefix) D-Ancestorship keys of that symbol.

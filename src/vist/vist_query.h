@@ -18,6 +18,16 @@ struct VistQueryStats {
   uint64_t candidate_docs = 0;   ///< docs surfaced by subsequence matching
   uint64_t docs_verified = 0;    ///< candidate docs post-verified
   uint64_t false_alarms = 0;     ///< candidates rejected by verification
+
+  void MergeFrom(const VistQueryStats& other) {
+    range_queries += other.range_queries;
+    matched_prefixes += other.matched_prefixes;
+    keys_scanned += other.keys_scanned;
+    occurrences += other.occurrences;
+    candidate_docs += other.candidate_docs;
+    docs_verified += other.docs_verified;
+    false_alarms += other.false_alarms;
+  }
 };
 
 struct VistQueryResult {
@@ -35,7 +45,7 @@ struct VistQueryResult {
 /// verified against the query tree; that cost is part of ViST's bill.
 class VistQueryProcessor {
  public:
-  explicit VistQueryProcessor(VistIndex* index) : index_(index) {}
+  explicit VistQueryProcessor(const VistIndex* index) : index_(index) {}
 
   Result<VistQueryResult> Execute(
       const TwigPattern& pattern,
@@ -45,7 +55,7 @@ class VistQueryProcessor {
   Status Descend(size_t i, uint64_t ql, uint64_t qr,
                  std::vector<DocId>* candidates, VistQueryStats* stats);
 
-  VistIndex* index_;
+  const VistIndex* index_;
   std::vector<VistQueryItem> items_;
   // One D-Ancestorship cursor per item and one Docid cursor, reused by
   // every range query of an Execute (sized before the descent starts).

@@ -6,9 +6,9 @@
 // generation); every reader batch must equal EXACTLY the oracle of the one
 // generation it pinned — never a mix of two generations, never a torn
 // in-flight state. Ingest carries the co-resident ViST and TwigStack
-// engines in the same commits, so a second reader flavor opens THOSE from
-// pinned snapshot entries and holds them to the same per-generation
-// oracle. Run under TSan by tools/check_tsan.sh.
+// engines in the same commits, so ViST and TwigStackXB readers run the same
+// snapshot batches through the driver and are held to the same
+// per-generation oracle. Run under TSan by tools/check_tsan.sh.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,9 @@
 #include <thread>
 #include <vector>
 
-#include <algorithm>
-
 #include "common/random.h"
 #include "naive/naive_matcher.h"
+#include "prix/engine.h"
 #include "prix/prix_index.h"
 #include "prix/query_driver.h"
 #include "query/xpath_parser.h"
@@ -32,7 +31,6 @@
 #include "twigstack/position_stream.h"
 #include "twigstack/twig_stack.h"
 #include "vist/vist_index.h"
-#include "vist/vist_query.h"
 #include "xml/tag_dictionary.h"
 
 namespace prix {
@@ -93,7 +91,6 @@ class IngestStressTest : public ::testing::Test {
   TempDb db_;
   TagDictionary dict_;
   std::vector<EffectiveTwig> twigs_;
-  std::vector<TwigPattern> patterns_;  // same queries, for derived engines
   std::map<DocId, Document> live_;  // writer-thread only after readers start
 
   std::mutex oracle_mu_;
@@ -138,128 +135,53 @@ TEST_F(IngestStressTest, EveryBatchEqualsExactlyOneGenerationsOracle) {
     auto pattern = ParseXPath(xpath, &dict_);
     ASSERT_TRUE(pattern.ok()) << xpath;
     twigs_.push_back(EffectiveTwig::Build(*pattern));
-    patterns_.push_back(*pattern);
   }
   RecordOracle(db_->catalog_generation());
 
   const std::vector<std::string> queries(kQueries, kQueries + kNumQueries);
-  constexpr int kNumReaders = 3;
+  // Three PRIX readers and one each for ViST and TwigStackXB, all through
+  // the driver's snapshot batches and all held to the same per-generation
+  // oracle. (The query mix is all chain twigs, so the ordered oracle is
+  // also TwigStack's standard-semantics answer.)
+  const EngineKind kReaders[] = {EngineKind::kPrix, EngineKind::kPrix,
+                                 EngineKind::kPrix, EngineKind::kVist,
+                                 EngineKind::kTwigStackXB};
+  constexpr int kNumReaders = 5;
   std::atomic<uint64_t> batches_checked{0};
   std::atomic<uint64_t> distinct_failures{0};
   std::vector<std::thread> readers;
   readers.reserve(kNumReaders);
   for (int r = 0; r < kNumReaders; ++r) {
     readers.emplace_back([&, r] {
+      const EngineKind kind = kReaders[r];
       QueryDriver driver(db_.db(), nullptr, nullptr, 2);
       // Keep reading until the writer finishes, then one final batch so
       // every reader also checks the terminal generation.
       bool final_pass = false;
       while (true) {
-        auto batch =
-            driver.ExecuteXPathBatchSnapshot("rp", "", queries, &dict_);
+        auto batch = driver.ExecuteXPathBatchSnapshot(kind, {.ep = ""},
+                                                      queries, &dict_);
         if (!batch.ok()) {
-          ADD_FAILURE() << "reader " << r << ": "
+          ADD_FAILURE() << EngineKindName(kind) << " reader " << r << ": "
                         << batch.status().ToString();
           ++distinct_failures;
           return;
         }
         std::vector<std::vector<DocId>> expected;
         if (!WaitForOracle(batch->generation, &expected)) {
-          ADD_FAILURE() << "reader " << r << " saw generation "
-                        << batch->generation << " with no oracle";
+          ADD_FAILURE() << EngineKindName(kind) << " reader " << r
+                        << " saw generation " << batch->generation
+                        << " with no oracle";
           ++distinct_failures;
           return;
         }
         for (size_t q = 0; q < kNumQueries; ++q) {
           if (batch->results[q].docs != expected[q]) {
-            ADD_FAILURE() << "reader " << r << " generation "
-                          << batch->generation << " query " << kQueries[q]
-                          << ": got " << batch->results[q].docs.size()
+            ADD_FAILURE() << EngineKindName(kind) << " reader " << r
+                          << " generation " << batch->generation
+                          << " query " << kQueries[q] << ": got "
+                          << batch->results[q].docs.size()
                           << " docs, oracle " << expected[q].size();
-            ++distinct_failures;
-          }
-        }
-        ++batches_checked;
-        if (final_pass || distinct_failures.load() > 0) return;
-        if (writer_done_.load()) final_pass = true;
-      }
-    });
-  }
-
-  // Derived-engine readers: pin a snapshot, open the ViST / stream / forest
-  // entries it holds, and hold their answers to the SAME generation oracle
-  // the PRIX readers use. (The query mix is all chain twigs, so the ordered
-  // oracle is also TwigStack's standard-semantics answer.)
-  constexpr int kNumDerivedReaders = 2;
-  for (int r = 0; r < kNumDerivedReaders; ++r) {
-    readers.emplace_back([&, r] {
-      auto canon = [](std::vector<DocId> docs) {
-        std::sort(docs.begin(), docs.end());
-        docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-        return docs;
-      };
-      bool final_pass = false;
-      while (true) {
-        auto snapshot = db_->OpenSnapshot();
-        uint64_t gen = snapshot->generation();
-        auto v_entry = snapshot->GetIndex("v");
-        auto ts_entry = snapshot->GetIndex("ts");
-        auto xb_entry = snapshot->GetIndex("xb");
-        if (!v_entry.ok() || !ts_entry.ok() || !xb_entry.ok()) {
-          ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                        << ": missing catalog entry";
-          ++distinct_failures;
-          return;
-        }
-        auto vist = VistIndex::OpenFromEntry(db_.pool(), *v_entry);
-        auto streams = StreamStore::OpenFromEntry(db_.pool(), *ts_entry);
-        if (!vist.ok() || !streams.ok()) {
-          ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                        << ": " << vist.status().ToString() << " / "
-                        << streams.status().ToString();
-          ++distinct_failures;
-          return;
-        }
-        auto forest =
-            XbForest::OpenFromEntry(db_.pool(), *xb_entry, streams->get());
-        if (!forest.ok()) {
-          ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                        << ": " << forest.status().ToString();
-          ++distinct_failures;
-          return;
-        }
-        std::vector<std::vector<DocId>> expected;
-        if (!WaitForOracle(gen, &expected)) {
-          ADD_FAILURE() << "derived reader " << r << " saw generation "
-                        << gen << " with no oracle";
-          ++distinct_failures;
-          return;
-        }
-        VistQueryProcessor vq(vist->get());
-        TwigStackEngine tse(streams->get(), forest->get());
-        for (size_t q = 0; q < kNumQueries; ++q) {
-          auto vr = vq.Execute(patterns_[q]);
-          auto tr = tse.Execute(patterns_[q]);
-          if (!vr.ok() || !tr.ok()) {
-            ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                          << " query " << kQueries[q] << ": "
-                          << vr.status().ToString() << " / "
-                          << tr.status().ToString();
-            ++distinct_failures;
-            continue;
-          }
-          if (canon(vr->docs) != expected[q]) {
-            ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                          << " query " << kQueries[q] << " (vist): got "
-                          << vr->docs.size() << " docs, oracle "
-                          << expected[q].size();
-            ++distinct_failures;
-          }
-          if (canon(tr->docs) != expected[q]) {
-            ADD_FAILURE() << "derived reader " << r << " generation " << gen
-                          << " query " << kQueries[q] << " (twigstackxb): "
-                          << "got " << tr->docs.size() << " docs, oracle "
-                          << expected[q].size();
             ++distinct_failures;
           }
         }

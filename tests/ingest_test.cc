@@ -353,7 +353,8 @@ TEST_F(IngestTest, SnapshotKeepsAnsweringTheGenerationItPinned) {
   uint64_t pinned_gen = snapshot->generation();
   ASSERT_TRUE(db_->DeleteDocument("rp", 0).ok());
 
-  auto after = driver.ExecuteXPathBatchSnapshot("rp", "", queries, &dict_);
+  auto after = driver.ExecuteXPathBatchSnapshot(EngineKind::kPrix, {.ep = ""},
+                                                queries, &dict_);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->generation, pinned_gen + 1);
   EXPECT_TRUE(after->results[0].docs.empty());

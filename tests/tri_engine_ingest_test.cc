@@ -19,6 +19,7 @@
 
 #include "common/random.h"
 #include "naive/naive_matcher.h"
+#include "prix/engine.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
 #include "storage/cow.h"
@@ -445,42 +446,31 @@ TEST_F(TriEngineIngestTest, SharedPageStreamsAnswerAtOldAndNewGeneration) {
   auto id = db_->InsertDocument("rp", DocFromSexp("(book (title))", 2, &dict_));
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
-  auto ts_old = old_gen->GetIndex("ts");
-  auto xb_old = old_gen->GetIndex("xb");
-  ASSERT_TRUE(ts_old.ok() && xb_old.ok());
-  auto streams_old = StreamStore::OpenFromEntry(db_.pool(), *ts_old);
-  ASSERT_TRUE(streams_old.ok()) << streams_old.status().ToString();
-  auto forest_old =
-      XbForest::OpenFromEntry(db_.pool(), *xb_old, streams_old->get());
-  ASSERT_TRUE(forest_old.ok()) << forest_old.status().ToString();
   auto streams_new = StreamStore::Open(&db_.db(), "ts");
   ASSERT_TRUE(streams_new.ok()) << streams_new.status().ToString();
-  auto forest_new = XbForest::Open(&db_.db(), "xb", streams_new->get());
-  ASSERT_TRUE(forest_new.ok()) << forest_new.status().ToString();
   // The insert moved "title" off the shared page; "author" stays on it.
   EXPECT_EQ((*streams_new)->Find(author)->pages[0], shared);
   EXPECT_NE((*streams_new)->Find(title)->pages[0], shared);
 
-  auto answer = [&](const StreamStore* store, const XbForest* forest,
+  const Engines old_engines(&db_.db(), old_gen);
+  const Engines new_engines(&db_.db(), db_->OpenSnapshot());
+  auto answer = [&](const Engines& engines, EngineKind kind,
                     const char* xpath) {
     auto pattern = ParseXPath(xpath, &dict_);
     EXPECT_TRUE(pattern.ok());
-    auto result = TwigStackEngine(store, forest).Execute(*pattern);
+    auto result = engines.Execute(kind, *pattern);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return result.ok() ? Canon(result->docs) : std::vector<DocId>{};
+    return result.ok() ? result->docs : std::vector<DocId>{};
   };
-  for (const XbForest* forest :
-       std::vector<const XbForest*>{nullptr, forest_old->get()}) {
-    EXPECT_EQ(answer(streams_old->get(), forest, "//book/author"),
+  for (EngineKind kind : {EngineKind::kTwigStack, EngineKind::kTwigStackXB}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    EXPECT_EQ(answer(old_engines, kind, "//book/author"),
               (std::vector<DocId>{0, 1}));
-    EXPECT_EQ(answer(streams_old->get(), forest, "//book/title"),
+    EXPECT_EQ(answer(old_engines, kind, "//book/title"),
               (std::vector<DocId>{0}));
-  }
-  for (const XbForest* forest :
-       std::vector<const XbForest*>{nullptr, forest_new->get()}) {
-    EXPECT_EQ(answer(streams_new->get(), forest, "//book/author"),
+    EXPECT_EQ(answer(new_engines, kind, "//book/author"),
               (std::vector<DocId>{0, 1}));
-    EXPECT_EQ(answer(streams_new->get(), forest, "//book/title"),
+    EXPECT_EQ(answer(new_engines, kind, "//book/title"),
               (std::vector<DocId>{0, 2}));
   }
 }

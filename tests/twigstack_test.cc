@@ -8,7 +8,6 @@
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
-#include "twigstack/path_stack.h"
 
 namespace prix {
 namespace {
@@ -233,7 +232,7 @@ TEST_F(TwigStackTest, ExactAnchor) {
   ExpectAgreesWithOracle(docs, *pattern, dict);
 }
 
-TEST_F(TwigStackTest, PathStackMatchesTwigStackOnPaths) {
+TEST_F(TwigStackTest, MatchesOracleOnRandomPaths) {
   TagDictionary dict;
   Random rng(505);
   std::vector<Document> docs = RandomCollection(rng, 30, &dict);
@@ -253,18 +252,14 @@ TEST_F(TwigStackTest, PathStackMatchesTwigStackOnPaths) {
     if (!is_path || pattern.num_nodes() < 2) continue;
     ++checked;
     SCOPED_TRACE(TwigToString(pattern, dict));
-    PathStackEngine ps(store_.get());
     TwigStackEngine ts(store_.get(), nullptr);
-    auto r1 = ps.Execute(pattern);
-    auto r2 = ts.Execute(pattern);
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-    EXPECT_EQ(r1->matches, r2->matches);
+    auto result = ts.Execute(pattern);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
     EffectiveTwig twig = EffectiveTwig::Build(pattern);
     auto expected =
         NaiveMatchCollection(docs, twig, MatchSemantics::kStandard);
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(r1->matches, expected);
+    EXPECT_EQ(result->matches, expected);
   }
   EXPECT_GT(checked, 5);
 }

@@ -48,15 +48,16 @@ expect_refused "$PRIX" insert "$WORK/at.prix" "$WORK/over.xml"
 
 # `prix query --timeout-ms` bounds every engine, not just PRIX: ViST's
 # descent over a deep chain runs for minutes unbounded, and must stop with
-# DeadlineExceeded well inside the wall-time cap.
+# DeadlineExceeded well inside the wall-time cap, which `prix query`
+# reports with exit status 1.
 echo "---- --timeout-ms stops a ViST query on a 3000-level chain ----"
 chain 3000 > "$WORK/chain.xml"
 "$PRIX" index "$WORK/chain.prix" "$WORK/chain.xml" > /dev/null
 rc=0
 timeout 30 "$PRIX" query --engine vist --timeout-ms 100 "$WORK/chain.prix" \
   "//a//a//a" > "$WORK/out.txt" 2>&1 || rc=$?
-if [[ "$rc" -ne 0 ]] || ! grep -q "DeadlineExceeded" "$WORK/out.txt"; then
-  echo "expected DeadlineExceeded within 30 s, got exit $rc:"
+if [[ "$rc" -ne 1 ]] || ! grep -q "DeadlineExceeded" "$WORK/out.txt"; then
+  echo "expected DeadlineExceeded (exit 1) within 30 s, got exit $rc:"
   cat "$WORK/out.txt"
   exit 1
 fi
@@ -78,10 +79,13 @@ if ! grep -q "\[prix\] 0 document(s).*(all agree)" "$WORK/out.txt"; then
   tail -c 2000 "$WORK/out.txt"
   exit 1
 fi
+rc=0
 "$PRIX" query --engine all "$WORK/small.prix" "$(nested $((LIMIT + 1)))" \
-  > "$WORK/out.txt" || true
-if ! grep -q "ParseError.*nested deeper than $LIMIT" "$WORK/out.txt"; then
-  echo "expected a ParseError for $((LIMIT + 1)) nested predicates:"
+  > "$WORK/out.txt" || rc=$?
+if [[ "$rc" -ne 1 ]] ||
+   ! grep -q "ParseError.*nested deeper than $LIMIT" "$WORK/out.txt"; then
+  echo "expected a ParseError (exit 1) for $((LIMIT + 1)) nested predicates,"
+  echo "got exit $rc:"
   tail -c 2000 "$WORK/out.txt"
   exit 1
 fi

@@ -13,8 +13,10 @@
 //                                         --engine picks prix (default),
 //                                         vist, twigstack, twigstackxb, or
 //                                         all (every engine answers and the
-//                                         doc sets must agree — exits 1 on
-//                                         divergence); --trace prints each
+//                                         doc sets must agree); exits 1 if
+//                                         any query fails to parse, an
+//                                         engine fails, or the engines
+//                                         diverge; --trace prints each
 //                                         query's exact I/O counters and
 //                                         phase breakdown, --metrics dumps
 //                                         the process-wide MetricsRegistry
@@ -102,8 +104,8 @@
 #include "common/metrics.h"
 #include "common/queryfile.h"
 #include "db/database.h"
+#include "prix/engine.h"
 #include "prix/prix_index.h"
-#include "prix/query_processor.h"
 #include "query/xpath_parser.h"
 #include "repl/client.h"
 #include "repl/sender.h"
@@ -115,7 +117,6 @@
 #include "twigstack/twig_stack.h"
 #include "verify/verifier.h"
 #include "vist/vist_index.h"
-#include "vist/vist_query.h"
 #include "xml/xml_parser.h"
 
 namespace prix {
@@ -346,14 +347,6 @@ int CmdDelete(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
-/// Sorted, distinct doc list — the common denominator all engines are
-/// compared on under --engine all.
-std::vector<DocId> CanonicalDocs(std::vector<DocId> docs) {
-  std::sort(docs.begin(), docs.end());
-  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  return docs;
-}
-
 int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
              bool metrics, uint32_t timeout_ms, const std::string& engine) {
   auto db = Database::Open(path);
@@ -362,144 +355,94 @@ int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
   if (auto s = LoadDictionary(db->get(), &dict); !s.ok()) {
     return Fail(s.ToString());
   }
-  auto rp = PrixIndex::Open(db->get(), "rp");
-  auto ep = PrixIndex::Open(db->get(), "ep");
-  if (!rp.ok() || !ep.ok()) return Fail("opening indexes failed");
-  const bool want_vist = engine == "vist" || engine == "all";
-  const bool want_ts =
-      engine == "twigstack" || engine == "twigstackxb" || engine == "all";
-  std::unique_ptr<VistIndex> vist;
-  std::unique_ptr<StreamStore> streams;
-  std::unique_ptr<XbForest> forest;
-  if (want_vist) {
-    auto v = VistIndex::Open(db->get(), "v");
-    if (!v.ok()) return Fail("opening ViST index: " + v.status().ToString());
-    vist = std::move(*v);
-  }
-  if (want_ts) {
-    auto ts = StreamStore::Open(db->get(), "ts");
-    if (!ts.ok()) {
-      return Fail("opening stream store: " + ts.status().ToString());
-    }
-    streams = std::move(*ts);
-    if (engine != "twigstack") {
-      auto xb = XbForest::Open(db->get(), "xb", streams.get());
-      if (!xb.ok()) {
-        return Fail("opening XB-forest: " + xb.status().ToString());
-      }
-      forest = std::move(*xb);
-    }
-  }
   if (metrics) {
     MetricsRegistry::Global().set_enabled(true);
     MetricsRegistry::Global().Reset();
   }
-  QueryProcessor qp(**db, rp->get(), ep->get());
-  bool diverged = false;
-  // Non-PRIX engines share the parse + execute + print shape; `all` runs
-  // every engine on one query and compares the canonical doc sets.
-  auto run_derived = [&](const std::string& which, const TwigPattern& pattern)
-      -> Result<std::vector<DocId>> {
-    if (which == "vist") {
-      VistQueryProcessor vqp(vist.get());
-      PRIX_ASSIGN_OR_RETURN(VistQueryResult r, vqp.Execute(pattern));
-      return CanonicalDocs(std::move(r.docs));
+  // `all` runs every engine on each query, and their doc sets must agree.
+  std::vector<EngineKind> kinds;
+  for (EngineKind kind : kAllEngineKinds) {
+    if (engine == "all" || engine == EngineKindName(kind)) {
+      kinds.push_back(kind);
     }
-    TwigStackEngine eng(streams.get(),
-                        which == "twigstackxb" ? forest.get() : nullptr);
-    PRIX_ASSIGN_OR_RETURN(TwigStackResult r, eng.Execute(pattern));
-    return CanonicalDocs(std::move(r.docs));
-  };
+  }
+  const bool compare = kinds.size() > 1;
+  const Engines engines(db->get(), (*db)->OpenSnapshot());
+  bool failed = false;
   for (int i = 0; i < argc; ++i) {
-    // Each query gets its own deadline, installed around every engine that
-    // answers it: --timeout-ms bounds one query, not the whole invocation,
-    // so a slow second query still gets its full budget after a fast first
-    // one.
+    // Each query gets its own deadline, which every engine that answers it
+    // installs: --timeout-ms bounds one query, not the whole invocation,
+    // so a slow second query still gets its full budget after a fast one.
     Deadline deadline = timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms)
                                        : Deadline();
-    ScopedDeadline scoped_deadline(timeout_ms > 0 ? &deadline : nullptr);
     QueryOptions qopts;
     if (timeout_ms > 0) qopts.deadline = &deadline;
-    if (engine != "prix") {
-      auto pattern = ParseXPath(argv[i], &dict);
-      if (!pattern.ok()) {
-        std::printf("%s\n  error: %s\n", argv[i],
-                    pattern.status().ToString().c_str());
-        continue;
-      }
-      if (engine != "all") {
-        auto docs = run_derived(engine, *pattern);
-        if (!docs.ok()) {
-          std::printf("%s\n  error: %s\n", argv[i],
-                      docs.status().ToString().c_str());
-          continue;
-        }
-        std::printf("%s\n  [%s] %zu document(s)\n", argv[i], engine.c_str(),
-                    docs->size());
-        continue;
-      }
-      // --engine all: every engine answers, and they must agree.
-      auto prix_result = qp.ExecuteXPath(argv[i], &dict, qopts);
-      if (!prix_result.ok()) {
-        std::printf("%s\n  error: %s\n", argv[i],
-                    prix_result.status().ToString().c_str());
-        diverged = true;
-        continue;
-      }
-      std::vector<DocId> reference = CanonicalDocs(prix_result->docs);
-      std::printf("%s\n  [prix] %zu document(s)", argv[i], reference.size());
-      bool q_diverged = false;
-      for (const char* which : {"vist", "twigstack", "twigstackxb"}) {
-        auto docs = run_derived(which, *pattern);
-        if (!docs.ok()) {
-          std::printf("\n  [%s] error: %s", which,
-                      docs.status().ToString().c_str());
-          q_diverged = true;
-          continue;
-        }
-        std::printf(" [%s] %zu", which, docs->size());
-        if (*docs != reference) q_diverged = true;
-      }
-      std::printf("%s\n", q_diverged ? "  DIVERGENCE" : "  (all agree)");
-      diverged |= q_diverged;
-      continue;
-    }
     MetricsContext mctx(/*collect_trace=*/trace);
-    auto result = qp.ExecuteXPath(argv[i], &dict, qopts);
-    if (!result.ok()) {
-      std::printf("%s\n  error: %s\n", argv[i],
-                  result.status().ToString().c_str());
+    std::printf("%s\n", argv[i]);
+    Result<TwigPattern> pattern = [&] {
+      TraceSpan span("parse");
+      return ParseXPath(argv[i], &dict);
+    }();
+    if (!pattern.ok()) {
+      std::printf("  error: %s\n", pattern.status().ToString().c_str());
+      failed = true;
       continue;
     }
-    std::printf("%s\n  %zu match(es) in %zu document(s), %llu pages read",
-                argv[i], result->matches.size(), result->docs.size(),
-                (unsigned long long)result->stats.pages_read);
-    size_t shown = 0;
-    for (DocId d : result->docs) {
-      if (shown++ == 10) {
-        std::printf(" ...");
-        break;
+    std::vector<DocId> reference;
+    bool ok = true;  // every engine answered, and all alike
+    for (EngineKind kind : kinds) {
+      auto result = engines.Execute(kind, *pattern, qopts);
+      const bool first = kind == kinds.front();
+      if (!result.ok()) {
+        const std::string error = result.status().ToString();
+        if (compare) {
+          std::printf("%s[%s] error: %s", first ? "  " : "\n  ",
+                      EngineKindName(kind), error.c_str());
+        } else {
+          std::printf("  error: %s\n", error.c_str());
+        }
+        ok = false;
+        continue;
       }
-      std::printf("%s doc%u", shown == 1 ? ":" : "", d);
+      if (compare) {
+        std::printf(first ? "  [%s] %zu document(s)" : " [%s] %zu",
+                    EngineKindName(kind), result->docs.size());
+        if (first) reference = result->docs;
+        ok &= result->docs == reference;
+        continue;
+      }
+      std::printf("  %zu match(es) in %zu document(s), %llu pages read",
+                  result->matches.size(), result->docs.size(),
+                  (unsigned long long)result->stats.pages_read);
+      size_t shown = 0;
+      for (DocId d : result->docs) {
+        if (shown++ == 10) {
+          std::printf(" ...");
+          break;
+        }
+        std::printf("%s doc%u", shown == 1 ? ":" : "", d);
+      }
+      std::printf("\n");
+      if (trace) {
+        const QueryStats& s = result->stats;
+        std::printf(
+            "  io: %llu pool hits, %llu misses, %llu reads, %llu writes, "
+            "%llu btree nodes\n",
+            (unsigned long long)s.pool_hits,
+            (unsigned long long)s.pool_misses,
+            (unsigned long long)s.pages_read,
+            (unsigned long long)s.pages_written,
+            (unsigned long long)s.btree_nodes);
+        std::printf("%s", RenderTrace(mctx.trace()).c_str());
+      }
     }
-    std::printf("\n");
-    if (trace) {
-      const QueryStats& s = result->stats;
-      std::printf(
-          "  io: %llu pool hits, %llu misses, %llu reads, %llu writes, "
-          "%llu btree nodes\n",
-          (unsigned long long)s.pool_hits,
-          (unsigned long long)s.pool_misses,
-          (unsigned long long)s.pages_read,
-          (unsigned long long)s.pages_written,
-          (unsigned long long)s.btree_nodes);
-      std::printf("%s", RenderTrace(mctx.trace()).c_str());
-    }
+    if (compare) std::printf("%s\n", ok ? "  (all agree)" : "  DIVERGENCE");
+    failed |= !ok;
   }
   if (metrics) {
     std::printf("%s\n", MetricsRegistry::Global().ToJson().c_str());
   }
-  return diverged ? 1 : 0;
+  return failed ? 1 : 0;
 }
 
 // --- prix serve / prix bench-serve ------------------------------------------
