@@ -238,6 +238,12 @@ void BenchReport::AddRow(Variant variant, std::string_view dataset,
     w.Key("verify").UInt(r.stats.verify_us);
     w.Key("total").UInt(r.stats.total_us);
     w.EndObject();
+    w.Key("descent").BeginObject();
+    w.Key("range_queries").UInt(r.stats.matcher.range_queries);
+    w.Key("nodes_scanned").UInt(r.stats.matcher.nodes_scanned);
+    w.Key("pruned_by_anchor").UInt(r.stats.matcher.pruned_by_anchor);
+    w.Key("occurrences").UInt(r.stats.matcher.occurrences);
+    w.EndObject();
   }
   w.EndObject();
   rows_.push_back(w.Take());

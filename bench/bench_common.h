@@ -139,7 +139,8 @@ class BenchReport {
 
   /// Appends one measured cell. `query` is the short id ("Q1"); `xpath`
   /// may contain quotes/backslashes — it is escaped on emission. Only PRIX
-  /// rows carry `phases_us`; the other engines have no such phases.
+  /// rows carry `phases_us` and Algorithm 1's `descent` counters; the
+  /// other engines have no such phases.
   void AddRow(Variant variant, std::string_view dataset,
               std::string_view query, std::string_view xpath,
               const RunResult& r);

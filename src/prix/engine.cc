@@ -1,6 +1,9 @@
 #include "prix/engine.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "common/deadline.h"
@@ -18,6 +21,41 @@ const char* EngineKindName(EngineKind kind) {
                                            "twigstackxb"};
   return kNames[static_cast<int>(kind)];
 }
+
+namespace {
+
+/// Folds one ViST, TwigStack or TwigStackXB query into the process-wide
+/// registry under `<engine>.query.*` (no-op unless enabled). PRIX records
+/// its own `prix.query.*` in QueryProcessor::Execute, which callers also
+/// reach without an Engines handle.
+void RecordQueryInRegistry(EngineKind kind, const QueryStats& s) {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  if (!reg.enabled()) return;
+  struct Meters {
+    MetricHistogram* total_us;
+    MetricHistogram* pages_read;
+    MetricHistogram* btree_nodes;
+    MetricCounter* count;
+  };
+  static const auto meters = [&reg] {
+    std::array<Meters, std::size(kAllEngineKinds)> m;
+    for (EngineKind k : kAllEngineKinds) {
+      const std::string prefix = std::string(EngineKindName(k)) + ".query.";
+      m[static_cast<int>(k)] = Meters{&reg.histogram(prefix + "total_us"),
+                                      &reg.histogram(prefix + "pages_read"),
+                                      &reg.histogram(prefix + "btree_nodes"),
+                                      &reg.counter(prefix + "count")};
+    }
+    return m;
+  }();
+  const Meters& m = meters[static_cast<int>(kind)];
+  m.total_us->Record(s.total_us);
+  m.pages_read->Record(s.pages_read);
+  m.btree_nodes->Record(s.btree_nodes);
+  m.count->Add(1);
+}
+
+}  // namespace
 
 Result<const QueryProcessor*> Engines::Prix() const {
   std::call_once(prix_once_, [this] {
@@ -104,6 +142,7 @@ Result<QueryResult> Engines::Execute(EngineKind kind,
   result.stats.pool_misses = mctx.counters.pool_misses;
   result.stats.btree_nodes = mctx.counters.btree_nodes;
   result.stats.total_us = MetricsContext::NowMicros() - t_start;
+  RecordQueryInRegistry(kind, result.stats);
   return result;
 }
 

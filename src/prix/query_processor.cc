@@ -31,6 +31,10 @@ void RecordQueryInRegistry(const QueryStats& s) {
   static MetricHistogram& total_us = reg.histogram("prix.query.total_us");
   static MetricHistogram& pages = reg.histogram("prix.query.pages_read");
   static MetricHistogram& nodes = reg.histogram("prix.query.btree_nodes");
+  static MetricHistogram& range_queries =
+      reg.histogram("prix.query.range_queries");
+  static MetricHistogram& anchor_pruned =
+      reg.histogram("prix.query.anchor_pruned");
   static MetricCounter& queries = reg.counter("prix.query.count");
   static MetricCounter& hits = reg.counter("prix.pool.hits");
   static MetricCounter& misses = reg.counter("prix.pool.misses");
@@ -40,6 +44,8 @@ void RecordQueryInRegistry(const QueryStats& s) {
   total_us.Record(s.total_us);
   pages.Record(s.pages_read);
   nodes.Record(s.btree_nodes);
+  range_queries.Record(s.matcher.range_queries);
+  anchor_pruned.Record(s.matcher.pruned_by_anchor);
   queries.Add(1);
   hits.Add(s.pool_hits);
   misses.Add(s.pool_misses);

@@ -195,13 +195,38 @@ namespace {
 constexpr size_t kScanBatch = 256;
 }  // namespace
 
-/// One query depth's Trie-Symbol cursor and scan batch. A depth's range
-/// queries run one after another (deeper ones run while its batch is
-/// recursed on), so each depth reuses one cursor and one batch.
+/// One query depth's Trie-Symbol cursor, anchor cursor and scan batch. A
+/// depth's range queries run one after another (deeper ones run while its
+/// batch is recursed on), so each depth reuses one of each.
 struct SubsequenceMatcher::Depth {
-  explicit Depth(const PrixIndex::SymbolTree& tree) : cursor(tree) {}
+  explicit Depth(const PrixIndex::SymbolTree& tree)
+      : cursor(tree), anchor_cursor(tree) {}
+
+  /// Sets `*reachable` to whether the Trie-Symbol index holds an
+  /// `anchor_label` node whose LeftPos lies in [lo, hi]. Within one scan the
+  /// kept nodes' lower bounds rise, so the cursor only moves forward: it
+  /// re-seeks when its entry lies below `lo` (or `lo` fell below the bound
+  /// it was sought for, in a later scan nested in an earlier one) and
+  /// answers in O(1) otherwise.
+  Status AnchorReachable(uint64_t lo, uint64_t hi, bool* reachable) {
+    auto in_label = [this] {
+      return anchor_cursor.Valid() &&
+             anchor_cursor.key().label == anchor_label;
+    };
+    if (lo < anchor_lo || (in_label() && anchor_cursor.key().left < lo)) {
+      PRIX_RETURN_NOT_OK(anchor_cursor.Reseek(SymbolKey{anchor_label, 0, lo}));
+      anchor_lo = lo;
+    }
+    *reachable = in_label() && anchor_cursor.key().left <= hi;
+    return Status::OK();
+  }
 
   PrixIndex::SymbolTree::Iterator cursor;
+  /// Sits at the first entry >= (anchor_label, anchor_lo); anchor_lo is
+  /// UINT64_MAX until the first seek. kInvalidLabel: the depth has no anchor.
+  PrixIndex::SymbolTree::Iterator anchor_cursor;
+  LabelId anchor_label = kInvalidLabel;
+  uint64_t anchor_lo = UINT64_MAX;
   uint64_t lefts[kScanBatch];
   uint64_t rights[kScanBatch];
   uint32_t levels[kScanBatch];
@@ -228,6 +253,12 @@ Status SubsequenceMatcher::FindAll(const QuerySequence& q, const EmitFn& emit,
   scratch.depths.reserve(q.lps.size());
   for (size_t i = 0; i < q.lps.size(); ++i) {
     scratch.depths.emplace_back(index_->symbol_index());
+  }
+  // Depth i's anchor is the nearest value position a >= i + 2; at
+  // a = i + 1 the next range query is already that probe.
+  for (size_t i = q.lps.size(), a = 0; i-- > 0;) {
+    if (i + 2 < q.lps.size() && q.is_value[i + 2]) a = i + 2;
+    if (a != 0) scratch.depths[i].anchor_label = q.lps[a];
   }
   scratch.doc_cursor = PrixIndex::DocTree::Iterator(index_->docid_index());
   scratch.positions.reserve(q.lps.size());
@@ -292,6 +323,18 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
     }
     for (size_t j = 0; j < n; ++j) {
       if (depth.keep[j] == 0) continue;
+      if (depth.anchor_label != kInvalidLabel) {
+        // Later positions lie in this node's subtree, scanned with the same
+        // interval convention as the range query above.
+        bool reachable = false;
+        PRIX_RETURN_NOT_OK(depth.AnchorReachable(
+            generalized_ ? depth.lefts[j] : depth.lefts[j] + 1,
+            depth.rights[j], &reachable));
+        if (!reachable) {
+          ++stats->pruned_by_anchor;
+          continue;
+        }
+      }
       positions.push_back(depth.levels[j]);
       if (i + 1 == q.lps.size()) {
         // Terminal: fetch all documents whose LPS ends in [left, right].

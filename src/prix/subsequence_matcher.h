@@ -17,12 +17,14 @@ struct MatcherStats {
   uint64_t range_queries = 0;   ///< B+-tree range descents issued
   uint64_t nodes_scanned = 0;   ///< trie nodes touched across all scans
   uint64_t pruned_by_maxgap = 0;
+  uint64_t pruned_by_anchor = 0;  ///< kept nodes whose subtree lacks the anchor
   uint64_t occurrences = 0;     ///< subsequence occurrences emitted
 
   void MergeFrom(const MatcherStats& other) {
     range_queries += other.range_queries;
     nodes_scanned += other.nodes_scanned;
     pruned_by_maxgap += other.pruned_by_maxgap;
+    pruned_by_anchor += other.pruned_by_anchor;
     occurrences += other.occurrences;
   }
 };
@@ -53,13 +55,21 @@ bool GapPruneUsingSimd();
 /// subsequence of indexed LPS's by recursive range descent over the virtual
 /// trie, optionally pruned with the MaxGap metric of Theorem 4 (Sec. 5.4).
 ///
-/// Each query depth owns one Trie-Symbol cursor and one scan batch, and the
-/// terminals share one Docid cursor: a range query is a Reseek of its
-/// depth's cursor, which stays within the current leaf when the probe key
-/// routes there, and allocates nothing. A matcher holds no mutable state
-/// of its own — the cursors and batches live in FindAll's frame and
-/// counters go to the caller-owned MatcherStats — so one instance per
-/// thread (or even a shared one) is safe over a read-only index.
+/// Value anchors: depth i's anchor is the nearest value position
+/// a >= i + 2 of the query sequence (QuerySequence::is_value). A node depth
+/// i keeps is recursed into only if the Trie-Symbol index holds a q.lps[a]
+/// node in its range, since every later position lies in that node's
+/// subtree. The occurrences are exactly those of the unanchored descent;
+/// only subtrees that cannot reach the next value are skipped (DESIGN.md
+/// §5, note 4).
+///
+/// Each query depth owns one Trie-Symbol cursor, one anchor cursor and one
+/// scan batch, and the terminals share one Docid cursor: a range query is a
+/// Reseek of its depth's cursor, which stays within the current leaf when
+/// the probe key routes there, and allocates nothing. A matcher holds no
+/// mutable state of its own — the cursors and batches live in FindAll's
+/// frame and counters go to the caller-owned MatcherStats — so one instance
+/// per thread (or even a shared one) is safe over a read-only index.
 class SubsequenceMatcher {
  public:
   /// `emit(docs, positions)` is called once per occurrence: `docs` holds the

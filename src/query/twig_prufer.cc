@@ -110,6 +110,7 @@ Result<QuerySequence> BuildQuerySequence(
   for (uint32_t v = 0; v < m; ++v) node_of[number[v]] = v;
   seq.lps.resize(m - 1);
   seq.nps.resize(m - 1);
+  seq.is_value.assign(m - 1, false);
   for (uint32_t k = 1; k < m; ++k) {
     uint32_t v = node_of[k];
     uint32_t p = tree.nodes[v].parent;
@@ -119,6 +120,9 @@ Result<QuerySequence> BuildQuerySequence(
     PRIX_CHECK(eff_parent != QuerySequence::kNoEffNode);
     seq.lps[k - 1] = twig.node(eff_parent).label;
     seq.nps[k - 1] = pk;
+    seq.is_value[k - 1] =
+        tree.nodes[v].eff_node == QuerySequence::kNoEffNode &&
+        twig.node(eff_parent).is_value;
   }
 
   // RP leaves: effective leaves WITHOUT a dummy (their labels are absent

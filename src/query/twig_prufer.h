@@ -27,6 +27,11 @@ struct GapPruneRule {
 struct QuerySequence {
   std::vector<LabelId> lps;   ///< length num_nodes - 1
   std::vector<uint32_t> nps;  ///< parallel postorder numbers
+  /// is_value[k]: lps[k] is a twig value, i.e. the node deleted at
+  /// position k is an EP dummy whose parent is a value node. Only extended
+  /// sequences have such positions (value leaves never get a dummy on the
+  /// regular index). The matcher anchors its descent on them.
+  std::vector<bool> is_value;
   uint32_t num_nodes = 0;     ///< node count of the (extended) sequence tree
   bool extended = false;
 

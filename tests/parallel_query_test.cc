@@ -374,13 +374,18 @@ TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
       }
     }
   }
-  reg.set_enabled(false);
 
   // From a cold pool, each engine's own I/O counters are exactly what a
-  // context around the whole call sees.
+  // context around the whole call sees, and every engine feeds the
+  // registry's `<engine>.query.*` once per query.
   const Engines engines(&db_.db(), db_->OpenSnapshot());
   for (EngineKind kind : kAllEngineKinds) {
     SCOPED_TRACE(EngineKindName(kind));
+    const std::string prefix = std::string(EngineKindName(kind)) + ".query.";
+    MetricCounter& count = reg.counter(prefix + "count");
+    MetricHistogram& pages = reg.histogram(prefix + "pages_read");
+    const uint64_t count_before = count.value();
+    const uint64_t pages_before = pages.count();
     ASSERT_TRUE(db_.db().ColdStart().ok());
     MetricsContext outer;
     auto result = engines.Execute(kind, patterns[1]);
@@ -389,7 +394,10 @@ TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
     EXPECT_EQ(result->stats.pages_read, outer.counters.physical_reads);
     EXPECT_EQ(result->stats.pool_misses, outer.counters.pool_misses);
     EXPECT_EQ(result->stats.pool_hits, outer.counters.pool_hits);
+    EXPECT_EQ(count.value(), count_before + 1);
+    EXPECT_EQ(pages.count(), pages_before + 1);
   }
+  reg.set_enabled(false);
 
   // The memo keys on the type too: ViST's memoized "v" asked for as a PRIX
   // index is refused by PRIX's open, never handed out as the wrong type.

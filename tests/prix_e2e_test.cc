@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <set>
 
+#include "datagen/dblp_gen.h"
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
 #include "query/xpath_parser.h"
+#include "testutil/occurrences.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
 
@@ -15,11 +18,14 @@ namespace prix {
 namespace {
 
 using testutil::DocFromSexp;
+using testutil::ListOccurrences;
+using testutil::Occurrence;
 using testutil::RandomCollection;
 using testutil::RandomDocument;
 using testutil::RandomDocOptions;
 using testutil::RandomTwig;
 using testutil::RandomTwigOptions;
+using testutil::WithoutValueAnchors;
 
 std::vector<TwigMatch> SortedMatches(std::vector<TwigMatch> m) {
   std::sort(m.begin(), m.end());
@@ -446,6 +452,100 @@ TEST_F(PrixE2eTest, MaxGapPruningOnlyRemovesWork) {
     EXPECT_LE(r1->stats.matcher.nodes_scanned + r1->stats.refine.candidates,
               r2->stats.matcher.nodes_scanned + r2->stats.refine.candidates);
   }
+}
+
+TEST_F(PrixE2eTest, ValueAnchorSkipsAuthorPathsWithoutTheYear) {
+  // A two-value twig on the most frequent author: depth 0 scans every
+  // trie node of that author, and the anchor on the year keeps only those
+  // whose subtree holds the year, so most of them issue no range query.
+  datagen::DblpConfig config;
+  config.num_records = 3000;
+  DocumentCollection coll = datagen::GenerateDblp(config);
+  const std::vector<Document>& docs = coll.documents;
+  TagDictionary& dict = coll.dictionary;
+  BuildIndexes(docs);
+  const LabelId author_tag = dict.Find("author");
+  const LabelId year_tag = dict.Find("year");
+  const LabelId article_tag = dict.Find("article");
+  auto value_of = [](const Document& doc, NodeId element) {
+    return doc.label(doc.children(element)[0]);
+  };
+  std::map<LabelId, size_t> frequency;
+  for (const Document& doc : docs) {
+    for (NodeId c : doc.children(doc.root())) {
+      if (doc.label(c) == author_tag) ++frequency[value_of(doc, c)];
+    }
+  }
+  const LabelId author =
+      std::max_element(frequency.begin(), frequency.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })->first;
+  LabelId year = kInvalidLabel;
+  for (const Document& doc : docs) {
+    if (doc.label(doc.root()) != article_tag) continue;
+    bool by_author = false;
+    for (NodeId c : doc.children(doc.root())) {
+      by_author |= doc.label(c) == author_tag && value_of(doc, c) == author;
+      if (by_author && doc.label(c) == year_tag) year = value_of(doc, c);
+    }
+    if (year != kInvalidLabel) break;
+  }
+  ASSERT_NE(year, kInvalidLabel);
+  auto pattern = ParseXPath("//article[./author=\"" + dict.Name(author) +
+                                "\"][./year=\"" + dict.Name(year) + "\"]",
+                            &dict);
+  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+  ExpectAgreesWithOracle(docs, *pattern, MatchSemantics::kOrdered, dict);
+
+  uint64_t author_nodes = 0;
+  PrixIndex::SymbolTree::Iterator it(ep_->symbol_index());
+  ASSERT_TRUE(it.Reseek(SymbolKey{author, 0, 0}).ok());
+  while (it.Valid() && it.key().label == author) {
+    ++author_nodes;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  QueryProcessor qp(db_.db(), rp_.get(), ep_.get());
+  auto result = qp.Execute(*pattern);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->stats.used_extended_index);
+  EXPECT_FALSE(result->docs.empty());
+  EXPECT_GT(result->stats.matcher.pruned_by_anchor, 0u);
+  EXPECT_LT(result->stats.matcher.range_queries, author_nodes)
+      << dict.Name(author) << " has " << author_nodes << " trie nodes";
+}
+
+TEST_F(PrixE2eTest, AnchorOnATagNamedValueKeepsBothEnds) {
+  // A value equal to a tag name: every position of the EP sequence of
+  // //b[./b][.//b="b"] is the label b, and depth 0's anchor is the value at
+  // position 2. On (b (=x)) the one b node is a trie leaf, so its LeftPos
+  // equals its RightPos, and a generalized descent may repeat a position:
+  // all five positions land on that node. The anchor must search
+  // [left, right], closed at both ends, to keep the occurrence that the
+  // unanchored descent emits (refinement then rejects it).
+  TagDictionary dict;
+  std::vector<Document> docs;
+  docs.push_back(DocFromSexp("(b (=x))", 0, &dict));
+  docs.push_back(DocFromSexp("(b (b) (c (b (=b))))", 1, &dict));
+  BuildIndexes(docs);
+  auto pattern = ParseXPath("//b[./b][.//b=\"b\"]", &dict);
+  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+  ExpectAgreesWithOracle(docs, *pattern, MatchSemantics::kOrdered, dict);
+
+  EffectiveTwig twig = EffectiveTwig::Build(*pattern);
+  ASSERT_TRUE(twig.NeedsGeneralizedMatching());
+  auto qseq = BuildQuerySequence(twig, /*extended=*/true);
+  ASSERT_TRUE(qseq.ok());
+  ASSERT_EQ(qseq->is_value, (std::vector<bool>{false, false, true, false,
+                                               false}));
+  MatcherStats anchored_stats, plain_stats;
+  auto anchored = ListOccurrences(*ep_, *qseq, true, &anchored_stats);
+  auto plain =
+      ListOccurrences(*ep_, WithoutValueAnchors(*qseq), true, &plain_stats);
+  ASSERT_TRUE(anchored.ok() && plain.ok());
+  EXPECT_EQ(*anchored, *plain);
+  const Occurrence coincident{{0}, {2, 2, 2, 2, 2}};
+  EXPECT_NE(std::find(plain->begin(), plain->end(), coincident), plain->end());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "prix/query_processor.h"
 #include "prufer/prufer.h"
 #include "query/twig_prufer.h"
+#include "testutil/occurrences.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
 #include "trie/range_labeler.h"
@@ -19,11 +20,13 @@
 namespace prix {
 namespace {
 
+using testutil::ListOccurrences;
 using testutil::RandomCollection;
 using testutil::RandomDocOptions;
 using testutil::RandomDocument;
 using testutil::RandomTwig;
 using testutil::RandomTwigOptions;
+using testutil::WithoutValueAnchors;
 
 // ---------------------------------------------------------------- Prüfer
 
@@ -293,6 +296,171 @@ INSTANTIATE_TEST_SUITE_P(
              "_star" +
              std::to_string(static_cast<int>(info.param.star_prob * 100)) +
              (info.param.dynamic_labeling ? "_dyn" : "_exact");
+    });
+
+// ------------------------------------------------- value-anchored descent
+
+/// Carves a twig with `num_values` value leaves out of `doc`: a random
+/// element with that many value descendants is the root, the chosen values
+/// are leaves, and their parents and the root are kept. Each other node on
+/// their root paths is dropped with `descendant_prob`, which makes the edge
+/// below it '//', and a kept '/' edge becomes '//' with half that chance.
+/// The twig keeps document order. Returns an empty pattern when `doc` has
+/// no such element.
+TwigPattern ValueTwig(Random& rng, const Document& doc, size_t num_values,
+                      double descendant_prob) {
+  std::vector<std::vector<NodeId>> values_below(doc.num_nodes());
+  for (NodeId v = 0; v < doc.num_nodes(); ++v) {
+    if (doc.kind(v) != NodeKind::kValue) continue;
+    for (NodeId a = doc.parent(v);; a = doc.parent(a)) {
+      values_below[a].push_back(v);
+      if (a == doc.root()) break;
+    }
+  }
+  std::vector<NodeId> roots;
+  for (NodeId v = 0; v < doc.num_nodes(); ++v) {
+    if (values_below[v].size() >= num_values) roots.push_back(v);
+  }
+  TwigPattern twig;
+  if (roots.empty()) return twig;
+  const NodeId root = roots[rng.Uniform(roots.size())];
+  std::vector<NodeId> pool = values_below[root];
+  std::vector<bool> keep(doc.num_nodes(), false);
+  keep[root] = true;
+  for (size_t k = 0; k < num_values; ++k) {
+    std::swap(pool[k], pool[k + rng.Uniform(pool.size() - k)]);
+    const NodeId value = pool[k];
+    keep[value] = true;
+    keep[doc.parent(value)] = true;
+    for (NodeId a = doc.parent(value); a != root; a = doc.parent(a)) {
+      keep[a] = keep[a] || !rng.Bernoulli(descendant_prob);
+    }
+  }
+  // Preorder walk; `up` is the twig node of the nearest kept ancestor.
+  struct Frame {
+    NodeId node;
+    uint32_t up;
+  };
+  std::vector<Frame> stack;
+  auto push_children = [&](NodeId node, uint32_t up) {
+    const auto& kids = doc.children(node);
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
+      stack.push_back(Frame{*it, up});
+    }
+  };
+  push_children(root, twig.AddRoot(doc.label(root), Axis::kDescendant));
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    uint32_t up = f.up;
+    if (keep[f.node]) {
+      const bool child_edge = keep[doc.parent(f.node)] &&
+                              !rng.Bernoulli(descendant_prob / 2);
+      up = twig.AddChild(f.up, doc.label(f.node),
+                         child_edge ? Axis::kChild : Axis::kDescendant,
+                         /*is_star=*/false,
+                         doc.kind(f.node) == NodeKind::kValue);
+    }
+    push_children(f.node, up);
+  }
+  return twig;
+}
+
+struct AnchorParam {
+  uint64_t seed;
+  double descendant_prob;
+  bool dynamic_labeling;
+  bool shared_names;  ///< values and tags draw from one set of labels
+};
+
+class ValueAnchorTest : public ::testing::TestWithParam<AnchorParam> {
+ protected:
+  testutil::TempDb db_;
+};
+
+/// Twigs with two or three value leaves over a small value alphabet, so
+/// that values repeat and nest: PRIX agrees with the oracle, and the
+/// anchored descent emits exactly the occurrences of the unanchored one.
+TEST_P(ValueAnchorTest, AnchorsOnlySkipDeadSubtrees) {
+  const AnchorParam& param = GetParam();
+  TagDictionary dict;
+  Random rng(param.seed);
+  RandomDocOptions doc_opts;
+  doc_opts.max_nodes = 30;
+  doc_opts.alphabet = 5;
+  doc_opts.value_alphabet = 3;
+  doc_opts.value_leaf_prob = 0.4;
+  doc_opts.deep_bias = 0.6;
+  if (param.shared_names) doc_opts.value_prefix = "tag";
+  std::vector<Document> docs = RandomCollection(rng, 40, &dict, doc_opts);
+
+  PrixIndexOptions rp_opts;
+  PrixIndexOptions ep_opts;
+  ep_opts.extended = true;
+  if (param.dynamic_labeling) {
+    rp_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
+    ep_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
+  }
+  auto rp = PrixIndex::Build(docs, db_.pool(), rp_opts);
+  auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
+  ASSERT_TRUE(rp.ok() && ep.ok());
+  QueryProcessor qp(db_.db(), rp->get(), ep->get());
+
+  int checked = 0;
+  uint64_t pruned_by_anchor = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Document& doc = docs[rng.Uniform(docs.size())];
+    TwigPattern pattern =
+        ValueTwig(rng, doc, 2 + rng.Uniform(2), param.descendant_prob);
+    if (pattern.empty()) continue;
+    ++checked;
+    SCOPED_TRACE(TwigToString(pattern, dict));
+    EffectiveTwig twig = EffectiveTwig::Build(pattern);
+    auto expected = NaiveMatchCollection(docs, twig, MatchSemantics::kOrdered);
+    std::sort(expected.begin(), expected.end());
+    for (auto choice : {QueryOptions::IndexChoice::kAuto,
+                        QueryOptions::IndexChoice::kExtended}) {
+      QueryOptions options;
+      options.index = choice;
+      auto result = qp.Execute(pattern, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      auto got = result->matches;
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "index choice " << static_cast<int>(choice);
+      pruned_by_anchor += result->stats.matcher.pruned_by_anchor;
+    }
+    // The whole twig's sequence, whatever filter Execute chose for it.
+    auto qseq = BuildQuerySequence(twig, /*extended=*/true);
+    ASSERT_TRUE(qseq.ok()) << qseq.status().ToString();
+    const bool generalized = twig.NeedsGeneralizedMatching();
+    MatcherStats anchored_stats, plain_stats;
+    auto anchored = ListOccurrences(**ep, *qseq, generalized, &anchored_stats);
+    auto plain = ListOccurrences(**ep, WithoutValueAnchors(*qseq), generalized,
+                                 &plain_stats);
+    ASSERT_TRUE(anchored.ok() && plain.ok());
+    EXPECT_EQ(*anchored, *plain);
+    EXPECT_EQ(plain_stats.pruned_by_anchor, 0u);
+    EXPECT_LE(anchored_stats.range_queries, plain_stats.range_queries);
+    pruned_by_anchor += anchored_stats.pruned_by_anchor;
+  }
+  EXPECT_GT(checked, 30);
+  EXPECT_GT(pruned_by_anchor, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grids, ValueAnchorTest,
+    ::testing::Values(AnchorParam{201, 0.0, false, false},
+                      AnchorParam{202, 0.0, true, true},
+                      AnchorParam{203, 0.4, false, true},
+                      AnchorParam{204, 0.4, true, false},
+                      AnchorParam{205, 0.7, false, false},
+                      AnchorParam{206, 0.7, true, true}),
+    [](const auto& info) {
+      return "seed" + std::to_string(info.param.seed) + "_desc" +
+             std::to_string(static_cast<int>(info.param.descendant_prob *
+                                             100)) +
+             (info.param.dynamic_labeling ? "_dyn" : "_exact") +
+             (info.param.shared_names ? "_shared" : "_apart");
     });
 
 }  // namespace

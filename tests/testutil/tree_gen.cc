@@ -12,7 +12,7 @@ Document RandomDocument(Random& rng, DocId id, TagDictionary* dict,
     return dict->Intern("tag" + std::to_string(i));
   };
   auto val = [&](size_t i) {
-    return dict->Intern("val" + std::to_string(i));
+    return dict->Intern(options.value_prefix + std::to_string(i));
   };
   size_t n = options.min_nodes +
              rng.Uniform(options.max_nodes - options.min_nodes + 1);

@@ -16,12 +16,15 @@ struct RandomDocOptions {
   size_t max_nodes = 40;
   size_t alphabet = 6;          ///< element labels drawn from tag0..tagN-1
   size_t value_alphabet = 8;    ///< value labels drawn from val0..valM-1
+  /// Name prefix of value labels; "tag" makes values share labels with
+  /// element tags (a value "tag1" and an element <tag1> intern alike).
+  std::string value_prefix = "val";
   double value_leaf_prob = 0.3; ///< chance a leaf becomes a value node
   double deep_bias = 0.5;       ///< 1.0 = chains, 0.0 = stars
 };
 
 /// Generates a random ordered labeled tree. Labels are interned into `dict`
-/// as "tag<i>" / "val<i>".
+/// as "tag<i>" / "<value_prefix><i>".
 Document RandomDocument(Random& rng, DocId id, TagDictionary* dict,
                         const RandomDocOptions& options = {});
 

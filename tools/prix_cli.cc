@@ -17,7 +17,8 @@
 //                                         any query fails to parse, an
 //                                         engine fails, or the engines
 //                                         diverge; --trace prints each
-//                                         query's exact I/O counters and
+//                                         query's exact I/O counters,
+//                                         PRIX's descent counters and the
 //                                         phase breakdown, --metrics dumps
 //                                         the process-wide MetricsRegistry
 //                                         as JSON afterward; --timeout-ms
@@ -433,6 +434,21 @@ int CmdQuery(const std::string& path, int argc, char** argv, bool trace,
             (unsigned long long)s.pages_read,
             (unsigned long long)s.pages_written,
             (unsigned long long)s.btree_nodes);
+        if (kind == EngineKind::kPrix) {
+          std::printf(
+              "  descent: %llu range queries, %llu trie nodes scanned, "
+              "%llu pruned by maxgap, %llu pruned by anchor, "
+              "%llu occurrences, %llu docs loaded, "
+              "%llu refinement candidates, %llu passed\n",
+              (unsigned long long)s.matcher.range_queries,
+              (unsigned long long)s.matcher.nodes_scanned,
+              (unsigned long long)s.matcher.pruned_by_maxgap,
+              (unsigned long long)s.matcher.pruned_by_anchor,
+              (unsigned long long)s.matcher.occurrences,
+              (unsigned long long)s.docs_loaded,
+              (unsigned long long)s.refine.candidates,
+              (unsigned long long)s.refine.passed);
+        }
         std::printf("%s", RenderTrace(mctx.trace()).c_str());
       }
     }
