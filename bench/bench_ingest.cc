@@ -104,13 +104,11 @@ int main() {
     return 1;
   }
 
-  // Seed: bulk-build the first half with the dynamic labeler, the
-  // configuration online ingest is designed for.
+  // Seed: bulk-build the first half, exact-labeled as `prix index` does;
+  // the first insert grows the root scope and relabels once.
   std::vector<Document> seed(coll.documents.begin(),
                              coll.documents.begin() + seed_count);
-  PrixIndexOptions options;
-  options.labeling = PrixIndexOptions::Labeling::kDynamic;
-  auto index = PrixIndex::Build(seed, (*db)->pool(), options);
+  auto index = PrixIndex::Build(seed, (*db)->pool(), PrixIndexOptions{});
   if (!index.ok() || !(*index)->Save(db->get(), "rp").ok()) {
     std::fprintf(stderr, "seed build failed\n");
     return 1;
@@ -195,7 +193,7 @@ int main() {
     return 1;
   }
   {
-    auto tri_index = PrixIndex::Build(seed, (*tdb)->pool(), options);
+    auto tri_index = PrixIndex::Build(seed, (*tdb)->pool(), PrixIndexOptions{});
     if (!tri_index.ok() || !(*tri_index)->Save(tdb->get(), "rp").ok()) {
       std::fprintf(stderr, "tri seed build failed\n");
       return 1;

@@ -96,9 +96,7 @@ int main() {
   }
   std::vector<Document> seed(coll.documents.begin(),
                              coll.documents.begin() + seed_count);
-  PrixIndexOptions options;
-  options.labeling = PrixIndexOptions::Labeling::kDynamic;
-  auto index = PrixIndex::Build(seed, (*leader)->pool(), options);
+  auto index = PrixIndex::Build(seed, (*leader)->pool(), PrixIndexOptions{});
   if (!index.ok() || !(*index)->Save(leader->get(), "rp").ok()) {
     std::fprintf(stderr, "seed build failed\n");
     return 1;

@@ -38,12 +38,12 @@
 // commits. `prix verify` reports such a database CORRUPT, and
 // `prix verify --salvage` rebuilds the derived entries from the documents.
 //
-// Labeling. New sequences are absorbed by the pre-allocated slack the
-// dynamic labeler leaves in every range (Sec. 5.2.1); see
-// trie/dynamic_trie.h for the shared walk/claim/relabel mechanics.
-// Exact-labeled indexes (the build default for both PRIX and ViST) have no
-// slack at all; their first insert triggers one root-scope growth + relabel
-// and behaves dynamically from then on.
+// Labeling. Bulk builds of both PRIX and ViST are exact-labeled
+// (trie/range_labeler.h) and leave no slack. Every insert goes through
+// DynamicTrie (trie/dynamic_trie.h): the first one grows the root scope
+// and relabels once, spreading every range, and later ones claim the slack
+// that relabel left (Sec. 5.2.1), relabeling the nearest roomy ancestor's
+// subtree when a range runs out.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -72,7 +72,7 @@ namespace {
 
 /// DynamicTrie persistence ops for the PRIX Trie-Symbol/Docid trees. The
 /// composite child key is just the LPS label.
-struct PrixTrieOps {
+struct PrixIndexOps {
   PrixIndex* index;
 
   Status InsertNode(uint64_t ckey, uint64_t left, uint64_t right,
@@ -97,28 +97,23 @@ struct PrixTrieOps {
 };
 
 /// DynamicTrie persistence ops for ViST's D-Ancestorship/Docid trees. The
-/// composite child key packs (symbol << 32) | prefix — the same key the
-/// build-time VistTrie uses to distinguish siblings.
-struct VistTrieOps {
+/// composite child key is VistItem::ChildKey, (symbol << 32) | prefix — the
+/// same key the bulk build's SequenceTrie uses to distinguish siblings.
+struct VistIndexOps {
   VistIndex* index;
-
-  static LabelId SymbolOf(uint64_t ckey) {
-    return static_cast<LabelId>(ckey >> 32);
-  }
-  static PrefixId PrefixOf(uint64_t ckey) {
-    return static_cast<PrefixId>(ckey & 0xffffffffu);
-  }
 
   Status InsertNode(uint64_t ckey, uint64_t left, uint64_t right,
                     uint32_t level) {
+    const VistItem item = VistItem::FromChildKey(ckey);
     PRIX_RETURN_NOT_OK(index->dancestor().Insert(
-        VistKey{SymbolOf(ckey), 0, left},
-        VistNodeValue{right, level, PrefixOf(ckey)}));
-    index->AddSymbolPrefix(SymbolOf(ckey), PrefixOf(ckey));
+        VistKey{item.symbol, 0, left},
+        VistNodeValue{right, level, item.prefix}));
+    index->AddSymbolPrefix(item.symbol, item.prefix);
     return Status::OK();
   }
   Status DeleteNode(uint64_t ckey, uint64_t left) {
-    return index->dancestor().Delete(VistKey{SymbolOf(ckey), 0, left});
+    return index->dancestor().Delete(
+        VistKey{VistItem::FromChildKey(ckey).symbol, 0, left});
   }
   Status InsertDoc(uint64_t left, uint32_t seq, DocId doc) {
     return index->docid_index().Insert(VistDocKey{left, seq, 0}, doc);
@@ -215,7 +210,7 @@ Status BuildVistMirror(VistEngine* ve) {
   PRIX_ASSIGN_OR_RETURN(auto it, ve->index->dancestor().SeekToFirst());
   while (it.Valid()) {
     const uint64_t ckey =
-        (static_cast<uint64_t>(it.key().symbol) << 32) | it.value().prefix;
+        VistItem{it.key().symbol, it.value().prefix}.ChildKey();
     ents.push_back(DynTrieEntry{ckey, it.key().left, it.value().right,
                                 it.value().level});
     PRIX_RETURN_NOT_OK(it.Next());
@@ -378,7 +373,7 @@ Result<DocId> StageInsert(OpenIndex* oi, const Document& original) {
     }
   }
 
-  PrixTrieOps ops{index};
+  PrixIndexOps ops{index};
   const std::vector<uint64_t> ckeys(seq.lps.begin(), seq.lps.end());
   PRIX_ASSIGN_OR_RETURN(const uint64_t end_left,
                         oi->trie.InsertPath(ckeys, ops));
@@ -405,7 +400,7 @@ Status StageDelete(OpenIndex* oi, DocId doc) {
     return Status::Corruption("live document " + std::to_string(doc) +
                               " has no Docid-index entry");
   }
-  PrixTrieOps ops{index};
+  PrixIndexOps ops{index};
   PRIX_RETURN_NOT_OK(oi->trie.DeleteDocEntry(doc, ops));
   index->Tombstone(doc);
   return Status::OK();
@@ -426,14 +421,14 @@ Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
   for (const VistItem& item : seq) {
     PutU32(&buf, item.symbol);
     PutU32(&buf, item.prefix);
-    ckeys.push_back((static_cast<uint64_t>(item.symbol) << 32) | item.prefix);
+    ckeys.push_back(item.ChildKey());
   }
   PRIX_ASSIGN_OR_RETURN(const uint32_t id,
                         ve->index->sequences().Append(buf.data(), buf.size()));
   if (id != d) {
     return Status::Internal("ViST sequence record landed out of order");
   }
-  VistTrieOps ops{ve->index.get()};
+  VistIndexOps ops{ve->index.get()};
   PRIX_ASSIGN_OR_RETURN(const uint64_t end_left,
                         ve->trie.InsertPath(ckeys, ops));
   PRIX_ASSIGN_OR_RETURN(const DynDocKey key,
@@ -449,7 +444,7 @@ Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
 /// no-op (the second lockstep call).
 Status StageVistDelete(VistEngine* ve, DocId doc) {
   if (!ve->trie.HasDoc(doc)) return Status::OK();
-  VistTrieOps ops{ve->index.get()};
+  VistIndexOps ops{ve->index.get()};
   PRIX_RETURN_NOT_OK(ve->trie.DeleteDocEntry(doc, ops));
   ve->dirty = true;
   return Status::OK();

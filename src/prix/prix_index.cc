@@ -20,8 +20,6 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
   // Phase 1: transform every document, populate the doc store and MaxGap
   // table, and insert every LPS into the (in-memory, build-time) trie.
   SequenceTrie trie;
-  std::vector<std::vector<LabelId>> sequences;
-  sequences.reserve(documents.size());
   for (DocId d = 0; d < documents.size(); ++d) {
     const Document& original = documents[d];
     PRIX_CHECK(original.doc_id() == d);
@@ -45,7 +43,6 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     stats->total_sequence_length += seq.lps.size();
     PRIX_RETURN_NOT_OK(index->docs_->Append(d, seq, leaves));
     trie.Insert(seq.lps, d);
-    sequences.push_back(std::move(seq.lps));
   }
   std::vector<LabelId>& childless = index->childless_labels_;
   std::sort(childless.begin(), childless.end());
@@ -60,14 +57,8 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     }
   }
 
-  // Phase 2: range-label the trie.
-  std::vector<RangeLabel> labels;
-  if (options.labeling == PrixIndexOptions::Labeling::kExact) {
-    labels = LabelTrieExact(trie);
-  } else {
-    labels = LabelTrieDynamic(trie, sequences, options.alpha,
-                              &stats->labeler);
-  }
+  // Phase 2: range-label the trie. Inserts relabel through DynamicTrie.
+  std::vector<RangeLabel> labels = LabelTrieExact(trie);
   index->root_range_ = labels[trie.root()];
 
   // Phase 3: materialize the Trie-Symbol and Docid B+-trees, each
@@ -80,7 +71,8 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
   for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
     const auto& node = trie.node(v);
     if (v != trie.root()) {
-      symbols.push_back({SymbolKey{node.label, 0, labels[v].left},
+      symbols.push_back({SymbolKey{static_cast<LabelId>(node.key), 0,
+                                   labels[v].left},
                          TrieNodeValue{labels[v].right, node.depth, 0}});
     }
     for (DocId d : node.end_docs) {
@@ -103,18 +95,15 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
 
 namespace {
 constexpr uint32_t kCatalogMagic = 0x50524958;  // "PRIX"
-/// Version 2 names the delta-coded formats (B+-tree leaves, varint doc
-/// records, varint store catalog); version 1, the fixed-width formats, is
-/// no longer read.
-constexpr uint32_t kCatalogVersion = 2;
+/// Version 3 drops version 2's two labeling-option fields (every build is
+/// exact-labeled); version 2 and the fixed-width version 1 are not read.
+constexpr uint32_t kCatalogVersion = 3;
 }  // namespace
 
 void PrixIndex::SerializeCatalog(std::vector<char>* blob) const {
   PutU32(blob, kCatalogMagic);
   PutU32(blob, kCatalogVersion);
   PutU32(blob, options_.extended ? 1 : 0);
-  PutU32(blob, static_cast<uint32_t>(options_.labeling));
-  PutU32(blob, options_.alpha);
   PutU64(blob, root_range_.left);
   PutU64(blob, root_range_.right);
   PutU32(blob, symbol_index_->meta_page_id());
@@ -171,7 +160,7 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
     if (p + bytes > end) return Status::Corruption("truncated index catalog");
     return Status::OK();
   };
-  PRIX_RETURN_NOT_OK(need(44));
+  PRIX_RETURN_NOT_OK(need(36));
   if (GetU32(p) != kCatalogMagic) {
     return Status::Corruption("not a PRIX index catalog");
   }
@@ -184,11 +173,6 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   p += 4;
   auto index = std::unique_ptr<PrixIndex>(new PrixIndex());
   index->options_.extended = GetU32(p) != 0;
-  p += 4;
-  index->options_.labeling =
-      static_cast<PrixIndexOptions::Labeling>(GetU32(p));
-  p += 4;
-  index->options_.alpha = GetU32(p);
   p += 4;
   index->root_range_.left = GetU64(p);
   p += 8;

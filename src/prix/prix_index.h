@@ -64,10 +64,6 @@ struct PrixIndexOptions {
   /// false: RPIndex (Regular-Prüfer); true: EPIndex (Extended-Prüfer,
   /// Sec. 5.6) — leaves get dummy children so every label enters the LPS.
   bool extended = false;
-  enum class Labeling { kExact, kDynamic };
-  Labeling labeling = Labeling::kExact;
-  /// Pre-allocated prefix depth for dynamic labeling (Sec. 5.2.1).
-  uint32_t alpha = 2;
 };
 
 /// Construction statistics (reported by benches and EXPERIMENTS.md).
@@ -77,7 +73,6 @@ struct PrixIndexBuildStats {
   uint64_t symbol_entries = 0;
   uint64_t docid_entries = 0;
   uint64_t total_sequence_length = 0;
-  LabelerStats labeler;
   uint64_t pages_after_build = 0;
 };
 

@@ -8,10 +8,10 @@
 // B+-tree entry per trie node carrying a (left, right] range label, plus a
 // Docid entry at every sequence end node. Inserting a sequence therefore
 // reduces, for either engine, to the same three moves — walk the shared
-// prefix through an in-memory mirror of the trie, claim sub-ranges from the
-// pre-allocated slack for the new suffix (Sec. 5.2.1), and fall back to a
-// batched relabel of the nearest ancestor whose scope can host its whole
-// subtree when the slack runs out.
+// prefix through an in-memory mirror of the trie, claim sub-ranges for the
+// new suffix from the slack an earlier relabel left (Sec. 5.2.1), and fall
+// back to a batched relabel of the nearest ancestor whose scope can host its
+// whole subtree when the slack runs out.
 //
 // This class owns the engine-neutral half: the mirror, the range arithmetic,
 // the relabel batch, and the Docid-key bookkeeping. Engine-specific
@@ -27,9 +27,15 @@
 //   };
 //
 // `ckey` is the engine's composite child key — the value that distinguishes
-// one trie child from its siblings. PRIX packs the LPS label; ViST packs
-// (symbol << 32) | prefix, exactly the key its build-time trie uses. The
-// mirror never interprets ckeys beyond equality.
+// one trie child from its siblings, the same key the bulk build's
+// SequenceTrie uses. PRIX packs the LPS label; ViST packs
+// (symbol << 32) | prefix. The mirror never interprets ckeys beyond
+// equality.
+//
+// This is the only labeler that runs on insert. Bulk builds are labeled
+// exactly (trie/range_labeler.h), without slack, so the first insert that
+// adds a node to a freshly built index grows the root scope and relabels
+// the whole trie once.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -68,8 +74,8 @@ class DynamicTrie {
   /// relabel touches it.
   static constexpr uint64_t kRelabelSpread = 16;
 
-  /// Ceiling for the root scope; matches the dynamic labeler's budget and
-  /// leaves headroom below 2^63 for interval arithmetic.
+  /// Ceiling for the root scope: 2^62 leaves headroom below 2^63 for
+  /// interval arithmetic.
   static constexpr uint64_t kMaxRootScope = uint64_t{1} << 62;
 
   /// Writer-side image of one virtual-trie node. The trie is never stored
@@ -91,7 +97,8 @@ class DynamicTrie {
   /// Rebuilds the mirror from the persisted node entries: sort by LeftPos —
   /// range labels assign LeftPos in preorder, so that IS a preorder walk —
   /// and recover each node's parent as the nearest enclosing range on a
-  /// stack, validating containment and level consistency as it goes.
+  /// stack, validating containment, distinct LeftPos and level consistency
+  /// as it goes.
   Status Init(std::vector<DynTrieEntry> ents, uint64_t root_left,
               uint64_t root_right) {
     std::sort(ents.begin(), ents.end(),
@@ -101,6 +108,8 @@ class DynamicTrie {
     nodes_.clear();
     doc_keys_.clear();
     next_seq_ = 0;
+    relabels_ = 0;
+    relabeled_nodes_ = 0;
     Node root;
     root.left = root_left;
     root.right = root_right;
@@ -112,6 +121,9 @@ class DynamicTrie {
       if (e.left <= root_left || e.left > root_right || e.right < e.left ||
           e.right > root_right) {
         return Status::Corruption("trie node range escapes the root scope");
+      }
+      if (nodes_.size() > 1 && nodes_.back().left == e.left) {
+        return Status::Corruption("two trie nodes share one LeftPos");
       }
       while (stk.size() > 1 &&
              !(nodes_[stk.back()].left < e.left &&
@@ -164,6 +176,9 @@ class DynamicTrie {
   size_t num_doc_keys() const { return doc_keys_.size(); }
   uint64_t root_left() const { return nodes_[0].left; }
   uint64_t root_right() const { return nodes_[0].right; }
+  /// Relabel batches run since Init, and the nodes they moved.
+  uint64_t relabels() const { return relabels_; }
+  uint64_t relabeled_nodes() const { return relabeled_nodes_; }
 
   /// Threads `ckeys` through the mirror, materializing the missing suffix
   /// as new persisted node entries, and returns the LeftPos of the end
@@ -382,6 +397,8 @@ class DynamicTrie {
       doc_keys_[md.doc] = nk;
     }
 
+    ++relabels_;
+    relabeled_nodes_ += desc.size();
     MetricsRegistry& reg = MetricsRegistry::Global();
     if (reg.enabled()) {
       reg.counter("prix.ingest.relabels").Add(1);
@@ -393,6 +410,8 @@ class DynamicTrie {
   std::vector<Node> nodes_;
   std::unordered_map<DocId, DynDocKey> doc_keys_;  ///< live documents only
   uint32_t next_seq_ = 0;  ///< next Docid-entry sequence number
+  uint64_t relabels_ = 0;
+  uint64_t relabeled_nodes_ = 0;
 };
 
 }  // namespace prix

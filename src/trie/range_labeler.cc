@@ -1,19 +1,6 @@
 #include "trie/range_labeler.h"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "common/macros.h"
-
 namespace prix {
-
-namespace {
-
-/// Root scope for dynamic labeling: large enough that only allocation
-/// policy, not arithmetic, causes underflow.
-constexpr uint64_t kRootScopeEnd = uint64_t{1} << 62;
-
-}  // namespace
 
 std::vector<RangeLabel> LabelTrieExact(const SequenceTrie& trie) {
   std::vector<RangeLabel> labels(trie.num_nodes());
@@ -39,237 +26,6 @@ std::vector<RangeLabel> LabelTrieExact(const SequenceTrie& trie) {
     }
   }
   return labels;
-}
-
-namespace {
-
-/// State of the dynamic labeler: per-node scope plus the cursor for
-/// allocating child scopes.
-struct DynNode {
-  RangeLabel scope;    // [left, right]; the node's own LeftPos is scope.left
-  uint64_t next_free;  // first unallocated position within scope
-  bool assigned = false;
-};
-
-class DynamicLabelerImpl {
- public:
-  DynamicLabelerImpl(const SequenceTrie& trie, uint32_t alpha,
-                     LabelerStats* stats)
-      : trie_(trie), alpha_(alpha), stats_(stats) {
-    nodes_.resize(trie.num_nodes());
-  }
-
-  void Run(const std::vector<std::vector<LabelId>>& sequences) {
-    AssignRoot();
-    if (alpha_ > 0) Preallocate(sequences);
-    // Replay insertions: assign scopes to nodes on first touch.
-    for (const auto& seq : sequences) {
-      uint32_t cur = trie_.root();
-      for (LabelId label : seq) {
-        auto it = trie_.node(cur).children.find(label);
-        PRIX_CHECK(it != trie_.node(cur).children.end());
-        uint32_t child = it->second;
-        if (!nodes_[child].assigned) AllocateChild(cur, child);
-        cur = child;
-      }
-    }
-  }
-
-  std::vector<RangeLabel> TakeLabels() {
-    std::vector<RangeLabel> labels(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) labels[i] = nodes_[i].scope;
-    return labels;
-  }
-
- private:
-  void AssignRoot() {
-    nodes_[trie_.root()].scope = RangeLabel{1, kRootScopeEnd};
-    nodes_[trie_.root()].next_free = 2;
-    nodes_[trie_.root()].assigned = true;
-  }
-
-  /// Pre-allocates scopes for all trie nodes at depth <= alpha,
-  /// proportionally to weight = sum of remaining sequence lengths through
-  /// the node (the paper's "frequency and length" criterion).
-  void Preallocate(const std::vector<std::vector<LabelId>>& sequences) {
-    std::vector<uint64_t> weight(trie_.num_nodes(), 0);
-    for (const auto& seq : sequences) {
-      uint32_t cur = trie_.root();
-      for (size_t i = 0; i < seq.size(); ++i) {
-        auto it = trie_.node(cur).children.find(seq[i]);
-        PRIX_CHECK(it != trie_.node(cur).children.end());
-        cur = it->second;
-        if (trie_.node(cur).depth > alpha_) break;
-        weight[cur] += seq.size() - i;  // remaining length incl. this label
-      }
-    }
-    // BFS over preallocated levels, splitting each parent's tail scope.
-    std::vector<uint32_t> frontier = {trie_.root()};
-    while (!frontier.empty()) {
-      std::vector<uint32_t> next;
-      for (uint32_t p : frontier) {
-        if (trie_.node(p).depth >= alpha_) continue;
-        std::vector<uint32_t> kids = trie_.SortedChildren(p);
-        if (kids.empty()) continue;
-        uint64_t total_weight = 0;
-        for (uint32_t c : kids) total_weight += std::max<uint64_t>(weight[c], 1);
-        DynNode& pn = nodes_[p];
-        uint64_t avail = pn.scope.right - pn.next_free + 1;
-        // Keep a tail fraction of the parent scope unreserved for children
-        // first seen after preallocation; 15/16 goes to the prealloc.
-        uint64_t budget = avail / 16 * 15;
-        PRIX_CHECK(budget >= 2 * kids.size() &&
-                   "alpha-prefix trie too wide for the parent scope");
-        // Proportional shares with a floor of 2, rescaled to fit the budget.
-        std::vector<uint64_t> share(kids.size());
-        uint64_t sum = 0;
-        for (size_t i = 0; i < kids.size(); ++i) {
-          uint64_t w = std::max<uint64_t>(weight[kids[i]], 1);
-          share[i] = std::max<uint64_t>(budget / 2 * w / total_weight, 2);
-          sum += share[i];
-        }
-        PRIX_CHECK(sum <= budget);
-        uint64_t cursor = pn.next_free;
-        for (size_t i = 0; i < kids.size(); ++i) {
-          DynNode& cn = nodes_[kids[i]];
-          cn.scope = RangeLabel{cursor, cursor + share[i] - 1};
-          cn.next_free = cursor + 1;
-          cn.assigned = true;
-          cursor += share[i];
-          next.push_back(kids[i]);
-        }
-        pn.next_free = cursor;
-      }
-      frontier = std::move(next);
-    }
-  }
-
-  /// Dynamic allocation: the child takes 3/4 of the parent's remaining
-  /// scope (deep chains then lose only a constant fraction per level, while
-  /// a node's k-th late-arriving child sees a 4^-k slice — the high-fanout
-  /// scope underflow the paper attributes to the dynamic scheme). On
-  /// underflow, relabels the nearest ancestor subtree with slack.
-  void AllocateChild(uint32_t parent, uint32_t child) {
-    DynNode& pn = nodes_[parent];
-    PRIX_CHECK(pn.assigned);
-    uint64_t remaining =
-        pn.scope.right >= pn.next_free ? pn.scope.right - pn.next_free + 1 : 0;
-    if (remaining < 2) {
-      ++stats_->underflows;
-      Relabel(parent);
-      // After relabeling, the child has been assigned iff it existed
-      // already; it did not (we are creating it), so allocate again.
-      AllocateChild(parent, child);
-      return;
-    }
-    uint64_t share = std::max<uint64_t>(remaining / 4 * 3, 2);
-    if (share > remaining) share = remaining;
-    DynNode& cn = nodes_[child];
-    cn.scope = RangeLabel{pn.next_free, pn.next_free + share - 1};
-    cn.next_free = cn.scope.left + 1;
-    cn.assigned = true;
-    pn.next_free += share;
-  }
-
-  /// Computes assigned-subtree sizes for the subtree of `node` into
-  /// `sizes_` (memoized per relabel; the recursion itself is linear).
-  uint64_t ComputeSizes(uint32_t node) {
-    uint64_t size = 1;
-    for (const auto& [label, child] : trie_.node(node).children) {
-      if (nodes_[child].assigned) size += ComputeSizes(child);
-    }
-    sizes_[node] = size;
-    return size;
-  }
-
-  /// Finds the nearest ancestor of `node` whose scope can hold 16x the
-  /// assigned subtree size, then reassigns proportional ranges (with slack)
-  /// to the whole assigned subtree. Linear in the relabeled subtree.
-  void Relabel(uint32_t node) {
-    uint32_t anc = node;
-    while (true) {
-      sizes_.clear();
-      uint64_t need = ComputeSizes(anc) * 16;
-      uint64_t scope_size =
-          nodes_[anc].scope.right - nodes_[anc].scope.left + 1;
-      if (scope_size >= need || anc == trie_.root()) break;
-      anc = trie_.node(anc).parent;
-    }
-    AssignRec(anc);
-  }
-
-  void AssignRec(uint32_t id) {
-    ++stats_->relabeled_nodes;
-    DynNode& dn = nodes_[id];
-    std::vector<uint32_t> kids;
-    uint64_t total_sub = 0;
-    for (uint32_t c : trie_.SortedChildren(id)) {
-      if (nodes_[c].assigned) {
-        kids.push_back(c);
-        total_sub += sizes_[c];
-      }
-    }
-    // Spread existing children over half the scope; the other half stays
-    // free for children that arrive after this relabel (otherwise a
-    // high-fanout node relabels again almost immediately).
-    uint64_t scope_size = dn.scope.right - dn.scope.left + 1;
-    uint64_t cursor = dn.scope.left + 1;
-    for (size_t i = 0; i < kids.size(); ++i) {
-      uint64_t sub = sizes_[kids[i]];
-      uint64_t share =
-          std::max<uint64_t>(scope_size / 2 * sub / (total_sub + 1), sub * 4);
-      uint64_t cap = dn.scope.right >= cursor ? dn.scope.right - cursor + 1 : 0;
-      if (share > cap) share = cap;
-      PRIX_CHECK(share >= sub * 2 && "relabel target scope too small");
-      nodes_[kids[i]].scope = RangeLabel{cursor, cursor + share - 1};
-      cursor += share;
-      AssignRec(kids[i]);
-    }
-    dn.next_free = cursor;
-  }
-
-  const SequenceTrie& trie_;
-  uint32_t alpha_;
-  LabelerStats* stats_;
-  std::vector<DynNode> nodes_;
-  std::unordered_map<uint32_t, uint64_t> sizes_;  // per-relabel memo
-};
-
-}  // namespace
-
-std::vector<RangeLabel> LabelTrieDynamic(
-    const SequenceTrie& trie,
-    const std::vector<std::vector<LabelId>>& sequences, uint32_t alpha,
-    LabelerStats* stats) {
-  LabelerStats local;
-  DynamicLabelerImpl impl(trie, alpha, stats != nullptr ? stats : &local);
-  impl.Run(sequences);
-  return impl.TakeLabels();
-}
-
-bool ValidateContainment(const SequenceTrie& trie,
-                         const std::vector<RangeLabel>& labels) {
-  if (labels.size() != trie.num_nodes()) return false;
-  for (uint32_t id = 0; id < trie.num_nodes(); ++id) {
-    const RangeLabel& l = labels[id];
-    if (l.left == 0 || l.right < l.left) return false;
-    if (id != trie.root()) {
-      const RangeLabel& p = labels[trie.node(id).parent];
-      if (!(l.left > p.left && l.right <= p.right)) return false;
-    }
-    // Sibling disjointness.
-    std::vector<uint32_t> kids = trie.SortedChildren(id);
-    std::vector<RangeLabel> ranges;
-    for (uint32_t c : kids) ranges.push_back(labels[c]);
-    std::sort(ranges.begin(), ranges.end(),
-              [](const RangeLabel& a, const RangeLabel& b) {
-                return a.left < b.left;
-              });
-    for (size_t i = 1; i < ranges.size(); ++i) {
-      if (ranges[i].left <= ranges[i - 1].right) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace prix

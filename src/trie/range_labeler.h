@@ -21,36 +21,13 @@ struct RangeLabel {
   bool operator==(const RangeLabel&) const = default;
 };
 
-/// Counters for the dynamic labeling ablation (A3 in DESIGN.md).
-struct LabelerStats {
-  uint64_t underflows = 0;       ///< scope underflow events
-  uint64_t relabeled_nodes = 0;  ///< nodes whose range was reassigned
-};
-
-/// Exact two-pass labeling: left = preorder rank (1-based), right = largest
-/// rank in the subtree. Never underflows; requires the full trie upfront.
-/// Returned vector is indexed by trie node id (root gets [1, num_nodes]).
+/// Exact two-pass labeling of a bulk build: left = preorder rank (1-based,
+/// children in key order), right = largest rank in the subtree. Leaves no
+/// slack; sequences inserted later go through DynamicTrie
+/// (trie/dynamic_trie.h), whose first insert grows the root scope and
+/// relabels once. Returned vector is indexed by trie node id (root gets
+/// [1, num_nodes]).
 std::vector<RangeLabel> LabelTrieExact(const SequenceTrie& trie);
-
-/// The paper's dynamic labeling scheme (after ViST): sequences arrive one at
-/// a time; each new trie node takes half of its parent's remaining scope.
-/// Prefixes of length <= `alpha` are PRE-allocated using an in-memory prefix
-/// trie, with scopes proportional to frequency x remaining sequence length
-/// (Sec. 5.2.1). A scope underflow triggers a counted relabel of the nearest
-/// ancestor subtree with sufficient slack.
-///
-/// `sequences` must be the exact multiset inserted into `trie`, in insertion
-/// order. Returns labels indexed by trie node id.
-std::vector<RangeLabel> LabelTrieDynamic(
-    const SequenceTrie& trie,
-    const std::vector<std::vector<LabelId>>& sequences, uint32_t alpha,
-    LabelerStats* stats);
-
-/// Validates the containment property over all labels: children strictly
-/// inside parents, siblings disjoint, left unique. Returns false on any
-/// violation (used by tests and the A3 bench).
-bool ValidateContainment(const SequenceTrie& trie,
-                         const std::vector<RangeLabel>& labels);
 
 }  // namespace prix
 

@@ -8,35 +8,30 @@ SequenceTrie::SequenceTrie() {
   nodes_.push_back(Node{});  // root, depth 0
 }
 
-void SequenceTrie::Insert(const std::vector<LabelId>& seq, DocId doc) {
-  uint32_t cur = root();
-  ++nodes_[cur].seqs_through;
-  for (LabelId label : seq) {
-    auto it = nodes_[cur].children.find(label);
-    uint32_t next;
-    if (it == nodes_[cur].children.end()) {
-      next = static_cast<uint32_t>(nodes_.size());
-      Node n;
-      n.label = label;
-      n.parent = cur;
-      n.depth = nodes_[cur].depth + 1;
-      nodes_.push_back(std::move(n));
-      nodes_[cur].children.emplace(label, next);
-    } else {
-      next = it->second;
-    }
-    cur = next;
-    ++nodes_[cur].seqs_through;
+uint32_t SequenceTrie::Step(uint32_t cur, uint64_t key) {
+  auto it = nodes_[cur].children.find(key);
+  uint32_t next;
+  if (it == nodes_[cur].children.end()) {
+    next = static_cast<uint32_t>(nodes_.size());
+    Node n;
+    n.key = key;
+    n.parent = cur;
+    n.depth = nodes_[cur].depth + 1;
+    nodes_.push_back(std::move(n));
+    nodes_[cur].children.emplace(key, next);
+  } else {
+    next = it->second;
   }
-  nodes_[cur].end_docs.push_back(doc);
+  ++nodes_[next].seqs_through;
+  return next;
 }
 
 std::vector<uint32_t> SequenceTrie::SortedChildren(uint32_t id) const {
   std::vector<uint32_t> kids;
   kids.reserve(nodes_[id].children.size());
-  for (const auto& [label, child] : nodes_[id].children) kids.push_back(child);
+  for (const auto& [key, child] : nodes_[id].children) kids.push_back(child);
   std::sort(kids.begin(), kids.end(), [this](uint32_t a, uint32_t b) {
-    return nodes_[a].label < nodes_[b].label;
+    return nodes_[a].key < nodes_[b].key;
   });
   return kids;
 }

@@ -8,88 +8,6 @@
 
 namespace prix {
 
-namespace {
-
-/// Build-time trie over structure-encoded sequences, keyed by the packed
-/// (symbol, prefix) pair.
-struct VistTrie {
-  struct Node {
-    LabelId symbol = kInvalidLabel;
-    PrefixId prefix = 0;
-    uint32_t parent = 0;
-    uint32_t depth = 0;
-    std::unordered_map<uint64_t, uint32_t> children;
-    std::vector<DocId> end_docs;
-  };
-  std::vector<Node> nodes;
-
-  VistTrie() { nodes.emplace_back(); }
-
-  static uint64_t Pack(const VistItem& item) {
-    return (static_cast<uint64_t>(item.symbol) << 32) | item.prefix;
-  }
-
-  void Insert(const std::vector<VistItem>& seq, DocId doc) {
-    uint32_t cur = 0;
-    for (const VistItem& item : seq) {
-      uint64_t key = Pack(item);
-      auto it = nodes[cur].children.find(key);
-      uint32_t next;
-      if (it == nodes[cur].children.end()) {
-        next = static_cast<uint32_t>(nodes.size());
-        Node n;
-        n.symbol = item.symbol;
-        n.prefix = item.prefix;
-        n.parent = cur;
-        n.depth = nodes[cur].depth + 1;
-        nodes.push_back(std::move(n));
-        nodes[cur].children.emplace(key, next);
-      } else {
-        next = it->second;
-      }
-      cur = next;
-    }
-    nodes[cur].end_docs.push_back(doc);
-  }
-
-  /// Exact two-pass range labeling (left = preorder rank).
-  std::vector<RangeLabel> Label() const {
-    std::vector<RangeLabel> labels(nodes.size());
-    uint64_t counter = 0;
-    struct Frame {
-      uint32_t node;
-      std::vector<uint32_t> kids;
-      size_t next = 0;
-    };
-    auto sorted_children = [this](uint32_t id) {
-      std::vector<uint32_t> kids;
-      kids.reserve(nodes[id].children.size());
-      for (const auto& [key, child] : nodes[id].children) {
-        kids.push_back(child);
-      }
-      std::sort(kids.begin(), kids.end());
-      return kids;
-    };
-    std::vector<Frame> stack;
-    stack.push_back(Frame{0, sorted_children(0), 0});
-    labels[0].left = ++counter;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.next < f.kids.size()) {
-        uint32_t child = f.kids[f.next++];
-        labels[child].left = ++counter;
-        stack.push_back(Frame{child, sorted_children(child), 0});
-      } else {
-        labels[f.node].right = counter;
-        stack.pop_back();
-      }
-    }
-    return labels;
-  }
-};
-
-}  // namespace
-
 Result<std::unique_ptr<VistIndex>> VistIndex::Build(
     const std::vector<Document>& documents, BufferPool* pool,
     VistIndexBuildStats* stats) {
@@ -99,44 +17,48 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Build(
   VistIndexBuildStats local;
   if (stats == nullptr) stats = &local;
 
-  VistTrie trie;
+  SequenceTrie trie;
+  std::vector<uint64_t> keys;
   for (DocId d = 0; d < documents.size(); ++d) {
     PRIX_CHECK(documents[d].doc_id() == d);
     std::vector<VistItem> seq =
         BuildVistSequence(documents[d], &index->prefixes_);
-    trie.Insert(seq, d);
+    keys.clear();
     // Persist the raw sequence for post-verification.
     std::vector<char> buf;
     PutU32(&buf, static_cast<uint32_t>(seq.size()));
     for (const VistItem& item : seq) {
+      keys.push_back(item.ChildKey());
       PutU32(&buf, item.symbol);
       PutU32(&buf, item.prefix);
     }
+    trie.Insert(keys, d);
     PRIX_ASSIGN_OR_RETURN(uint32_t id,
                           index->seq_store_->Append(buf.data(), buf.size()));
     PRIX_DCHECK(id == d);
     (void)id;
   }
-  stats->trie_nodes = trie.nodes.size();
+  stats->trie_nodes = trie.num_nodes();
   stats->distinct_prefixes = index->prefixes_.size();
   stats->prefix_labels = index->prefixes_.total_labels();
 
-  std::vector<RangeLabel> labels = trie.Label();
-  index->root_range_ = labels[0];
+  std::vector<RangeLabel> labels = LabelTrieExact(trie);
+  index->root_range_ = labels[trie.root()];
   // Both B+-trees are bulk-loaded from their entries in key order.
   std::vector<DAncestorTree::Entry> nodes;
-  nodes.reserve(trie.nodes.size());
+  nodes.reserve(trie.num_nodes());
   std::vector<DocTree::Entry> ends;
   ends.reserve(documents.size());
   uint32_t doc_seq = 0;
   std::unordered_map<LabelId, std::unordered_set<PrefixId>> key_sets;
-  for (uint32_t v = 0; v < trie.nodes.size(); ++v) {
-    const auto& node = trie.nodes[v];
-    if (v != 0) {
+  for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
+    const auto& node = trie.node(v);
+    if (v != trie.root()) {
+      const VistItem item = VistItem::FromChildKey(node.key);
       nodes.push_back(
-          {VistKey{node.symbol, 0, labels[v].left},
-           VistNodeValue{labels[v].right, node.depth, node.prefix}});
-      key_sets[node.symbol].insert(node.prefix);
+          {VistKey{item.symbol, 0, labels[v].left},
+           VistNodeValue{labels[v].right, node.depth, item.prefix}});
+      key_sets[item.symbol].insert(item.prefix);
     }
     for (DocId d : node.end_docs) {
       ends.push_back({VistDocKey{labels[v].left, doc_seq++, 0}, d});

@@ -50,6 +50,17 @@ struct VistItem {
   PrefixId prefix;
 
   bool operator==(const VistItem&) const = default;
+
+  /// The virtual-trie child key, (symbol << 32) | prefix: what tells a
+  /// trie node from its siblings, at build (SequenceTrie) and on insert
+  /// (DynamicTrie).
+  uint64_t ChildKey() const {
+    return (static_cast<uint64_t>(symbol) << 32) | prefix;
+  }
+  static VistItem FromChildKey(uint64_t key) {
+    return VistItem{static_cast<LabelId>(key >> 32),
+                    static_cast<PrefixId>(key & 0xffffffffu)};
+  }
 };
 
 /// Transforms `doc` into its structure-encoded sequence: the preorder list

@@ -88,9 +88,7 @@ class IngestCrashTest : public ::testing::Test {
     for (const char* s : kSeedSexps) {
       seed.push_back(DocFromSexp(s, id++, &dict_));
     }
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(seed, (*db)->pool(), options);
+    auto index = PrixIndex::Build(seed, (*db)->pool(), PrixIndexOptions{});
     // Each commit's expected state is recorded BEFORE the attempt: a crash
     // on the commit-point header write itself may land the commit whole, in
     // which case recovery reports last_ok + 1 and must see this state.

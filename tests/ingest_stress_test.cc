@@ -107,13 +107,11 @@ TEST_F(IngestStressTest, EveryBatchEqualsExactlyOneGenerationsOracle) {
   doc_opts.value_leaf_prob = 0.0;  // structural queries only
   std::vector<Document> pool = RandomCollection(rng, 120, &dict_, doc_opts);
 
-  // Seed: the first 10 documents, dynamically labeled so inserts have
-  // slack (ranges that exhaust mid-run exercise relabeling under readers).
+  // Seed: the first 10 documents, exact-labeled as every build is. The
+  // first insert grows the root scope and relabels the whole trie, and
+  // ranges that exhaust later relabel again, all under readers.
   std::vector<Document> seed(pool.begin(), pool.begin() + 10);
-  PrixIndexOptions options;
-  options.labeling = PrixIndexOptions::Labeling::kDynamic;
-  options.alpha = 2;
-  auto index = PrixIndex::Build(seed, db_.pool(), options);
+  auto index = PrixIndex::Build(seed, db_.pool(), PrixIndexOptions{});
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   ASSERT_TRUE((*index)->Save(&db_.db(), "rp").ok());
   for (DocId d = 0; d < seed.size(); ++d) live_.emplace(d, seed[d]);

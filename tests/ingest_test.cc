@@ -40,11 +40,11 @@ class IngestTest : public ::testing::Test {
  protected:
   IngestTest() : db_(Database::Options{.pool_pages = 128}) {}
 
-  // Seeds the database with an index named `name` over `sexps`, using the
-  // dynamic labeler so later inserts find pre-allocated slack.
+  // Seeds the database with an index named `name` over `sexps`. Builds are
+  // exact-labeled, so the first insert that adds a trie node relabels.
   std::vector<Document> Seed(const std::string& name,
                              const std::vector<std::string>& sexps,
-                             PrixIndexOptions options = DynamicOptions()) {
+                             PrixIndexOptions options = {}) {
     std::vector<Document> docs;
     DocId id = 0;
     for (const std::string& s : sexps) {
@@ -54,12 +54,6 @@ class IngestTest : public ::testing::Test {
     EXPECT_TRUE(index.ok()) << index.status().ToString();
     EXPECT_TRUE((*index)->Save(&db_.db(), name).ok());
     return docs;
-  }
-
-  static PrixIndexOptions DynamicOptions() {
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    return options;
   }
 
   // Matching DocIds for `xpath`, via a freshly opened index (ingest moves
@@ -197,10 +191,7 @@ TEST_F(IngestTest, ExactLabeledIndexGrowsItsRangesAndRelabels) {
   // insert that extends a path must go through the relabel machinery.
   MetricsRegistry::Global().set_enabled(true);
   MetricsRegistry::Global().Reset();
-  PrixIndexOptions options;
-  options.labeling = PrixIndexOptions::Labeling::kExact;
-  Seed("rp", {"(book (author (name)) (title))", "(article (author (name)))"},
-       options);
+  Seed("rp", {"(book (author (name)) (title))", "(article (author (name)))"});
 
   Document doc =
       DocFromSexp("(book (author (name) (name)) (title) (year))", 2, &dict_);
@@ -230,9 +221,7 @@ TEST_F(IngestTest, IncrementalBuildEqualsBulkRebuild) {
   doc_opts.deep_bias = 0.85;
   std::vector<Document> pool = RandomCollection(rng, 60, &dict_, doc_opts);
 
-  PrixIndexOptions options;
-  options.labeling = PrixIndexOptions::Labeling::kExact;
-  Seed("rp", {"(tag0 (tag1))"}, options);
+  Seed("rp", {"(tag0 (tag1))"});
   std::map<DocId, Document> live;
   live.emplace(0u, DocFromSexp("(tag0 (tag1))", 0, &dict_));
 
@@ -442,7 +431,7 @@ TEST_F(IngestTest, ExtendedIndexIngestsInLockstepWithRegular) {
   // The CLI keeps "rp" and "ep" DocIds in lockstep; value queries route to
   // the extended index, structural ones to the regular — both must see the
   // grown collection.
-  PrixIndexOptions ep_options = DynamicOptions();
+  PrixIndexOptions ep_options;
   ep_options.extended = true;
   Seed("rp", {"(book (author (=Jim)) (title))"});
   Seed("ep", {"(book (author (=Jim)) (title))"}, ep_options);

@@ -232,6 +232,35 @@ TEST(PersistenceTest, StreamCatalogsBeforeV3AreRefused) {
   }
 }
 
+TEST(PersistenceTest, PrixCatalogV2IsRefused) {
+  // Version 2 carried two labeling-option fields that version 3 dropped;
+  // no reader for it is kept. A v2-shaped blob (magic, version, extended,
+  // labeling, alpha, root range, two tree roots) must not parse as v3.
+  TempDb db(Database::Options{.pool_pages = 64});
+  std::vector<char> blob;
+  PutU32(&blob, 0x50524958);  // "PRIX"
+  PutU32(&blob, 2);
+  for (int field = 0; field < 3; ++field) PutU32(&blob, 0);
+  PutU64(&blob, 1);
+  PutU64(&blob, 1);
+  for (int field = 0; field < 2; ++field) PutU32(&blob, 0);
+  auto root = WriteBlob(db.pool(), blob);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  Database::IndexEntry entry;
+  entry.name = "rp-v2";
+  entry.kind = Database::IndexKind::kPrixRegular;
+  entry.root = *root;
+  ASSERT_TRUE(db->PutIndex(entry).ok());
+  auto opened = PrixIndex::Open(&db.db(), entry.name);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+  EXPECT_NE(opened.status().ToString().find(
+                "unsupported index catalog version 2"),
+            std::string::npos)
+      << opened.status().ToString();
+}
+
 TEST(PersistenceTest, OpenRejectsGarbageCatalog) {
   TempDb db(Database::Options{.pool_pages = 64});
   std::vector<char> junk(100, 'z');

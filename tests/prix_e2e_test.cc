@@ -57,17 +57,12 @@ std::vector<TwigMatch> Oracle(const std::vector<Document>& docs,
 
 class PrixE2eTest : public ::testing::Test {
  protected:
-  void BuildIndexes(const std::vector<Document>& docs,
-                    PrixIndexOptions::Labeling labeling =
-                        PrixIndexOptions::Labeling::kExact) {
-    PrixIndexOptions rp_opts;
-    rp_opts.labeling = labeling;
-    auto rp = PrixIndex::Build(docs, db_.pool(), rp_opts);
+  void BuildIndexes(const std::vector<Document>& docs) {
+    auto rp = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     rp_ = std::move(*rp);
     PrixIndexOptions ep_opts;
     ep_opts.extended = true;
-    ep_opts.labeling = labeling;
     auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
     ASSERT_TRUE(ep.ok()) << ep.status().ToString();
     ep_ = std::move(*ep);
@@ -324,11 +319,29 @@ TEST_F(PrixE2eTest, RandomizedAgreementUnordered) {
   EXPECT_GT(checked, 8);
 }
 
-TEST_F(PrixE2eTest, DynamicLabelingGivesSameAnswers) {
+TEST_F(PrixE2eTest, InsertedDocumentsGiveSameAnswers) {
+  // Bulk-build half the collection, exact-labeled, then insert the rest one
+  // at a time: the insert labeler (DynamicTrie) relabels and spreads the
+  // ranges, and both indexes must still answer like the oracle.
   TagDictionary dict;
   Random rng(4004);
   std::vector<Document> docs = RandomCollection(rng, 40, &dict);
-  BuildIndexes(docs, PrixIndexOptions::Labeling::kDynamic);
+  const std::vector<Document> half(docs.begin(), docs.begin() + 20);
+  BuildIndexes(half);
+  ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
+  ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
+  for (size_t d = half.size(); d < docs.size(); ++d) {
+    for (const char* name : {"rp", "ep"}) {
+      auto id = db_->InsertDocument(name, docs[d]);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      ASSERT_EQ(*id, d);
+    }
+  }
+  auto rp = PrixIndex::Open(&db_.db(), "rp");
+  auto ep = PrixIndex::Open(&db_.db(), "ep");
+  ASSERT_TRUE(rp.ok() && ep.ok());
+  rp_ = std::move(*rp);
+  ep_ = std::move(*ep);
   for (int trial = 0; trial < 20; ++trial) {
     const Document& doc = docs[rng.Uniform(docs.size())];
     TwigPattern pattern = RandomTwig(rng, doc, &dict);

@@ -13,7 +13,6 @@
 #include "testutil/occurrences.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
-#include "trie/range_labeler.h"
 #include "xml/xml_parser.h"
 #include "xml/xml_writer.h"
 
@@ -166,53 +165,12 @@ TEST_P(XmlRoundTripTest, WriteParseRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, XmlRoundTripTest,
                          ::testing::Values(11, 22, 33, 44));
 
-// ------------------------------------------------------------- labeling
-
-struct LabelerParam {
-  uint64_t seed;
-  uint32_t alpha;
-  size_t alphabet;
-};
-
-class LabelerPropertyTest : public ::testing::TestWithParam<LabelerParam> {};
-
-TEST_P(LabelerPropertyTest, DynamicLabelsSatisfyContainment) {
-  Random rng(GetParam().seed);
-  SequenceTrie trie;
-  std::vector<std::vector<LabelId>> seqs;
-  for (DocId d = 0; d < 400; ++d) {
-    std::vector<LabelId> seq;
-    size_t len = 1 + rng.Uniform(20);
-    for (size_t i = 0; i < len; ++i) {
-      seq.push_back(static_cast<LabelId>(rng.Uniform(GetParam().alphabet)));
-    }
-    trie.Insert(seq, d);
-    seqs.push_back(std::move(seq));
-  }
-  LabelerStats stats;
-  auto labels = LabelTrieDynamic(trie, seqs, GetParam().alpha, &stats);
-  EXPECT_TRUE(ValidateContainment(trie, labels));
-  EXPECT_TRUE(ValidateContainment(trie, LabelTrieExact(trie)));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grids, LabelerPropertyTest,
-    ::testing::Values(LabelerParam{1, 0, 4}, LabelerParam{1, 2, 4},
-                      LabelerParam{2, 0, 64}, LabelerParam{2, 1, 64},
-                      LabelerParam{3, 3, 512}, LabelerParam{4, 2, 2048}),
-    [](const auto& info) {
-      return "seed" + std::to_string(info.param.seed) + "_alpha" +
-             std::to_string(info.param.alpha) + "_sigma" +
-             std::to_string(info.param.alphabet);
-    });
-
 // ------------------------------------------------------ end-to-end PRIX
 
 struct E2eParam {
   uint64_t seed;
   double descendant_prob;
   double star_prob;
-  bool dynamic_labeling;
 };
 
 class PrixAgreementTest : public ::testing::TestWithParam<E2eParam> {
@@ -231,14 +189,9 @@ TEST_P(PrixAgreementTest, MatchesOracleUnderAllConfigurations) {
   doc_opts.alphabet = 5;
   std::vector<Document> docs = RandomCollection(rng, 35, &dict, doc_opts);
 
-  PrixIndexOptions rp_opts;
   PrixIndexOptions ep_opts;
   ep_opts.extended = true;
-  if (param.dynamic_labeling) {
-    rp_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
-    ep_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
-  }
-  auto rp = PrixIndex::Build(docs, db_.pool(), rp_opts);
+  auto rp = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
   auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
   ASSERT_TRUE(rp.ok() && ep.ok());
   rp_ = std::move(*rp);
@@ -283,19 +236,15 @@ TEST_P(PrixAgreementTest, MatchesOracleUnderAllConfigurations) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, PrixAgreementTest,
-    ::testing::Values(E2eParam{101, 0.0, 0.0, false},
-                      E2eParam{102, 0.0, 0.0, true},
-                      E2eParam{103, 0.4, 0.0, false},
-                      E2eParam{104, 0.4, 0.2, false},
-                      E2eParam{105, 0.8, 0.1, false},
-                      E2eParam{106, 0.4, 0.2, true}),
+    ::testing::Values(E2eParam{101, 0.0, 0.0}, E2eParam{102, 0.0, 0.0},
+                      E2eParam{103, 0.4, 0.0}, E2eParam{104, 0.4, 0.2},
+                      E2eParam{105, 0.8, 0.1}, E2eParam{106, 0.4, 0.2}),
     [](const auto& info) {
       return "seed" + std::to_string(info.param.seed) + "_desc" +
              std::to_string(static_cast<int>(info.param.descendant_prob *
                                              100)) +
              "_star" +
-             std::to_string(static_cast<int>(info.param.star_prob * 100)) +
-             (info.param.dynamic_labeling ? "_dyn" : "_exact");
+             std::to_string(static_cast<int>(info.param.star_prob * 100));
     });
 
 // ------------------------------------------------- value-anchored descent
@@ -369,7 +318,6 @@ TwigPattern ValueTwig(Random& rng, const Document& doc, size_t num_values,
 struct AnchorParam {
   uint64_t seed;
   double descendant_prob;
-  bool dynamic_labeling;
   bool shared_names;  ///< values and tags draw from one set of labels
 };
 
@@ -394,14 +342,9 @@ TEST_P(ValueAnchorTest, AnchorsOnlySkipDeadSubtrees) {
   if (param.shared_names) doc_opts.value_prefix = "tag";
   std::vector<Document> docs = RandomCollection(rng, 40, &dict, doc_opts);
 
-  PrixIndexOptions rp_opts;
   PrixIndexOptions ep_opts;
   ep_opts.extended = true;
-  if (param.dynamic_labeling) {
-    rp_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
-    ep_opts.labeling = PrixIndexOptions::Labeling::kDynamic;
-  }
-  auto rp = PrixIndex::Build(docs, db_.pool(), rp_opts);
+  auto rp = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
   auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
   ASSERT_TRUE(rp.ok() && ep.ok());
   QueryProcessor qp(db_.db(), rp->get(), ep->get());
@@ -449,17 +392,14 @@ TEST_P(ValueAnchorTest, AnchorsOnlySkipDeadSubtrees) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, ValueAnchorTest,
-    ::testing::Values(AnchorParam{201, 0.0, false, false},
-                      AnchorParam{202, 0.0, true, true},
-                      AnchorParam{203, 0.4, false, true},
-                      AnchorParam{204, 0.4, true, false},
-                      AnchorParam{205, 0.7, false, false},
-                      AnchorParam{206, 0.7, true, true}),
+    ::testing::Values(AnchorParam{201, 0.0, false}, AnchorParam{202, 0.0, true},
+                      AnchorParam{203, 0.4, true}, AnchorParam{204, 0.4, false},
+                      AnchorParam{205, 0.7, false},
+                      AnchorParam{206, 0.7, true}),
     [](const auto& info) {
       return "seed" + std::to_string(info.param.seed) + "_desc" +
              std::to_string(static_cast<int>(info.param.descendant_prob *
                                              100)) +
-             (info.param.dynamic_labeling ? "_dyn" : "_exact") +
              (info.param.shared_names ? "_shared" : "_apart");
     });
 

@@ -69,9 +69,7 @@ class ReplCrashTest : public ::testing::Test {
     std::vector<Document> seed;
     seed.push_back(DocFromSexp("(book (author (name)) (title))", 0, &dict_));
     seed.push_back(DocFromSexp("(article (author (name)))", 1, &dict_));
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(seed, (*db)->pool(), options);
+    auto index = PrixIndex::Build(seed, (*db)->pool(), PrixIndexOptions{});
     Status st = index.ok() ? (*index)->Save(db->get(), "rp") : index.status();
     if (!st.ok()) {
       (*db)->Abandon();
@@ -207,9 +205,7 @@ class FollowerReplayCrashTest : public ReplCrashTest {
     std::vector<Document> seed;
     seed.push_back(DocFromSexp("(book (author (name)) (title))", 0, &dict_));
     seed.push_back(DocFromSexp("(article (author (name)))", 1, &dict_));
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(seed, (*db)->pool(), options);
+    auto index = PrixIndex::Build(seed, (*db)->pool(), PrixIndexOptions{});
     ASSERT_TRUE(index.ok());
     ASSERT_TRUE((*index)->Save(db->get(), "rp").ok());
     ASSERT_TRUE((*db)->Close().ok());

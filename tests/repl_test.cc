@@ -252,9 +252,7 @@ class DbOpLogTest : public ::testing::Test {
     std::vector<Document> docs;
     docs.push_back(DocFromSexp("(book (author (name)) (title))", 0, &dict_));
     docs.push_back(DocFromSexp("(article (author (name)))", 1, &dict_));
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(docs, db_.pool(), options);
+    auto index = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ASSERT_TRUE((*index)->Save(&db_.db(), "rp").ok());
   }
@@ -522,9 +520,7 @@ class ApplyTest : public ::testing::Test {
   void SeedRp() {
     std::vector<Document> docs;
     docs.push_back(DocFromSexp("(book (author (name)))", 0, &dict_));
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(docs, db_.pool(), options);
+    auto index = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(index.ok());
     ASSERT_TRUE((*index)->Save(&db_.db(), "rp").ok());
   }
@@ -626,9 +622,7 @@ class ReplE2ETest : public ::testing::Test {
                                  static_cast<DocId>(i), &dict_));
     }
     next_doc_ = static_cast<uint32_t>(seed_docs);
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(docs, leader_->pool(), options);
+    auto index = PrixIndex::Build(docs, leader_->pool(), PrixIndexOptions{});
     ASSERT_TRUE(index.ok());
     ASSERT_TRUE((*index)->Save(leader_.get(), "rp").ok());
   }

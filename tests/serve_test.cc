@@ -43,16 +43,14 @@ class ServeTest : public ::testing::Test {
  protected:
   ServeTest() : db_(Database::Options{.pool_pages = 256}) {}
 
-  // Seeds "rp" (dynamic labeling, so ingest finds slack) over `sexps`.
+  // Seeds "rp" over `sexps`.
   void Seed(const std::vector<std::string>& sexps) {
     std::vector<Document> docs;
     DocId id = 0;
     for (const std::string& s : sexps) {
       docs.push_back(DocFromSexp(s, id++, &dict_));
     }
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto index = PrixIndex::Build(docs, db_.pool(), options);
+    auto index = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ASSERT_TRUE((*index)->Save(&db_.db(), "rp").ok());
   }

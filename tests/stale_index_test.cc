@@ -85,16 +85,14 @@ class StaleIndexTest : public ::testing::Test {
  protected:
   StaleIndexTest() : db_(Database::Options{.pool_pages = 256}) {}
 
-  // One collection, three aligned engines over it: PRIX "rp" (dynamic
-  // labeling so ingest works), ViST "v", TwigStack streams "ts" + XB forest
-  // "xb". All four ride every ingest commit.
+  // One collection, three aligned engines over it: PRIX "rp", ViST "v",
+  // TwigStack streams "ts" + XB forest "xb". All four ride every ingest
+  // commit.
   void BuildAllEngines() {
     docs_.push_back(DocFromSexp("(book (author (name)) (title))", 0, &dict_));
     docs_.push_back(DocFromSexp("(article (author (name)))", 1, &dict_));
 
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto rp = PrixIndex::Build(docs_, db_.pool(), options);
+    auto rp = PrixIndex::Build(docs_, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     ASSERT_TRUE((*rp)->Save(&db_.db(), "rp").ok());
 

@@ -51,12 +51,10 @@ class TriEngineIngestTest : public ::testing::Test {
  protected:
   TriEngineIngestTest() : db_(Database::Options{.pool_pages = 512}) {}
 
-  // Builds "rp" (dynamic-labeled PRIX), "v" (ViST), "ts" + "xb" (TwigStack
+  // Builds "rp" (PRIX), "v" (ViST), "ts" + "xb" (TwigStack
   // streams and forest) over `docs` — the full co-resident engine set.
   void BuildEngines(const std::vector<Document>& docs) {
-    PrixIndexOptions options;
-    options.labeling = PrixIndexOptions::Labeling::kDynamic;
-    auto rp = PrixIndex::Build(docs, db_.pool(), options);
+    auto rp = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
     ASSERT_TRUE(rp.ok()) << rp.status().ToString();
     ASSERT_TRUE((*rp)->Save(&db_.db(), "rp").ok());
     auto vist = VistIndex::Build(docs, db_.pool(), nullptr);
@@ -332,7 +330,6 @@ TEST_F(TriEngineIngestTest, LockstepPrixPairCarriesDerivedEnginesOnce) {
   docs.push_back(DocFromSexp("(article (author (name)))", 1, &dict_));
   BuildEngines(docs);
   PrixIndexOptions ep_options;
-  ep_options.labeling = PrixIndexOptions::Labeling::kDynamic;
   ep_options.extended = true;
   auto ep = PrixIndex::Build(docs, db_.pool(), ep_options);
   ASSERT_TRUE(ep.ok()) << ep.status().ToString();
