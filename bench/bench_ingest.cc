@@ -8,7 +8,7 @@
 //                     and the per-insert latency distribution.
 //   2. contended    - the writer re-ingests at the same rate while reader
 //                     threads run the Table-3 DBLP query mix through
-//                     ExecuteXPathBatchSnapshot in a closed loop. Reports
+//                     ExecuteXPathBatch in a closed loop. Reports
 //                     both sides: insert throughput under readers and the
 //                     readers' per-batch p50/p95 — the number that shows
 //                     whether snapshot isolation keeps readers off the
@@ -20,11 +20,14 @@
 //                     price of keeping every engine live.
 //   4. tri contended- tri-engine ingest under a PRIX snapshot reader plus a
 //                     derived-engine reader that runs ViST and TwigStackXB
-//                     batches through ExecuteXPathBatchSnapshot; reports
+//                     batches through ExecuteXPathBatch; reports
 //                     per-engine reader p50/p95, which include each
 //                     engine's one open per committed generation.
 //
-// Emits BENCH_ingest.json. PRIX_BENCH_SCALE scales the collection.
+// Every phase also reports the database file's size in pages; a phase that
+// grows it past kMaxDbBytes stops the bench with exit 1 rather than fill
+// the disk. Emits BENCH_ingest.json. PRIX_BENCH_SCALE scales the
+// collection.
 
 #include <unistd.h>
 
@@ -32,12 +35,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "prix/query_driver.h"
+#include "prix/engine.h"
 
 using namespace prix;
 using namespace prix::bench;
@@ -46,6 +50,8 @@ namespace {
 
 constexpr const char* kReaderQueries[] = {kQ1, kQ2, kQ3};
 constexpr size_t kReaderThreads = 2;
+/// Ceiling on the database file; IngestRange fails once a commit passes it.
+constexpr uint64_t kMaxDbBytes = uint64_t{2} << 30;
 
 double Now() {
   return std::chrono::duration<double>(
@@ -60,9 +66,11 @@ struct IngestPhase {
   uint64_t insert_p50_us = 0;
   uint64_t insert_p95_us = 0;
   uint64_t insert_max_us = 0;
+  uint32_t db_pages = 0;  ///< database file size after the phase
 };
 
-// Inserts documents [begin, end) of `coll` one commit at a time.
+// Inserts documents [begin, end) of `coll` one commit at a time, failing
+// with ResourceExhausted once the file passes kMaxDbBytes.
 Status IngestRange(Database* db, const DocumentCollection& coll, size_t begin,
                    size_t end, MetricHistogram* latency, IngestPhase* out) {
   double t0 = Now();
@@ -71,7 +79,17 @@ Status IngestRange(Database* db, const DocumentCollection& coll, size_t begin,
     auto id = db->InsertDocument("rp", coll.documents[i]);
     if (!id.ok()) return id.status();
     latency->Record(static_cast<uint64_t>((Now() - s) * 1e6));
+    const uint32_t pages = db->disk()->num_pages();
+    if (uint64_t{pages} * kPageSize > kMaxDbBytes) {
+      return Status::ResourceExhausted(
+          "database file reached " + std::to_string(pages) + " pages (" +
+          std::to_string((uint64_t{pages} * kPageSize) >> 20) +
+          " MiB) after " + std::to_string(i + 1 - begin) +
+          " inserts, past the " + std::to_string(kMaxDbBytes >> 20) +
+          " MiB limit");
+    }
   }
+  out->db_pages = db->disk()->num_pages();
   out->docs = end - begin;
   out->seconds = Now() - t0;
   out->docs_per_sec = out->docs / out->seconds;
@@ -79,6 +97,15 @@ Status IngestRange(Database* db, const DocumentCollection& coll, size_t begin,
   out->insert_p95_us = latency->Percentile(0.95);
   out->insert_max_us = latency->max();
   return Status::OK();
+}
+
+void PrintPhase(const char* label, const IngestPhase& p) {
+  std::printf("  %-17s %6zu docs in %7.3fs = %8.1f docs/s (p50 %lu us, "
+              "p95 %lu us); file %u pages (%lu MiB)\n",
+              label, p.docs, p.seconds, p.docs_per_sec,
+              (unsigned long)p.insert_p50_us, (unsigned long)p.insert_p95_us,
+              p.db_pages,
+              (unsigned long)((uint64_t{p.db_pages} * kPageSize) >> 20));
 }
 
 }  // namespace
@@ -97,6 +124,12 @@ int main() {
     std::fprintf(stderr, "mkdtemp failed\n");
     return 1;
   }
+  // Removes the directory with everything in it, oplog sidecars included,
+  // on every exit path, after the databases declared below have closed.
+  struct RemoveOnExit {
+    std::string dir;
+    ~RemoveOnExit() { std::filesystem::remove_all(dir); }
+  } const cleanup{dir};
   const std::string path = std::string(dir) + "/ingest.prix";
   auto db = Database::Create(path, Database::Options{.pool_pages = 2000});
   if (!db.ok()) {
@@ -125,11 +158,7 @@ int main() {
     std::fprintf(stderr, "solo ingest: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("  solo ingest:      %6zu docs in %7.3fs = %8.1f docs/s "
-              "(p50 %lu us, p95 %lu us)\n",
-              solo.docs, solo.seconds, solo.docs_per_sec,
-              (unsigned long)solo.insert_p50_us,
-              (unsigned long)solo.insert_p95_us);
+  PrintPhase("solo ingest:", solo);
 
   // Phase 2: ingest the final quarter under concurrent snapshot readers.
   const std::vector<std::string> mix(kReaderQueries, kReaderQueries + 3);
@@ -140,11 +169,10 @@ int main() {
   std::vector<std::thread> readers;
   for (size_t r = 0; r < kReaderThreads; ++r) {
     readers.emplace_back([&] {
-      QueryDriver driver(**db, nullptr, nullptr, 2);
       while (!stop.load(std::memory_order_relaxed)) {
         double s = Now();
-        auto batch = driver.ExecuteXPathBatchSnapshot(
-            EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
+        auto batch = ExecuteXPathBatch(db->get(), EngineKind::kPrix,
+                                       {.ep = ""}, mix, &coll.dictionary);
         if (!batch.ok()) {
           std::fprintf(stderr, "reader batch: %s\n",
                        batch.status().ToString().c_str());
@@ -166,11 +194,7 @@ int main() {
     std::fprintf(stderr, "contended ingest: %s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("  contended ingest: %6zu docs in %7.3fs = %8.1f docs/s "
-              "(p50 %lu us, p95 %lu us)\n",
-              contended.docs, contended.seconds, contended.docs_per_sec,
-              (unsigned long)contended.insert_p50_us,
-              (unsigned long)contended.insert_p95_us);
+  PrintPhase("contended ingest:", contended);
   std::printf("  readers:          %6lu batches of %zu queries, p50 %lu us, "
               "p95 %lu us, max %lu us\n",
               (unsigned long)batches.load(), mix.size(),
@@ -223,11 +247,8 @@ int main() {
     std::fprintf(stderr, "tri solo ingest: %s\n", st2.ToString().c_str());
     return 1;
   }
-  std::printf("  tri solo ingest:  %6zu docs in %7.3fs = %8.1f docs/s "
-              "(p50 %lu us, p95 %lu us; x%.2f vs prix-only)\n",
-              tri_solo.docs, tri_solo.seconds, tri_solo.docs_per_sec,
-              (unsigned long)tri_solo.insert_p50_us,
-              (unsigned long)tri_solo.insert_p95_us,
+  PrintPhase("tri solo ingest:", tri_solo);
+  std::printf("  %-17s x%.2f slower than prix-only\n", "",
               solo.docs_per_sec / tri_solo.docs_per_sec);
 
   // Structural members of the mix only: the derived readers measure
@@ -240,11 +261,10 @@ int main() {
   std::atomic<bool> tri_failed{false};
   MetricHistogram tri_prix_latency, vist_latency, twigstack_latency;
   std::thread tri_prix_reader([&] {
-    QueryDriver driver(**tdb, nullptr, nullptr, 2);
     while (!tri_stop.load(std::memory_order_relaxed)) {
       double s = Now();
-      auto batch = driver.ExecuteXPathBatchSnapshot(
-          EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
+      auto batch = ExecuteXPathBatch(tdb->get(), EngineKind::kPrix,
+                                     {.ep = ""}, mix, &coll.dictionary);
       if (!batch.ok()) {
         std::fprintf(stderr, "tri prix reader: %s\n",
                      batch.status().ToString().c_str());
@@ -256,14 +276,13 @@ int main() {
     }
   });
   std::thread derived_reader([&] {
-    QueryDriver driver(**tdb, nullptr, nullptr, 1);
     while (!tri_stop.load(std::memory_order_relaxed)) {
       for (auto [kind, latency] :
            {std::pair{EngineKind::kVist, &vist_latency},
             std::pair{EngineKind::kTwigStackXB, &twigstack_latency}}) {
         double s = Now();
-        auto batch = driver.ExecuteXPathBatchSnapshot(kind, {}, derived_mix,
-                                                      &coll.dictionary);
+        auto batch = ExecuteXPathBatch(tdb->get(), kind, {}, derived_mix,
+                                       &coll.dictionary);
         if (!batch.ok()) {
           std::fprintf(stderr, "%s reader: %s\n", EngineKindName(kind),
                        batch.status().ToString().c_str());
@@ -287,12 +306,7 @@ int main() {
                  tri_st.ToString().c_str());
     return 1;
   }
-  std::printf("  tri contended:    %6zu docs in %7.3fs = %8.1f docs/s "
-              "(p50 %lu us, p95 %lu us)\n",
-              tri_contended.docs, tri_contended.seconds,
-              tri_contended.docs_per_sec,
-              (unsigned long)tri_contended.insert_p50_us,
-              (unsigned long)tri_contended.insert_p95_us);
+  PrintPhase("tri contended:", tri_contended);
   std::printf("  tri readers:      %6lu batches; prix p95 %lu us, vist p95 "
               "%lu us, twigstackxb p95 %lu us\n",
               (unsigned long)tri_batches.load(),
@@ -304,8 +318,6 @@ int main() {
     std::fprintf(stderr, "tri close: %s\n", close.ToString().c_str());
     return 1;
   }
-  std::remove(tri_path.c_str());
-  ::rmdir(dir);
 
   JsonWriter w;
   w.BeginObject();
@@ -321,6 +333,7 @@ int main() {
     w.Key("insert_p50_us").UInt(p.insert_p50_us);
     w.Key("insert_p95_us").UInt(p.insert_p95_us);
     w.Key("insert_max_us").UInt(p.insert_max_us);
+    w.Key("db_pages").UInt(p.db_pages);
     w.EndObject();
   };
   phase("solo", solo);

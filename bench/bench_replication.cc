@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "prix/query_driver.h"
+#include "prix/engine.h"
 #include "repl/client.h"
 #include "repl/sender.h"
 
@@ -236,12 +236,12 @@ int main() {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> batches{0};
   std::atomic<bool> reader_failed{false};
+  Database* follower_db = follower.get();
   std::thread reader([&] {
-    QueryDriver driver(*follower, nullptr, nullptr, 2);
     while (!stop.load(std::memory_order_relaxed)) {
       double s = Now();
-      auto batch = driver.ExecuteXPathBatchSnapshot(
-          EngineKind::kPrix, {.ep = ""}, mix, &coll.dictionary);
+      auto batch = ExecuteXPathBatch(follower_db, EngineKind::kPrix,
+                                     {.ep = ""}, mix, &coll.dictionary);
       if (!batch.ok()) {
         std::fprintf(stderr, "follower reader: %s\n",
                      batch.status().ToString().c_str());

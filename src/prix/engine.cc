@@ -9,6 +9,7 @@
 #include "common/deadline.h"
 #include "common/macros.h"
 #include "common/metrics.h"
+#include "query/xpath_parser.h"
 #include "twigstack/position_stream.h"
 #include "twigstack/twig_stack.h"
 #include "vist/vist_index.h"
@@ -144,6 +145,24 @@ Result<QueryResult> Engines::Execute(EngineKind kind,
   result.stats.total_us = MetricsContext::NowMicros() - t_start;
   RecordQueryInRegistry(kind, result.stats);
   return result;
+}
+
+Result<BatchResult> ExecuteXPathBatch(Database* db, EngineKind kind,
+                                      const PrixIndexNames& names,
+                                      const std::vector<std::string>& xpaths,
+                                      TagDictionary* dict,
+                                      const QueryOptions& options) {
+  const Engines engines(db, db->OpenSnapshot(), names);
+  BatchResult batch;
+  batch.generation = engines.generation();
+  batch.results.reserve(xpaths.size());
+  for (const std::string& xpath : xpaths) {
+    PRIX_ASSIGN_OR_RETURN(TwigPattern pattern, ParseXPath(xpath, dict));
+    PRIX_ASSIGN_OR_RETURN(QueryResult result,
+                          engines.Execute(kind, pattern, options));
+    batch.results.push_back(std::move(result));
+  }
+  return batch;
 }
 
 }  // namespace prix

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "db/database.h"
@@ -77,6 +78,26 @@ class Engines {
   mutable std::optional<SnapshotView> rp_, ep_;
   mutable std::optional<QueryProcessor> prix_;
 };
+
+/// Answers of one batch, in submission order, and the catalog generation
+/// every one of them was answered from.
+struct BatchResult {
+  std::vector<QueryResult> results;
+  uint64_t generation = 0;
+};
+
+/// Snapshot-isolated batch (DESIGN.md §5i), on the calling thread: pins the
+/// current committed generation, then parses each XPath (interning into
+/// `dict`, which is thread-safe) and answers it with `kind`'s engine
+/// through one Engines handle, in order. Stops at the first error and
+/// returns it. A concurrent writer's commits never change any answer
+/// mid-batch. Callers that want parallelism run batches, or queries over
+/// one shared handle, on their own threads.
+Result<BatchResult> ExecuteXPathBatch(Database* db, EngineKind kind,
+                                      const PrixIndexNames& names,
+                                      const std::vector<std::string>& xpaths,
+                                      TagDictionary* dict,
+                                      const QueryOptions& options = {});
 
 }  // namespace prix
 

@@ -52,12 +52,10 @@ struct QueryOptions {
   const Deadline* deadline = nullptr;
 };
 
-/// Execution counters, aggregated across arrangements. MergeFrom folds the
-/// stats of one query into a batch-wide aggregate (QueryDriver uses it; the
-/// booleans OR together). Every engine fills the I/O counters and
-/// `total_us` (prix/engine.h); the work counters are per engine: PRIX's in
-/// `matcher`, `refine` and the phase times, ViST's in `vist`, TwigStack's
-/// and TwigStackXB's in `twigstack`.
+/// Execution counters of one query, aggregated across arrangements. Every
+/// engine fills the I/O counters and `total_us` (prix/engine.h); the work
+/// counters are per engine: PRIX's in `matcher`, `refine` and the phase
+/// times, ViST's in `vist`, TwigStack's and TwigStackXB's in `twigstack`.
 struct QueryStats {
   MatcherStats matcher;
   RefineStats refine;
@@ -88,27 +86,6 @@ struct QueryStats {
   uint64_t total_us = 0;
   bool used_extended_index = false;
   bool used_scan = false;  ///< single-node query answered by doc-store scan
-
-  void MergeFrom(const QueryStats& other) {
-    matcher.MergeFrom(other.matcher);
-    refine.MergeFrom(other.refine);
-    vist.MergeFrom(other.vist);
-    twigstack.MergeFrom(other.twigstack);
-    docs_loaded += other.docs_loaded;
-    docs_verified += other.docs_verified;
-    arrangements += other.arrangements;
-    pages_read += other.pages_read;
-    pages_written += other.pages_written;
-    pool_hits += other.pool_hits;
-    pool_misses += other.pool_misses;
-    btree_nodes += other.btree_nodes;
-    match_us += other.match_us;
-    refine_us += other.refine_us;
-    verify_us += other.verify_us;
-    total_us += other.total_us;
-    used_extended_index |= other.used_extended_index;
-    used_scan |= other.used_scan;
-  }
 };
 
 /// Query answer: all twig matches (images over effective-twig nodes, as

@@ -10,8 +10,7 @@
 
 namespace prix {
 
-/// Counters for the refinement phases (Algorithm 2). Merged across worker
-/// threads with MergeFrom on the parallel query path.
+/// Counters for the refinement phases (Algorithm 2), private to one query.
 struct RefineStats {
   uint64_t candidates = 0;
   uint64_t failed_connectedness = 0;
@@ -19,15 +18,6 @@ struct RefineStats {
   uint64_t failed_frequency = 0;
   uint64_t failed_leaves = 0;
   uint64_t passed = 0;
-
-  void MergeFrom(const RefineStats& other) {
-    candidates += other.candidates;
-    failed_connectedness += other.failed_connectedness;
-    failed_gap += other.failed_gap;
-    failed_frequency += other.failed_frequency;
-    failed_leaves += other.failed_leaves;
-    passed += other.passed;
-  }
 };
 
 /// A document loaded for refinement, with derived arrays cached: the node

@@ -10,23 +10,14 @@
 
 namespace prix {
 
-/// Counters for the filtering phase. Workers keep a private instance and
-/// fold it into an aggregate with MergeFrom (no shared counters on the
-/// parallel query path).
+/// Counters for the filtering phase, private to one query (no shared
+/// counters on the query path).
 struct MatcherStats {
   uint64_t range_queries = 0;   ///< B+-tree range descents issued
   uint64_t nodes_scanned = 0;   ///< trie nodes touched across all scans
   uint64_t pruned_by_maxgap = 0;
   uint64_t pruned_by_anchor = 0;  ///< kept nodes whose subtree lacks the anchor
   uint64_t occurrences = 0;     ///< subsequence occurrences emitted
-
-  void MergeFrom(const MatcherStats& other) {
-    range_queries += other.range_queries;
-    nodes_scanned += other.nodes_scanned;
-    pruned_by_maxgap += other.pruned_by_maxgap;
-    pruned_by_anchor += other.pruned_by_anchor;
-    occurrences += other.occurrences;
-  }
 };
 
 /// Batched MaxGap prune kernel (Sec. 5.4 / DESIGN.md §5h). For each scanned

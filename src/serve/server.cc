@@ -59,16 +59,16 @@ Server::Server(Database* db, TagDictionary* dict, const ServerOptions& options)
     : db_(db),
       dict_(dict),
       options_(options),
-      admission_([&options] {
-        AdmissionController::Options a = options.admission;
-        if (a.max_executing == 0) a.max_executing = options.query_threads;
-        return a;
-      }()),
+      admission_(options.admission),
       cache_(options.cache_bytes) {}
 
 Result<std::unique_ptr<Server>> Server::Start(Database* db,
                                               TagDictionary* dict,
                                               const ServerOptions& options) {
+  if (options.admission.max_executing == 0) {
+    return Status::InvalidArgument(
+        "admission.max_executing must be at least 1 (0 admits nothing)");
+  }
   PRIX_ASSIGN_OR_RETURN(Database::IndexEntry rp, db->GetIndex(options.rp_name));
   if (rp.kind != Database::IndexKind::kPrixRegular &&
       rp.kind != Database::IndexKind::kPrixExtended) {
@@ -78,10 +78,7 @@ Result<std::unique_ptr<Server>> Server::Start(Database* db,
   if (!options.ep_name.empty()) {
     PRIX_RETURN_NOT_OK(db->GetIndex(options.ep_name).status());
   }
-  auto server =
-      std::unique_ptr<Server>(new Server(db, dict, options));
-  server->driver_ = std::make_unique<QueryDriver>(
-      *db, nullptr, nullptr, options.query_threads);
+  auto server = std::unique_ptr<Server>(new Server(db, dict, options));
 
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
@@ -399,8 +396,8 @@ std::vector<char> Server::HandleQuery(Conn* conn, const Frame& frame) {
   RegisterExecuting(conn, &deadline);
   QueryOptions qopts;
   qopts.deadline = &deadline;
-  auto batch = driver_->ExecuteXPathBatchSnapshot(
-      EngineKind::kPrix, {.rp = options_.rp_name, .ep = options_.ep_name},
+  auto batch = ExecuteXPathBatch(
+      db_, EngineKind::kPrix, {.rp = options_.rp_name, .ep = options_.ep_name},
       req.xpaths, dict_, qopts);
   UnregisterExecuting(conn);
   uint64_t service_us = Deadline::NowMicros() - start_us;

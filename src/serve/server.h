@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "prix/query_driver.h"
+#include "prix/engine.h"
 #include "serve/admission.h"
 #include "serve/result_cache.h"
 #include "serve/wire.h"
@@ -25,11 +25,10 @@ struct ServerOptions {
   /// bound port is reported by Server::port() and printed by the CLI).
   uint16_t port = 0;
 
-  /// Workers in the QueryDriver pool; also the default execute-slot count.
-  size_t query_threads = 4;
-
-  /// Admission control; max_executing == 0 inherits query_threads.
-  AdmissionController::Options admission{0, 64, 8, 10'000};
+  /// Admission control. `max_executing` (at least 1) is the only bound on
+  /// concurrent execution: an admitted request runs on its own connection
+  /// thread.
+  AdmissionController::Options admission{4, 64, 8, 10'000};
 
   /// Result cache budget; 0 disables caching.
   size_t cache_bytes = 16u << 20;
@@ -63,14 +62,15 @@ struct ServerOptions {
 };
 
 /// `prix serve`: a thread-per-connection TCP server speaking the wire
-/// protocol of serve/wire.h, executing query batches through a shared
-/// QueryDriver against pinned generation snapshots (DESIGN.md §5j).
+/// protocol of serve/wire.h. Each connection thread answers its own
+/// requests with ExecuteXPathBatch against a pinned generation snapshot
+/// (DESIGN.md §5j); admission's execute slots bound how many do so at once.
 ///
 /// Request lifecycle: decode (hostile-input hardened) -> result-cache
 /// probe at the current committed generation -> admission (bounded queue,
 /// per-client caps, deadline-aware shedding) -> snapshot-pinned batch
-/// execution with the request's Deadline installed -> typed response
-/// (kResult / kError / kShed). A watchdog thread polls executing
+/// execution on the connection thread with the request's Deadline
+/// installed -> typed response (kResult / kError / kShed). A watchdog thread polls executing
 /// connections for peer disconnect (POLLRDHUP) and cancels their Deadline,
 /// so a client that vanishes mid-request stops burning CPU and I/O within
 /// one engine checkpoint.
@@ -82,7 +82,9 @@ struct ServerOptions {
 class Server {
  public:
   /// Binds, listens, and starts the accept/watchdog threads. `db` and
-  /// `dict` must outlive the server; the named RP index must exist.
+  /// `dict` must outlive the server; the named RP index must exist and
+  /// `admission.max_executing` must be at least 1 (InvalidArgument
+  /// otherwise).
   static Result<std::unique_ptr<Server>> Start(Database* db,
                                                TagDictionary* dict,
                                                const ServerOptions& options);
@@ -131,7 +133,6 @@ class Server {
   ServerOptions options_;
   AdmissionController admission_;
   ResultCache cache_;
-  std::unique_ptr<QueryDriver> driver_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

@@ -107,7 +107,7 @@ class BufferPool {
   ///    hits + misses == total fetches) can be transiently off by the
   ///    number of in-flight operations.
   ///  - After all workers have joined (any happens-before edge such as
-  ///    thread join or ThreadPool::Wait), the snapshot is exact and
+  ///    a thread join), the snapshot is exact and
   ///    sum-consistent. tests/buffer_pool_test.cc pins down both halves of
   ///    this contract.
   ///

@@ -75,14 +75,6 @@ struct TwigStackStats {
   uint64_t drilldowns = 0;          ///< XB drilldowns (TwigStackXB only)
   uint64_t path_solutions = 0;
   uint64_t join_rows = 0;           ///< merge post-processing work
-
-  void MergeFrom(const TwigStackStats& other) {
-    elements_processed += other.elements_processed;
-    advances += other.advances;
-    drilldowns += other.drilldowns;
-    path_solutions += other.path_solutions;
-    join_rows += other.join_rows;
-  }
 };
 
 struct TwigStackResult {

@@ -18,16 +18,6 @@ struct VistQueryStats {
   uint64_t candidate_docs = 0;   ///< docs surfaced by subsequence matching
   uint64_t docs_verified = 0;    ///< candidate docs post-verified
   uint64_t false_alarms = 0;     ///< candidates rejected by verification
-
-  void MergeFrom(const VistQueryStats& other) {
-    range_queries += other.range_queries;
-    matched_prefixes += other.matched_prefixes;
-    keys_scanned += other.keys_scanned;
-    occurrences += other.occurrences;
-    candidate_docs += other.candidate_docs;
-    docs_verified += other.docs_verified;
-    false_alarms += other.false_alarms;
-  }
 };
 
 struct VistQueryResult {

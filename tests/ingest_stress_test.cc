@@ -7,7 +7,7 @@
 // generation it pinned — never a mix of two generations, never a torn
 // in-flight state. Ingest carries the co-resident ViST and TwigStack
 // engines in the same commits, so ViST and TwigStackXB readers run the same
-// snapshot batches through the driver and are held to the same
+// snapshot batches (ExecuteXPathBatch) and are held to the same
 // per-generation oracle. Run under TSan by tools/check_tsan.sh.
 
 #include <gtest/gtest.h>
@@ -24,7 +24,6 @@
 #include "naive/naive_matcher.h"
 #include "prix/engine.h"
 #include "prix/prix_index.h"
-#include "prix/query_driver.h"
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
@@ -137,10 +136,10 @@ TEST_F(IngestStressTest, EveryBatchEqualsExactlyOneGenerationsOracle) {
   RecordOracle(db_->catalog_generation());
 
   const std::vector<std::string> queries(kQueries, kQueries + kNumQueries);
-  // Three PRIX readers and one each for ViST and TwigStackXB, all through
-  // the driver's snapshot batches and all held to the same per-generation
-  // oracle. (The query mix is all chain twigs, so the ordered oracle is
-  // also TwigStack's standard-semantics answer.)
+  // Three PRIX readers and one each for ViST and TwigStackXB, each running
+  // ExecuteXPathBatch on its own thread and all held to the same
+  // per-generation oracle. (The query mix is all chain twigs, so the
+  // ordered oracle is also TwigStack's standard-semantics answer.)
   const EngineKind kReaders[] = {EngineKind::kPrix, EngineKind::kPrix,
                                  EngineKind::kPrix, EngineKind::kVist,
                                  EngineKind::kTwigStackXB};
@@ -152,13 +151,12 @@ TEST_F(IngestStressTest, EveryBatchEqualsExactlyOneGenerationsOracle) {
   for (int r = 0; r < kNumReaders; ++r) {
     readers.emplace_back([&, r] {
       const EngineKind kind = kReaders[r];
-      QueryDriver driver(db_.db(), nullptr, nullptr, 2);
       // Keep reading until the writer finishes, then one final batch so
       // every reader also checks the terminal generation.
       bool final_pass = false;
       while (true) {
-        auto batch = driver.ExecuteXPathBatchSnapshot(kind, {.ep = ""},
-                                                      queries, &dict_);
+        auto batch = ExecuteXPathBatch(&db_.db(), kind, {.ep = ""}, queries,
+                                       &dict_);
         if (!batch.ok()) {
           ADD_FAILURE() << EngineKindName(kind) << " reader " << r << ": "
                         << batch.status().ToString();

@@ -17,8 +17,8 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "naive/naive_matcher.h"
+#include "prix/engine.h"
 #include "prix/prix_index.h"
-#include "prix/query_driver.h"
 #include "prix/query_processor.h"
 #include "prix/snapshot_view.h"
 #include "query/xpath_parser.h"
@@ -332,7 +332,6 @@ TEST_F(IngestTest, FreeListGrowsPersistsAndPagesAreReused) {
 
 TEST_F(IngestTest, SnapshotKeepsAnsweringTheGenerationItPinned) {
   Seed("rp", {"(book (title))", "(article (journal))"});
-  QueryDriver driver(db_.db(), nullptr, nullptr, 2);
   const std::vector<std::string> queries = {"//book/title"};
 
   // Pin a snapshot, then delete the only matching document THROUGH the
@@ -342,8 +341,8 @@ TEST_F(IngestTest, SnapshotKeepsAnsweringTheGenerationItPinned) {
   uint64_t pinned_gen = snapshot->generation();
   ASSERT_TRUE(db_->DeleteDocument("rp", 0).ok());
 
-  auto after = driver.ExecuteXPathBatchSnapshot(EngineKind::kPrix, {.ep = ""},
-                                                queries, &dict_);
+  auto after = ExecuteXPathBatch(&db_.db(), EngineKind::kPrix, {.ep = ""},
+                                 queries, &dict_);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(after->generation, pinned_gen + 1);
   EXPECT_TRUE(after->results[0].docs.empty());

@@ -1,24 +1,26 @@
-// ThreadPool and QueryDriver tests: Status propagation through futures,
-// and N-thread batch execution returning bit-identical results to the
-// serial QueryProcessor over the same indexes. Run under ThreadSanitizer
-// via tools/check_tsan.sh.
+// Concurrent reads: N threads answering one query list through one shared
+// Engines handle (or one shared QueryProcessor) return bit-identical
+// results to a serial pass, with exact per-query I/O attribution; XPath
+// parsing from many threads interns each fresh tag once; ExecuteXPathBatch
+// stops at its first error; and racing batches open each engine once per
+// generation. Run under ThreadSanitizer via tools/check_tsan.sh.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <latch>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "naive/naive_matcher.h"
 #include "prix/engine.h"
 #include "prix/prix_index.h"
-#include "prix/query_driver.h"
 #include "prix/snapshot_view.h"
 #include "query/xpath_parser.h"
 #include "testutil/temp_db.h"
@@ -35,56 +37,24 @@ using testutil::RandomDocOptions;
 using testutil::RandomTwig;
 using testutil::RandomTwigOptions;
 
-TEST(ThreadPoolTest, RunsTasksAndPropagatesStatus) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> counter{0};
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&counter, i]() -> Status {
-      counter.fetch_add(1);
-      if (i == 13) return Status::InvalidArgument("task 13 fails");
-      return Status::OK();
-    }));
-  }
-  int failures = 0;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    Status st = futures[i].get();
-    if (!st.ok()) {
-      ++failures;
-      EXPECT_EQ(i, 13u);
-      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    }
-  }
-  EXPECT_EQ(failures, 1);
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, WaitIdleDrainsQueue) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&done]() -> Status {
-      done.fetch_add(1);
-      return Status::OK();
+/// Answers `run(i)` for every i in [0, n) on `threads` std::threads that
+/// take query indexes from one atomic counter, the way a reader pool over a
+/// shared Engines handle does. Slot i holds query i's result.
+std::vector<Result<QueryResult>> RunOnThreads(
+    size_t threads, size_t n,
+    const std::function<Result<QueryResult>(size_t)>& run) {
+  std::vector<Result<QueryResult>> got(n, Status::Internal("not run"));
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+        got[i] = run(i);
+      }
     });
   }
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPoolTest, DestructorRunsPendingTasks) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 16; ++i) {
-      pool.Submit([&done]() -> Status {
-        done.fetch_add(1);
-        return Status::OK();
-      });
-    }
-  }
-  EXPECT_EQ(done.load(), 16);
+  for (std::thread& worker : workers) worker.join();
+  return got;
 }
 
 class ParallelQueryTest : public ::testing::Test {
@@ -102,6 +72,8 @@ class ParallelQueryTest : public ::testing::Test {
     auto ep = PrixIndex::Build(docs_, db_.pool(), ep_opts);
     ASSERT_TRUE(ep.ok()) << ep.status().ToString();
     ep_ = std::move(*ep);
+    ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
+    ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
   }
 
   /// A mixed batch: random exact/wildcard twigs over collection documents.
@@ -138,36 +110,41 @@ TEST_F(ParallelQueryTest, BatchMatchesSerialExecution) {
     expected.push_back(std::move(*r));
   }
 
+  // Every thread answers through one handle on the saved indexes' snapshot.
+  const Engines engines(&db_.db(), db_->OpenSnapshot());
   for (size_t threads : {1u, 4u, 8u}) {
-    QueryDriver driver(db_.db(), rp_.get(), ep_.get(), threads);
-    auto batch_result = driver.ExecuteBatch(batch);
-    ASSERT_TRUE(batch_result.ok()) << batch_result.status().ToString();
-    ASSERT_EQ(batch_result->results.size(), batch.size());
-    uint64_t merged_loads = 0;
+    auto got = RunOnThreads(threads, batch.size(), [&](size_t i) {
+      return engines.Execute(EngineKind::kPrix, batch[i]);
+    });
     for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(batch_result->results[i].matches, expected[i].matches)
+      ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+      EXPECT_EQ(got[i]->matches, expected[i].matches)
           << "query " << i << " at " << threads << " threads";
-      EXPECT_EQ(batch_result->results[i].docs, expected[i].docs);
-      merged_loads += batch_result->results[i].stats.docs_loaded;
+      EXPECT_EQ(got[i]->docs, expected[i].docs);
+      EXPECT_EQ(got[i]->stats.docs_loaded, expected[i].stats.docs_loaded);
     }
-    // The batch aggregate is the MergeFrom-fold of the per-query stats.
-    EXPECT_EQ(batch_result->total.docs_loaded, merged_loads);
   }
 }
 
 TEST_F(ParallelQueryTest, ExactPerQueryIoAttribution) {
   // Regression test for the pool-delta accounting bug: QueryStats counters
-  // now come from the thread-local MetricsContext that Execute opens, so
-  // they are exact per query no matter how many other queries run
-  // concurrently. The old scheme diffed pool-wide stats() around Execute
-  // and charged every concurrent query's reads to every query.
+  // come from the thread-local MetricsContext that Execute opens, so they
+  // are exact per query no matter how many other queries run concurrently.
+  // The old scheme diffed pool-wide stats() around Execute and charged
+  // every concurrent query's reads to every query.
   std::vector<TwigPattern> batch = MakeBatch(32);
   BufferPool* pool = db_.pool();
+  const Engines engines(&db_.db(), db_->OpenSnapshot());
+  // Open PRIX's indexes at this generation now: an open is charged to no
+  // query, so one inside the measured passes would break conservation.
+  ASSERT_TRUE(engines.Execute(EngineKind::kPrix, batch[0]).ok());
+  auto execute = [&](size_t i) {
+    return engines.Execute(EngineKind::kPrix, batch[i]);
+  };
 
-  // Serial cold ground truth: per-query logical fetches, node visits, and
-  // physical reads.
+  // Serial cold ground truth, on this thread: per-query logical fetches,
+  // node visits, and physical reads.
   ASSERT_TRUE(pool->Clear().ok());
-  QueryProcessor serial(db_.db(), rp_.get(), ep_.get());
   struct PerQuery {
     uint64_t logical;  // pool_hits + pool_misses
     uint64_t nodes;    // btree_nodes
@@ -176,8 +153,8 @@ TEST_F(ParallelQueryTest, ExactPerQueryIoAttribution) {
   std::vector<PerQuery> expected;
   const uint64_t serial_phys_before = pool->stats().physical_reads;
   uint64_t serial_pages_sum = 0;
-  for (const TwigPattern& pattern : batch) {
-    auto r = serial.Execute(pattern);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    auto r = execute(i);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const QueryStats& s = r->stats;
     expected.push_back(
@@ -191,12 +168,11 @@ TEST_F(ParallelQueryTest, ExactPerQueryIoAttribution) {
   for (size_t threads : {1u, 8u}) {
     ASSERT_TRUE(pool->Clear().ok());
     const uint64_t phys_before = pool->stats().physical_reads;
-    QueryDriver driver(db_.db(), rp_.get(), ep_.get(), threads);
-    auto result = driver.ExecuteBatch(batch);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    auto got = RunOnThreads(threads, batch.size(), execute);
     uint64_t pages_sum = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
-      const QueryStats& s = result->results[i].stats;
+      ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+      const QueryStats& s = got[i]->stats;
       // Logical page fetches and node visits are properties of the query
       // plan: identical serial vs 8 threads, whatever the cache does.
       EXPECT_EQ(s.pool_hits + s.pool_misses, expected[i].logical)
@@ -208,7 +184,7 @@ TEST_F(ParallelQueryTest, ExactPerQueryIoAttribution) {
       EXPECT_LE(s.pages_read, expected[i].logical)
           << "query " << i << " at " << threads << " threads";
       if (threads == 1) {
-        // One worker replays the exact serial access pattern.
+        // One thread replays the exact serial access pattern.
         EXPECT_EQ(s.pages_read, expected[i].pages) << "query " << i;
       }
       pages_sum += s.pages_read;
@@ -223,11 +199,10 @@ TEST_F(ParallelQueryTest, ExactPerQueryIoAttribution) {
   // Warm regime: the working set is resident (2000-page pool), so exact
   // attribution must report zero physical reads for EVERY query at 8
   // threads — identical to a warm serial run.
-  QueryDriver warm_driver(db_.db(), rp_.get(), ep_.get(), 8);
-  auto warm = warm_driver.ExecuteBatch(batch);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  auto warm = RunOnThreads(8, batch.size(), execute);
   for (size_t i = 0; i < batch.size(); ++i) {
-    const QueryStats& s = warm->results[i].stats;
+    ASSERT_TRUE(warm[i].ok()) << warm[i].status().ToString();
+    const QueryStats& s = warm[i]->stats;
     EXPECT_EQ(s.pages_read, 0u) << "query " << i;
     EXPECT_EQ(s.pool_misses, 0u) << "query " << i;
     EXPECT_EQ(s.pool_hits, expected[i].logical) << "query " << i;
@@ -245,25 +220,18 @@ TEST_F(ParallelQueryTest, SharedProcessorIsSafeAcrossThreads) {
     ASSERT_TRUE(r.ok());
     expected.push_back(std::move(*r));
   }
-  ThreadPool workers(8);
-  std::vector<QueryResult> got(batch.size());
-  std::vector<std::future<Status>> futures;
+  auto got = RunOnThreads(8, batch.size(),
+                          [&](size_t i) { return shared.Execute(batch[i]); });
   for (size_t i = 0; i < batch.size(); ++i) {
-    futures.push_back(workers.Submit([&, i]() -> Status {
-      PRIX_ASSIGN_OR_RETURN(got[i], shared.Execute(batch[i]));
-      return Status::OK();
-    }));
-  }
-  for (auto& future : futures) ASSERT_TRUE(future.get().ok());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(got[i].matches, expected[i].matches) << "query " << i;
+    ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+    EXPECT_EQ(got[i]->matches, expected[i].matches) << "query " << i;
   }
 }
 
-TEST_F(ParallelQueryTest, XPathBatchParsesInsideWorkers) {
-  // Workers parse their XPath concurrently, interning into one shared
-  // dictionary (thread-safe Intern). Unknown tags force fresh interning
-  // from several threads at once; under TSan this guards the
+TEST_F(ParallelQueryTest, ConcurrentXPathParsingInternsEachFreshTagOnce) {
+  // Threads parse their XPaths concurrently, interning into one shared
+  // dictionary (thread-safe Intern). Tags no document has force fresh
+  // interning from several threads at once; under TSan this guards the
   // TagDictionary synchronization directly.
   std::vector<std::string> xpaths = {
       "//tag0//tag1", "//tag0[./tag1]/tag2", "//tag2", "//tag1/tag0",
@@ -272,34 +240,59 @@ TEST_F(ParallelQueryTest, XPathBatchParsesInsideWorkers) {
     xpaths.push_back("//tag0/fresh" + std::to_string(i % 6) +
                      "//batchonly" + std::to_string(i));
   }
-  ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
-  ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
-  QueryDriver driver(db_.db(), nullptr, nullptr, 8);
-  auto batch =
-      driver.ExecuteXPathBatchSnapshot(EngineKind::kPrix, {}, xpaths, &dict_);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->results.size(), xpaths.size());
-  QueryProcessor serial(db_.db(), rp_.get(), ep_.get());
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    auto expected = serial.ExecuteXPath(xpaths[i], &dict_);
-    ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(batch->results[i].matches, expected->matches) << xpaths[i];
-  }
-  // All duplicated fresh tags interned to one id apiece.
+  const size_t labels_before = dict_.size();
+  const Engines engines(&db_.db(), db_->OpenSnapshot());
+  auto got = RunOnThreads(8, xpaths.size(), [&](size_t i)
+                                                -> Result<QueryResult> {
+    PRIX_ASSIGN_OR_RETURN(TwigPattern pattern, ParseXPath(xpaths[i], &dict_));
+    return engines.Execute(EngineKind::kPrix, pattern);
+  });
+  // Six shared fresh tags and 24 distinct ones, one id apiece.
+  EXPECT_EQ(dict_.size(), labels_before + 6 + 24);
   for (int i = 0; i < 6; ++i) {
     EXPECT_NE(dict_.Find("fresh" + std::to_string(i)), kInvalidLabel);
+  }
+  QueryProcessor serial(db_.db(), rp_.get(), ep_.get());
+  for (size_t i = 0; i < xpaths.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << got[i].status().ToString();
+    auto expected = serial.ExecuteXPath(xpaths[i], &dict_);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(got[i]->matches, expected->matches) << xpaths[i];
+  }
+}
+
+TEST_F(ParallelQueryTest, XPathBatchStopsAtTheFirstError) {
+  // The batch answers in order on the calling thread and returns the
+  // earliest failing query's status, not a later one's.
+  const std::vector<std::string> xpaths = {"//tag0//tag1", "//tag0[",
+                                           "//tag2", "//tag1[[x"};
+  auto batch = ExecuteXPathBatch(&db_.db(), EngineKind::kPrix, {}, xpaths,
+                                 &dict_);
+  ASSERT_FALSE(batch.ok());
+  const std::string message = batch.status().ToString();
+  EXPECT_NE(message.find("//tag0["), std::string::npos) << message;
+  EXPECT_EQ(message.find("//tag1[[x"), std::string::npos) << message;
+
+  auto good = ExecuteXPathBatch(&db_.db(), EngineKind::kPrix, {},
+                                {xpaths[0], xpaths[2]}, &dict_);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->generation, db_.db().catalog_generation());
+  ASSERT_EQ(good->results.size(), 2u);
+  QueryProcessor serial(db_.db(), rp_.get(), ep_.get());
+  for (size_t i = 0; i < 2; ++i) {
+    auto expected = serial.ExecuteXPath(xpaths[2 * i], &dict_);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(good->results[i].matches, expected->matches) << xpaths[2 * i];
   }
 }
 
 TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
-  // For each engine in turn, four batches race into a generation no reader
-  // of that engine has opened yet, the served path's first miss after a
-  // commit. The snapshot memo must open each index once, only when its
-  // engine is first asked, and hand every batch the same answers; under
-  // TSan this guards the memo's first-open latch and the engines' shared
-  // read paths.
-  ASSERT_TRUE(rp_->Save(&db_.db(), "rp").ok());
-  ASSERT_TRUE(ep_->Save(&db_.db(), "ep").ok());
+  // For each engine in turn, four ExecuteXPathBatch calls on their own
+  // threads race into a generation no reader of that engine has opened
+  // yet, the served path's first miss after a commit. The snapshot memo
+  // must open each index once, only when its engine is first asked, and
+  // hand every batch the same answers; under TSan this guards the memo's
+  // first-open latch and the engines' shared read paths.
   auto vist = VistIndex::Build(docs_, db_.pool());
   ASSERT_TRUE(vist.ok()) << vist.status().ToString();
   ASSERT_TRUE((*vist)->Save(&db_.db(), "v").ok());
@@ -339,7 +332,6 @@ TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
   reg.set_enabled(true);
   reg.Reset();
   constexpr int kThreads = 4;
-  QueryDriver driver(db_.db(), nullptr, nullptr, kThreads);
   // Indexes open so far: PRIX's rp and ep, then ViST's v, then the stream
   // store ts, then the XB-forest xb over the already open ts.
   uint64_t want_opens = 0;
@@ -352,7 +344,7 @@ TEST_F(ParallelQueryTest, ConcurrentFirstSnapshotOpenAnswersLikeTheOracle) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         start.arrive_and_wait();
-        got[t] = driver.ExecuteXPathBatchSnapshot(kind, {}, xpaths, &dict_);
+        got[t] = ExecuteXPathBatch(&db_.db(), kind, {}, xpaths, &dict_);
       });
     }
     for (std::thread& thread : threads) thread.join();

@@ -172,6 +172,68 @@ TEST_F(ServeTest, QueryRoundTripMatchesOracleAndCaches) {
   EXPECT_TRUE(server->Join().ok());
 }
 
+TEST_F(ServeTest, BatchHoldsOneSlotAndAnswersLikeSingleQueries) {
+  Seed({"(book (author (name)) (title))", "(article (author (name)))",
+        "(book (editor (name)))"});
+  ServerOptions options;
+  options.admission = {1, 64, 8, 10'000};
+  options.cache_bytes = 0;  // every request executes
+  auto server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+
+  // Samples the execute-slot count for as long as the test sends requests.
+  std::atomic<bool> sampling{true};
+  std::atomic<size_t> most_executing{0};
+  std::thread sampler([&] {
+    while (sampling.load()) {
+      size_t now = server->admission().executing();
+      if (now > most_executing.load()) most_executing.store(now);
+      std::this_thread::yield();
+    }
+  });
+
+  int fd = Connect(server->port());
+  FrameDecoder dec;
+  QueryRequest req;
+  req.request_id = 30;
+  // The third XPath names only tags no document has: it parses (interning
+  // them) and answers nothing.
+  req.xpaths = {"//book/author", "//author/name", "//nosuch//neither",
+                "//book//name", "//article/author"};
+  auto frame = Exchange(fd, &dec, EncodeQuery(req));
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_EQ(frame->type, FrameType::kResult);
+  auto batch = DecodeResult(*frame);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch->generation, db_.db().catalog_generation());
+  ASSERT_EQ(batch->docs.size(), req.xpaths.size());
+  EXPECT_TRUE(batch->docs[2].empty());
+
+  for (size_t i = 0; i < req.xpaths.size(); ++i) {
+    QueryRequest single;
+    single.request_id = 31 + i;
+    single.xpaths = {req.xpaths[i]};
+    frame = Exchange(fd, &dec, EncodeQuery(single));
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, FrameType::kResult);
+    auto one = DecodeResult(*frame);
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_FALSE(one->cached);
+    EXPECT_EQ(one->generation, batch->generation);
+    ASSERT_EQ(one->docs.size(), 1u);
+    EXPECT_EQ(batch->docs[i], one->docs[0]) << req.xpaths[i];
+    EXPECT_EQ(batch->docs[i], Oracle(req.xpaths[i])) << req.xpaths[i];
+  }
+  sampling.store(false);
+  sampler.join();
+  // The batch held one execute slot and no request ever ran beside it.
+  EXPECT_LE(most_executing.load(), 1u);
+  EXPECT_EQ(server->admission().admitted_total(), 1 + req.xpaths.size());
+  ::close(fd);
+  server->Stop();
+  EXPECT_TRUE(server->Join().ok());
+}
+
 TEST_F(ServeTest, MalformedFrameGetsTypedErrorThenDisconnect) {
   Seed({"(a (b))"});
   auto server = StartServer();
@@ -516,7 +578,6 @@ TEST_F(ServeTest, ConnectionCapRefusesTypedWithoutNewThreads) {
 TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
   Seed({"(book (author (name)) (title))", "(article (author (name)))"});
   ServerOptions options;
-  options.query_threads = 2;
   // One execute slot and a two-deep queue: 8 connections hammering it are
   // 4x past what admission will hold, so the overflow must shed on arrival
   // (admission keys are per connection, so the per-client cap of 2 never
@@ -611,7 +672,7 @@ TEST_F(ServeTest, DrainRefusesNewWorkTyped) {
 TEST_F(ServeTest, ConcurrentIngestEveryResponseMatchesACommittedGeneration) {
   Seed({"(book (author (name)) (title))"});
   ServerOptions options;
-  options.query_threads = 2;
+  options.admission.max_executing = 2;
   options.cache_bytes = 1 << 20;
   auto server = StartServer(options);
   ASSERT_NE(server, nullptr);

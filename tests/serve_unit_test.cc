@@ -1,8 +1,8 @@
 // Unit coverage for the serving layer's pieces in isolation (DESIGN.md
 // §5j): the wire codec against hostile bytes, the Zambezi query-file
-// parser, cooperative deadlines, admission control's shed policy, and the
-// generation-keyed result cache. The end-to-end server/replay proof lives
-// in serve_test.cc.
+// parser, cooperative deadlines, admission control's shed policy, the
+// generation-keyed result cache, and Server::Start's option checks. The
+// end-to-end server/replay proof lives in serve_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +17,13 @@
 #include "common/macros.h"
 #include "common/queryfile.h"
 #include "common/random.h"
+#include "prix/prix_index.h"
 #include "serve/admission.h"
 #include "serve/result_cache.h"
+#include "serve/server.h"
 #include "serve/wire.h"
+#include "testutil/temp_db.h"
+#include "testutil/tree_gen.h"
 
 namespace prix {
 namespace {
@@ -665,6 +669,34 @@ TEST(ResultCacheTest, ZeroBudgetDisablesAndOversizedEntryNotCached) {
   tiny.Insert("rp", 1, "//huge", std::vector<uint32_t>(1000, 7));
   EXPECT_EQ(tiny.entries(), 0u) << "entry larger than the whole budget";
   EXPECT_LE(tiny.bytes(), 64u);
+}
+
+// ---- server options -----------------------------------------------------
+
+TEST(ServerStartTest, ZeroExecuteSlotsIsRefused) {
+  testutil::TempDb db;
+  TagDictionary dict;
+  std::vector<Document> docs = {testutil::DocFromSexp("(a (b))", 0, &dict)};
+  auto index = PrixIndex::Build(docs, db.pool(), PrixIndexOptions{});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE((*index)->Save(&db.db(), "rp").ok());
+
+  // Requests run on their connection threads only once admitted, so zero
+  // slots would admit nothing and queue every request until its deadline.
+  ServerOptions options;
+  options.admission.max_executing = 0;
+  auto refused = Server::Start(&db.db(), &dict, options);
+  ASSERT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().ToString().find("max_executing"),
+            std::string::npos)
+      << refused.status().ToString();
+
+  options.admission.max_executing = 1;
+  auto started = Server::Start(&db.db(), &dict, options);
+  ASSERT_TRUE(started.ok()) << started.status().ToString();
+  (*started)->Stop();
+  EXPECT_TRUE((*started)->Join().ok());
 }
 
 }  // namespace

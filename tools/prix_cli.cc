@@ -36,16 +36,21 @@
 //                                         the co-resident engines); their
 //                                         DocStore records remain until a
 //                                         rebuild but no query returns them
-//   prix serve <db-file> [--port N] [--threads N] [--rp NAME] [--ep NAME]
+//   prix serve <db-file> [--port N] [--rp NAME] [--ep NAME]
 //              [--cache-mb N] [--max-queued N] [--per-client N]
 //              [--max-executing N] [--default-timeout-ms N]
 //              [--idle-timeout-ms N] [--idle-conn-timeout-ms N]
+//              [--max-connections N]
 //              [--replicate-port N] [--follow HOST:PORT]
 //              [--ingest XML [--ingest-interval-ms N]]
 //                                         serve queries over TCP (loopback)
 //                                         with admission control, per-
 //                                         request deadlines, and a
 //                                         generation-keyed result cache;
+//                                         each connection thread runs its
+//                                         own admitted requests, at most
+//                                         --max-executing (default 4, at
+//                                         least 1) at once;
 //                                         SIGTERM/SIGINT drain gracefully;
 //                                         --replicate-port additionally
 //                                         streams committed generations to
@@ -504,10 +509,6 @@ int CmdServe(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr || !ParseUintValue("--port", v, &n)) return 1;
       options.port = static_cast<uint16_t>(n);
-    } else if (flag == "--threads") {
-      const char* v = value();
-      if (v == nullptr || !ParseUintValue("--threads", v, &n)) return 1;
-      options.query_threads = n;
     } else if (flag == "--rp") {
       const char* v = value();
       if (v == nullptr) return Fail("--rp needs an index name");
@@ -534,6 +535,7 @@ int CmdServe(int argc, char** argv) {
       if (v == nullptr || !ParseUintValue("--max-executing", v, &n)) {
         return 1;
       }
+      if (n == 0) return Fail("--max-executing must be at least 1");
       options.admission.max_executing = n;
     } else if (flag == "--default-timeout-ms") {
       const char* v = value();
@@ -1136,7 +1138,7 @@ int Main(int argc, char** argv) {
                  "       prix query [--trace] [--metrics] [--timeout-ms N] "
                  "[--engine prix|vist|twigstack|twigstackxb|all] "
                  "<db> <xpath>...\n"
-                 "       prix serve <db> [--port N] [--threads N] "
+                 "       prix serve <db> [--port N] [--max-executing N] "
                  "[--replicate-port N] [--follow HOST:PORT] ...\n"
                  "       prix repl-status <db>\n"
                  "       prix bench-serve --port N --queries FILE ...\n"
