@@ -394,11 +394,13 @@ class BPlusTree {
   /// is reachable from this cursor's root. Mutating the tree invalidates
   /// its cursors.
   ///
-  /// Reseek repositions a cursor without allocating: it re-enters the
-  /// current leaf when a root descent would reach that same leaf (the key
-  /// lies within the separator bounds recorded on the way down), and
-  /// descends from the root otherwise, so it lands exactly where Seek
-  /// would. Seek is Reseek on a fresh cursor.
+  /// Reseek repositions a cursor without allocating: it moves within the
+  /// decoded group when the key lies between the current entry and the
+  /// group's last (no fetch), re-enters the current leaf when a root
+  /// descent would reach that same leaf (the key lies within the separator
+  /// bounds recorded on the way down), and descends from the root
+  /// otherwise, so it lands exactly where Seek would. Seek is Reseek on a
+  /// fresh cursor.
   class Iterator {
    public:
     Iterator() = default;
@@ -441,6 +443,13 @@ class BPlusTree {
     /// Positions at the first entry >= *key (the tree's first when null).
     Status Position(const Key* key) {
       hops_ = 0;
+      // A forward probe into the decoded group lands in it, so it needs no
+      // fetch: SkipBelow stops inside the group and never reads the page.
+      if (key != nullptr && cursor_.valid() &&
+          !tree_->cmp_(*key, cursor_.cur().key) &&
+          !tree_->cmp_(cursor_.group[cursor_.len - 1].key, *key)) {
+        return tree_->SkipBelow(/*page=*/nullptr, leaf_, &cursor_, key);
+      }
       Status st;
       if (key != nullptr && leaf_ != kInvalidPage &&
           (path_.empty() || Covers(path_.back(), *key))) {

@@ -15,52 +15,43 @@ namespace prix {
 struct MatcherStats {
   uint64_t range_queries = 0;   ///< B+-tree range descents issued
   uint64_t nodes_scanned = 0;   ///< trie nodes touched across all scans
+  /// Scanned nodes MaxGap rules out; each takes its subtree with it.
   uint64_t pruned_by_maxgap = 0;
-  uint64_t pruned_by_anchor = 0;  ///< kept nodes whose subtree lacks the anchor
+  /// Nodes MaxGap keeps whose subtree lacks the anchor; skipped likewise.
+  uint64_t pruned_by_anchor = 0;
   uint64_t occurrences = 0;     ///< subsequence occurrences emitted
 };
 
-/// Batched MaxGap prune kernel (Sec. 5.4 / DESIGN.md §5h). For each scanned
-/// trie node level `levels[j]`, sets `keep[j]` to 1 unless the gap rule
-/// prunes it: gap = levels[j] - prev_level (uint32 arithmetic, exactly as
-/// the per-node code computed it), pruned when gap > bound (kSameParent),
-/// gap > bound + 1 (kChildEdge), or gap >= bound (kAncestor); a
-/// generalized-search node whose level equals prev_level is always kept
-/// (zero-gap suppression). kNone keeps everything.
-///
-/// GapPruneMask dispatches once, crc32c-style, to an AVX2/SSE2
-/// compare-and-mask implementation when the CPU has one, else to
-/// GapPruneMaskScalar. Both are exposed so tests can assert the dispatched
-/// and scalar paths are bit-identical over random inputs; the matcher's
-/// end-to-end answers are covered by the property/e2e suites either way.
-void GapPruneMaskScalar(const uint32_t* levels, size_t n, uint32_t prev_level,
-                        uint32_t bound, GapPruneRule::Kind kind,
-                        bool generalized, uint8_t* keep);
-void GapPruneMask(const uint32_t* levels, size_t n, uint32_t prev_level,
-                  uint32_t bound, GapPruneRule::Kind kind, bool generalized,
-                  uint8_t* keep);
-/// True when GapPruneMask resolved to a SIMD implementation on this host.
-bool GapPruneUsingSimd();
+/// Build stamp kept for benchmark reports: the MaxGap decision is one
+/// scalar GapPruneRule::Prunes call per scanned node, never a SIMD kernel.
+inline bool GapPruneUsingSimd() { return false; }
 
 /// Algorithm 1 (Sec. 5.3): finds every occurrence of a query LPS as a
 /// subsequence of indexed LPS's by recursive range descent over the virtual
 /// trie, optionally pruned with the MaxGap metric of Theorem 4 (Sec. 5.4).
+///
+/// MaxGap is decided once per scanned node (GapPruneRule::Prunes). A node
+/// it rules out takes its subtree with it: a same-label descendant lies
+/// deeper, so its gap is larger and it fails too, and the scan reseeks past
+/// the node's RightPos instead of visiting it (DESIGN.md §5, note 4).
 ///
 /// Value anchors: depth i's anchor is the nearest value position
 /// a >= i + 2 of the query sequence (QuerySequence::is_value). A node depth
 /// i keeps is recursed into only if the Trie-Symbol index holds a q.lps[a]
 /// node in its range, since every later position lies in that node's
 /// subtree. The occurrences are exactly those of the unanchored descent;
-/// only subtrees that cannot reach the next value are skipped (DESIGN.md
-/// §5, note 4).
+/// only subtrees that cannot reach the next value are skipped, and a node
+/// that cannot reach it is passed over with its subtree like a
+/// MaxGap-pruned one (DESIGN.md §5, note 4).
 ///
-/// Each query depth owns one Trie-Symbol cursor, one anchor cursor and one
-/// scan batch, and the terminals share one Docid cursor: a range query is a
-/// Reseek of its depth's cursor, which stays within the current leaf when
-/// the probe key routes there, and allocates nothing. A matcher holds no
-/// mutable state of its own — the cursors and batches live in FindAll's
-/// frame and counters go to the caller-owned MatcherStats — so one instance
-/// per thread (or even a shared one) is safe over a read-only index.
+/// Each query depth owns one Trie-Symbol cursor and one anchor cursor, and
+/// the terminals share one Docid cursor: a range query or a subtree skip is
+/// a Reseek of its depth's cursor, which stays within the current leaf
+/// when the probe key routes there, and allocates nothing. The scan loop
+/// recurses into each kept node while its cursor rests there. A matcher
+/// holds no mutable state of its own — the cursors live in FindAll's frame
+/// and counters go to the caller-owned MatcherStats — so one instance per
+/// thread (or even a shared one) is safe over a read-only index.
 class SubsequenceMatcher {
  public:
   /// `emit(docs, positions)` is called once per occurrence: `docs` holds the

@@ -19,6 +19,29 @@ struct GapPruneRule {
   enum Kind : uint8_t { kNone, kSameParent, kChildEdge, kAncestor };
   Kind kind = kNone;
   LabelId label = kInvalidLabel;
+
+  /// Whether the rule rules out a data node at trie level `level` after one
+  /// matched at `prev`, with `bound` = MaxGap(label). The gap is unsigned
+  /// (level - prev), so a level below `prev` wraps and prunes. A
+  /// generalized search keeps a node at `level == prev` (two query slots
+  /// on one trie position). Every rule is monotone in the gap: if a node is
+  /// pruned, so is every deeper node.
+  bool Prunes(uint32_t level, uint32_t prev, uint32_t bound,
+              bool generalized) const {
+    if (generalized && level == prev) return false;
+    const uint32_t gap = level - prev;
+    switch (kind) {
+      case kSameParent:
+        return gap > bound;
+      case kChildEdge:
+        return gap > bound + 1;
+      case kAncestor:
+        return gap >= bound;
+      case kNone:
+        break;
+    }
+    return false;
+  }
 };
 
 /// The Prüfer transform of a query twig, in regular (RP) or extended (EP)

@@ -1,11 +1,10 @@
 // Tests for the delta-coded on-disk formats (DESIGN.md §5h): varint
 // primitives, delta-coded B+-tree leaves with restart points (bulk-loaded
 // and mutated) and the cursors that read them in place, block-coded
-// document records, the varint record-store catalog, and the SIMD
-// gap-prune kernel. Every tree check runs against a naive oracle (a
-// std::map or the source data), and the index checks against the naive
-// twig matcher: the encoding changes the page bytes and nothing about
-// what they mean.
+// document records and the varint record-store catalog. Every tree check
+// runs against a naive oracle (a std::map or the source data), and the
+// index checks against the naive twig matcher: the encoding changes the
+// page bytes and nothing about what they mean.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
-#include "prix/subsequence_matcher.h"
 #include "storage/record_store.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
@@ -107,68 +105,6 @@ TEST(VarintTest, Varint32RejectsValuesAbove32Bits) {
   const char* p = buf.data();
   uint32_t v;
   EXPECT_FALSE(GetVarint32(&p, buf.data() + buf.size(), &v));
-}
-
-// --- gap-prune kernel: dispatched == scalar -------------------------------
-
-TEST(GapPruneKernelTest, DispatchedMatchesScalarOnRandomInputs) {
-  Random rng(77);
-  const GapPruneRule::Kind kinds[] = {
-      GapPruneRule::kNone, GapPruneRule::kSameParent, GapPruneRule::kChildEdge,
-      GapPruneRule::kAncestor};
-  for (int iter = 0; iter < 200; ++iter) {
-    size_t n = rng.Uniform(70);  // covers empty, sub-vector-width, and tails
-    std::vector<uint32_t> levels(n);
-    uint32_t prev = static_cast<uint32_t>(rng.Next());
-    for (auto& l : levels) {
-      // Mix of near-prev levels (realistic) and arbitrary ones (wraparound).
-      l = rng.Uniform(4) == 0 ? static_cast<uint32_t>(rng.Next())
-                              : prev + static_cast<uint32_t>(rng.Uniform(9)) -
-                                    4;
-    }
-    uint32_t bound = static_cast<uint32_t>(rng.Uniform(6));
-    GapPruneRule::Kind kind = kinds[rng.Uniform(4)];
-    bool generalized = rng.Uniform(2) == 1;
-    std::vector<uint8_t> scalar(n, 0xee), dispatched(n, 0x11);
-    GapPruneMaskScalar(levels.data(), n, prev, bound, kind, generalized,
-                       scalar.data());
-    GapPruneMask(levels.data(), n, prev, bound, kind, generalized,
-                 dispatched.data());
-    ASSERT_EQ(scalar, dispatched)
-        << "iter " << iter << " kind " << static_cast<int>(kind) << " bound "
-        << bound << " gen " << generalized;
-  }
-}
-
-TEST(GapPruneKernelTest, RuleSemanticsMatchThePerNodeDefinitions) {
-  // One batch per rule with hand-computed expectations, including the
-  // unsigned-wrap case (level < prev) that must always prune.
-  uint32_t prev = 10;
-  std::vector<uint32_t> levels = {10, 11, 12, 13, 14, 9, 5, 100};
-  auto run = [&](GapPruneRule::Kind kind, uint32_t bound, bool gen) {
-    std::vector<uint8_t> keep(levels.size());
-    GapPruneMask(levels.data(), levels.size(), prev, bound, kind, gen,
-                 keep.data());
-    return keep;
-  };
-  // kSameParent, bound 2: keep gap <= 2 (levels 10..12); wraps prune.
-  EXPECT_EQ(run(GapPruneRule::kSameParent, 2, false),
-            (std::vector<uint8_t>{1, 1, 1, 0, 0, 0, 0, 0}));
-  // kChildEdge, bound 2: keep gap <= 3.
-  EXPECT_EQ(run(GapPruneRule::kChildEdge, 2, false),
-            (std::vector<uint8_t>{1, 1, 1, 1, 0, 0, 0, 0}));
-  // kAncestor, bound 3: prune gap >= 3, keep gap <= 2.
-  EXPECT_EQ(run(GapPruneRule::kAncestor, 3, false),
-            (std::vector<uint8_t>{1, 1, 1, 0, 0, 0, 0, 0}));
-  // kAncestor, bound 0: prunes everything...
-  EXPECT_EQ(run(GapPruneRule::kAncestor, 0, false),
-            (std::vector<uint8_t>{0, 0, 0, 0, 0, 0, 0, 0}));
-  // ...except zero-gap nodes under generalized search.
-  EXPECT_EQ(run(GapPruneRule::kAncestor, 0, true),
-            (std::vector<uint8_t>{1, 0, 0, 0, 0, 0, 0, 0}));
-  // kNone keeps all.
-  EXPECT_EQ(run(GapPruneRule::kNone, 0, false),
-            (std::vector<uint8_t>{1, 1, 1, 1, 1, 1, 1, 1}));
 }
 
 // --- delta-coded B+-tree ----------------------------------------------------
@@ -696,8 +632,9 @@ TEST_F(CompressedBtreeTest, ReseekLandsWhereSeekDoesAgainstTheModel) {
 }
 
 TEST_F(CompressedBtreeTest, ReseekReentersTheLeafOnlyWhereARootDescentLands) {
-  // Node charges show which path a Reseek took: the current leaf alone
-  // (one node) or a descent from the root (root + leaf). Leaf j of the
+  // Node charges show which path a Reseek took: the decoded group alone
+  // (no node), the current leaf (one node) or a descent from the root
+  // (root + leaf). Leaf j of the
   // bulk-loaded tree starts at key seps[j-1]; its entries are 3 apart and
   // its restart groups kRestart entries long.
   Model model;
@@ -708,7 +645,7 @@ TEST_F(CompressedBtreeTest, ReseekReentersTheLeafOnlyWhereARootDescentLands) {
   ASSERT_GE(root.seps.size(), 4u);
   const uint64_t leaf3 = root.seps[2];
   const uint64_t leaf4 = root.seps[3];
-  ASSERT_GE((leaf4 - leaf3) / 3, 3 * kRestart) << "want several groups";
+  ASSERT_GE((leaf4 - leaf3) / 3, 4 * kRestart) << "want several groups";
 
   MetricsContext ctx;
   IntTree::Iterator cursor(*tree);
@@ -728,7 +665,11 @@ TEST_F(CompressedBtreeTest, ReseekReentersTheLeafOnlyWhereARootDescentLands) {
 
   EXPECT_EQ(reseek(leaf3 + 3 * (kRestart + 4)), 2u) << "fresh: from root";
   EXPECT_EQ(reseek(leaf3 + 3 * (2 * kRestart + 1)), 1u) << "later group";
-  EXPECT_EQ(reseek(leaf3 + 3 * (2 * kRestart + 2)), 1u) << "same group";
+  // A forward probe the decoded group still holds moves within it.
+  EXPECT_EQ(reseek(leaf3 + 3 * (2 * kRestart + 2)), 0u) << "same group";
+  const uint64_t group2_last = leaf3 + 3 * (3 * kRestart - 1);
+  EXPECT_EQ(reseek(group2_last), 0u) << "the group's last entry";
+  EXPECT_EQ(reseek(group2_last + 1), 1u) << "one key past the group";
   EXPECT_EQ(reseek(leaf3), 1u) << "backward within the leaf";
   // Just below the leaf's first key routes to leaf 2, which holds nothing
   // that large: root, leaf 2, then root again and leaf 3.

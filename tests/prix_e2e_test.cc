@@ -552,9 +552,11 @@ TEST_F(PrixE2eTest, AnchorOnATagNamedValueKeepsBothEnds) {
   ASSERT_EQ(qseq->is_value, (std::vector<bool>{false, false, true, false,
                                                false}));
   MatcherStats anchored_stats, plain_stats;
-  auto anchored = ListOccurrences(*ep_, *qseq, true, &anchored_stats);
-  auto plain =
-      ListOccurrences(*ep_, WithoutValueAnchors(*qseq), true, &plain_stats);
+  auto anchored = ListOccurrences(*ep_, *qseq, /*use_maxgap=*/true,
+                                  /*generalized=*/true, &anchored_stats);
+  auto plain = ListOccurrences(*ep_, WithoutValueAnchors(*qseq),
+                               /*use_maxgap=*/true, /*generalized=*/true,
+                               &plain_stats);
   ASSERT_TRUE(anchored.ok() && plain.ok());
   EXPECT_EQ(*anchored, *plain);
   const Occurrence coincident{{0}, {2, 2, 2, 2, 2}};

@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
 #include "prufer/prufer.h"
 #include "query/twig_prufer.h"
+#include "query/xpath_parser.h"
 #include "testutil/occurrences.h"
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
@@ -20,6 +24,7 @@ namespace prix {
 namespace {
 
 using testutil::ListOccurrences;
+using testutil::Occurrence;
 using testutil::RandomCollection;
 using testutil::RandomDocOptions;
 using testutil::RandomDocument;
@@ -315,6 +320,26 @@ TwigPattern ValueTwig(Random& rng, const Document& doc, size_t num_values,
   return twig;
 }
 
+/// The occurrences of `all` whose every pair of adjacent positions passes
+/// q's MaxGap rule for that pair, in their order.
+std::vector<Occurrence> KeptByMaxGap(const PrixIndex& index,
+                                     const QuerySequence& q, bool generalized,
+                                     const std::vector<Occurrence>& all) {
+  std::vector<Occurrence> kept;
+  for (const Occurrence& occ : all) {
+    const std::vector<uint32_t>& pos = occ.second;
+    bool pruned = false;
+    for (size_t k = 1; k < pos.size() && !pruned; ++k) {
+      const GapPruneRule& rule = q.prune[k];
+      pruned = rule.kind != GapPruneRule::kNone &&
+               rule.Prunes(pos[k], pos[k - 1], index.maxgap().Get(rule.label),
+                           generalized);
+    }
+    if (!pruned) kept.push_back(occ);
+  }
+  return kept;
+}
+
 struct AnchorParam {
   uint64_t seed;
   double descendant_prob;
@@ -376,12 +401,19 @@ TEST_P(ValueAnchorTest, AnchorsOnlySkipDeadSubtrees) {
     auto qseq = BuildQuerySequence(twig, /*extended=*/true);
     ASSERT_TRUE(qseq.ok()) << qseq.status().ToString();
     const bool generalized = twig.NeedsGeneralizedMatching();
-    MatcherStats anchored_stats, plain_stats;
-    auto anchored = ListOccurrences(**ep, *qseq, generalized, &anchored_stats);
-    auto plain = ListOccurrences(**ep, WithoutValueAnchors(*qseq), generalized,
+    MatcherStats anchored_stats, plain_stats, unpruned_stats;
+    auto anchored = ListOccurrences(**ep, *qseq, /*use_maxgap=*/true,
+                                    generalized, &anchored_stats);
+    auto plain = ListOccurrences(**ep, WithoutValueAnchors(*qseq),
+                                 /*use_maxgap=*/true, generalized,
                                  &plain_stats);
-    ASSERT_TRUE(anchored.ok() && plain.ok());
+    auto unpruned = ListOccurrences(**ep, *qseq, /*use_maxgap=*/false,
+                                    generalized, &unpruned_stats);
+    ASSERT_TRUE(anchored.ok() && plain.ok() && unpruned.ok());
     EXPECT_EQ(*anchored, *plain);
+    // Skipping a ruled-out node's subtree loses nothing the per-node rule
+    // would keep.
+    EXPECT_EQ(*anchored, KeptByMaxGap(**ep, *qseq, generalized, *unpruned));
     EXPECT_EQ(plain_stats.pruned_by_anchor, 0u);
     EXPECT_LE(anchored_stats.range_queries, plain_stats.range_queries);
     pruned_by_anchor += anchored_stats.pruned_by_anchor;
@@ -402,6 +434,96 @@ INSTANTIATE_TEST_SUITE_P(
                                              100)) +
              (info.param.shared_names ? "_shared" : "_apart");
     });
+
+// ------------------------------------------- adversarial same-label shapes
+
+/// One collection of same-label chains. Each document is an `r` root over
+/// chains of `a` nodes, one chain per entry of its list (the chain's node
+/// count).
+struct ChainShape {
+  const char* name;
+  std::vector<std::vector<size_t>> docs;  ///< per document, its chains
+
+  friend void PrintTo(const ChainShape& shape, std::ostream* os) {
+    *os << shape.name;
+  }
+};
+
+class SameLabelChainTest : public ::testing::TestWithParam<ChainShape> {
+ protected:
+  testutil::TempDb db_;
+};
+
+/// On same-label chains every range query holds every deeper node, so a
+/// scan that visits what MaxGap rules out grows with the chain's depth per
+/// range query. A ruled-out node takes its subtree with it, which bounds
+/// the nodes scanned by the range queries issued and the occurrences
+/// emitted, and the answers still equal the oracle's.
+TEST_P(SameLabelChainTest, RuledOutSubtreesAreNotScanned) {
+  const ChainShape& shape = GetParam();
+  TagDictionary dict;
+  const LabelId a = dict.Intern("a");
+  std::vector<Document> docs;
+  for (const std::vector<size_t>& chains : shape.docs) {
+    Document doc(static_cast<DocId>(docs.size()));
+    const NodeId root = doc.AddRoot(dict.Intern("r"));
+    for (size_t nodes : chains) {
+      NodeId up = root;
+      for (size_t k = 0; k < nodes; ++k) up = doc.AddChild(up, a);
+    }
+    docs.push_back(std::move(doc));
+  }
+  PrixIndexOptions ep_opts;
+  ep_opts.extended = true;
+  auto rp = PrixIndex::Build(docs, db_.pool(), PrixIndexOptions{});
+  auto ep = PrixIndex::Build(docs, db_.pool(), ep_opts);
+  ASSERT_TRUE(rp.ok() && ep.ok());
+  QueryProcessor qp(db_.db(), rp->get(), ep->get());
+
+  std::vector<std::string> queries = {"//a/a/a"};
+  for (std::string path = "/a/a"; path.size() <= 12; path += "/a") {
+    queries.push_back(path);
+  }
+  for (const std::string& xpath : queries) {
+    SCOPED_TRACE(xpath);
+    auto pattern = ParseXPath(xpath, &dict);
+    ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+    EffectiveTwig twig = EffectiveTwig::Build(*pattern);
+    auto expected = NaiveMatchCollection(docs, twig, MatchSemantics::kOrdered);
+    std::sort(expected.begin(), expected.end());
+    for (auto choice : {QueryOptions::IndexChoice::kRegular,
+                        QueryOptions::IndexChoice::kExtended}) {
+      SCOPED_TRACE(choice == QueryOptions::IndexChoice::kRegular ? "RP"
+                                                                  : "EP");
+      QueryOptions options;
+      options.index = choice;
+      auto result = qp.Execute(*pattern, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      auto got = result->matches;
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected);
+      const MatcherStats& m = result->stats.matcher;
+      EXPECT_LE(m.nodes_scanned, 4 * (m.range_queries + m.occurrences))
+          << m.range_queries << " range queries, " << m.occurrences
+          << " occurrences";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SameLabelChainTest,
+    ::testing::Values(ChainShape{"chain100", {{100}}},
+                      ChainShape{"chain200", {{200}}},
+                      // Chains of different lengths in different orders:
+                      // each chain's end puts an `r` into the sequence, so
+                      // the trie branches and a skip passes over sibling
+                      // subtrees.
+                      ChainShape{"comb",
+                                 {{40, 10, 60, 25},
+                                  {10, 60, 25, 40},
+                                  {60, 25, 40, 10},
+                                  {25, 40, 10, 60}}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace prix

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "query/twig_pattern.h"
@@ -387,6 +388,38 @@ TEST(QuerySequenceTest, NoChildEdgeRuleThroughDescendant) {
   auto qseq = BuildQuerySequence(twig, false);
   ASSERT_TRUE(qseq.ok());
   EXPECT_EQ(qseq->prune[1].kind, GapPruneRule::kNone);
+}
+
+TEST(QuerySequenceTest, PruneRuleSemanticsMatchThePerNodeDefinitions) {
+  // Hand-computed decisions for each rule after a node at level 10,
+  // including the unsigned wrap (level < prev) that always prunes.
+  const uint32_t prev = 10;
+  const std::vector<uint32_t> levels = {10, 11, 12, 13, 14, 9, 5, 100};
+  auto keeps = [&](GapPruneRule::Kind kind, uint32_t bound, bool gen) {
+    const GapPruneRule rule{kind, kInvalidLabel};
+    std::vector<bool> keep;
+    for (uint32_t level : levels) {
+      keep.push_back(!rule.Prunes(level, prev, bound, gen));
+    }
+    return keep;
+  };
+  using K = std::vector<bool>;
+  // kSameParent, bound 2: keep gap <= 2 (levels 10..12); wraps prune.
+  EXPECT_EQ(keeps(GapPruneRule::kSameParent, 2, false),
+            (K{true, true, true, false, false, false, false, false}));
+  // kChildEdge, bound 2: keep gap <= 3.
+  EXPECT_EQ(keeps(GapPruneRule::kChildEdge, 2, false),
+            (K{true, true, true, true, false, false, false, false}));
+  // kAncestor, bound 3: prune gap >= 3, keep gap <= 2.
+  EXPECT_EQ(keeps(GapPruneRule::kAncestor, 3, false),
+            (K{true, true, true, false, false, false, false, false}));
+  // kAncestor, bound 0: prunes everything...
+  EXPECT_EQ(keeps(GapPruneRule::kAncestor, 0, false), K(levels.size(), false));
+  // ...except the zero-gap node under generalized search.
+  EXPECT_EQ(keeps(GapPruneRule::kAncestor, 0, true),
+            (K{true, false, false, false, false, false, false, false}));
+  // kNone keeps all.
+  EXPECT_EQ(keeps(GapPruneRule::kNone, 0, false), K(levels.size(), true));
 }
 
 TEST(ArrangementsTest, TwoBranchesGiveTwoArrangements) {

@@ -15,12 +15,12 @@ namespace prix::testutil {
 /// matched path and the matched LPS positions.
 using Occurrence = std::pair<std::vector<DocId>, std::vector<uint32_t>>;
 
-/// Runs Algorithm 1 (MaxGap on) for `q` and lists its occurrences in
-/// emission order.
+/// Runs Algorithm 1 for `q`, with or without MaxGap pruning, and lists its
+/// occurrences in emission order.
 inline Result<std::vector<Occurrence>> ListOccurrences(
-    const PrixIndex& index, const QuerySequence& q, bool generalized,
-    MatcherStats* stats) {
-  SubsequenceMatcher matcher(&index, /*use_maxgap=*/true, generalized);
+    const PrixIndex& index, const QuerySequence& q, bool use_maxgap,
+    bool generalized, MatcherStats* stats) {
+  SubsequenceMatcher matcher(&index, use_maxgap, generalized);
   std::vector<Occurrence> out;
   auto emit = [&out](const std::vector<DocId>& docs,
                      const std::vector<uint32_t>& positions) {

@@ -4,7 +4,9 @@
 # and one level more must be refused with InvalidArgument (exit 1, no
 # crash) by both `prix index` and `prix insert`, leaving the database
 # intact; `prix query --timeout-ms` must stop a ViST query over a deep
-# chain with DeadlineExceeded; and a query nested kMaxDocumentDepth
+# chain with DeadlineExceeded; `/a` x 8 on that chain must answer with
+# the trie nodes it scans bounded by its range queries and occurrences;
+# and a query nested kMaxDocumentDepth
 # predicates deep must run on every engine, while one level more is
 # refused. Run against a plain build by check_serve.sh and against the
 # sanitized build by check_asan.sh.
@@ -58,6 +60,35 @@ timeout 30 "$PRIX" query --engine vist --timeout-ms 100 "$WORK/chain.prix" \
   "//a//a//a" > "$WORK/out.txt" 2>&1 || rc=$?
 if [[ "$rc" -ne 1 ]] || ! grep -q "DeadlineExceeded" "$WORK/out.txt"; then
   echo "expected DeadlineExceeded (exit 1) within 30 s, got exit $rc:"
+  cat "$WORK/out.txt"
+  exit 1
+fi
+# A MaxGap-pruned node takes its trie subtree with it, so on a same-label
+# chain the trie nodes scanned stay within a small multiple of the range
+# queries issued and the occurrences emitted. Visiting every pruned node
+# instead scans about 283 million nodes for this query; the check counts
+# nodes, so host speed cannot make it flaky.
+echo "---- /a x 8 on the chain scans only what MaxGap keeps ----"
+Q8="/a/a/a/a/a/a/a/a"
+timeout 120 "$PRIX" query --trace "$WORK/chain.prix" "$Q8" > "$WORK/out.txt"
+if ! grep -q "in 1 document(s)" "$WORK/out.txt"; then
+  echo "expected $Q8 to answer 1 document:"
+  cat "$WORK/out.txt"
+  exit 1
+fi
+# Each count on the descent: line precedes its name.
+if ! awk '/descent:/ {
+        for (i = 1; i < NF; ++i) {
+          if ($(i + 1) == "range") rq = $i
+          if ($(i + 1) == "trie") scanned = $i
+          if ($(i + 1) ~ /^occurrences/) occ = $i
+        }
+        ok = scanned != "" && scanned <= 4 * (rq + occ)
+        printf "%s trie nodes scanned, %s range queries, %s occurrences\n",
+               scanned, rq, occ
+      }
+      END { exit ok ? 0 : 1 }' "$WORK/out.txt"; then
+  echo "expected at most 4 x (range queries + occurrences) trie nodes scanned:"
   cat "$WORK/out.txt"
   exit 1
 fi
