@@ -21,21 +21,11 @@
 
 namespace prix {
 
-/// Counters from one WalkReachable scrub/salvage pass.
+/// Counters from one WalkReachable scrub pass.
 struct BtreeScrubStats {
   uint64_t nodes_visited = 0;
   uint64_t entries_seen = 0;
   uint64_t subtrees_skipped = 0;  ///< unreadable/invalid subtrees not walked
-};
-
-/// Counters from one index salvage pass (PrixIndex/VistIndex::Salvage):
-/// what made it into the rebuilt index versus what the corruption took.
-struct SalvageStats {
-  uint64_t entries_recovered = 0;  ///< B+-tree entries carried over
-  uint64_t entries_dropped = 0;    ///< duplicates a corrupt tree yielded
-  uint64_t subtrees_skipped = 0;   ///< poisoned subtrees not walked
-  uint64_t records_recovered = 0;  ///< document/sequence records copied
-  uint64_t records_lost = 0;       ///< records replaced by placeholders
 };
 
 /// Disk-based B+-tree over the buffer pool, templated on trivially copyable
@@ -607,51 +597,22 @@ class BPlusTree {
     return it;
   }
 
-  /// Structural scrub/salvage walk: visits every node reachable from the
-  /// root via internal child pointers (NOT the next-leaf chain, which
-  /// corruption can cycle), calling `emit(key, value) -> Status` for each
-  /// leaf entry in tree order and `issue(PageId, const Status&,
-  /// const std::string& path)` for every unreadable or structurally invalid
-  /// node, whose subtree is then skipped rather than aborting the walk. A
-  /// visited set makes re-converging (shared or cyclic) child pointers an
-  /// issue instead of an infinite walk. Only an `emit` failure (the salvage
-  /// destination broke) aborts with its non-OK Status. A leaf whose entry
-  /// stream fails to decode is issued and skipped like any other invalid
-  /// node.
+  /// Structural scrub walk: visits every node reachable from the root via
+  /// internal child pointers (NOT the next-leaf chain, which corruption can
+  /// cycle), calling `emit(key, value) -> Status` for each leaf entry in
+  /// tree order and `issue(PageId, const Status&, const std::string& path)`
+  /// for every unreadable or structurally invalid node, whose subtree is
+  /// then skipped rather than aborting the walk. A visited set makes
+  /// re-converging (shared or cyclic) child pointers an issue instead of an
+  /// infinite walk. Only an `emit` failure aborts, with its non-OK Status.
+  /// A leaf whose entry stream fails to decode is issued and skipped like
+  /// any other invalid node.
   template <typename EmitFn, typename IssueFn>
   Status WalkReachable(EmitFn emit, IssueFn issue,
                        BtreeScrubStats* stats) const {
     std::unordered_set<PageId> visited;
     return WalkNode(meta_.root, static_cast<int>(meta_.height) - 1, "root",
                     &visited, emit, issue, stats);
-  }
-
-  /// Salvage rebuild: bulk-loads into `pool` every entry WalkReachable
-  /// reaches, skipping poisoned subtrees. A corrupt tree can present one
-  /// key twice through distinct leaves; the first value seen is kept and
-  /// the rest are counted as dropped.
-  Result<BPlusTree> SalvageInto(BufferPool* pool, SalvageStats* stats) const {
-    std::vector<Entry> entries;
-    BtreeScrubStats walk;
-    PRIX_RETURN_NOT_OK(WalkReachable(
-        [&](const Key& k, const Value& v) {
-          entries.push_back(Entry{k, v});
-          return Status::OK();
-        },
-        [](PageId, const Status&, const std::string&) {}, &walk));
-    std::stable_sort(entries.begin(), entries.end(),
-                     [this](const Entry& a, const Entry& b) {
-                       return cmp_(a.key, b.key);
-                     });
-    auto kept = std::unique(entries.begin(), entries.end(),
-                            [this](const Entry& a, const Entry& b) {
-                              return !cmp_(a.key, b.key);
-                            });
-    stats->entries_dropped += static_cast<uint64_t>(entries.end() - kept);
-    entries.erase(kept, entries.end());
-    stats->entries_recovered += entries.size();
-    stats->subtrees_skipped += walk.subtrees_skipped;
-    return BulkLoad(pool, entries, cmp_);
   }
 
   // Exposed for tests.

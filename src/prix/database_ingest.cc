@@ -36,7 +36,7 @@
 // to pair with a stream store, or whose document count is out of step with
 // the PRIX index — fails the write with Corruption naming it, and nothing
 // commits. `prix verify` reports such a database CORRUPT, and
-// `prix verify --salvage` rebuilds the derived entries from the documents.
+// `prix verify --salvage` rebuilds every index from the documents.
 //
 // Labeling. Bulk builds of both PRIX and ViST are exact-labeled
 // (trie/range_labeler.h) and leave no slack. Every insert goes through

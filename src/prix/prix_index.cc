@@ -275,37 +275,4 @@ Result<Document> PrixIndex::ReconstructDocument(DocId doc) const {
   return out;
 }
 
-Status PrixIndex::Salvage(Database* dst, const std::string& name,
-                          SalvageStats* stats) const {
-  SalvageStats local;
-  if (stats == nullptr) stats = &local;
-  auto out = std::unique_ptr<PrixIndex>(new PrixIndex());
-  out->options_ = options_;
-  out->root_range_ = root_range_;
-  out->maxgap_ = maxgap_;
-  out->childless_labels_ = childless_labels_;
-  out->tombstones_ = tombstones_;
-  out->docs_ = std::make_unique<DocStore>(dst->pool());
-  PRIX_ASSIGN_OR_RETURN(SymbolTree sym,
-                        symbol_index_->SalvageInto(dst->pool(), stats));
-  out->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct,
-                        docid_index_->SalvageInto(dst->pool(), stats));
-  out->docid_index_ = std::make_unique<DocTree>(std::move(doct));
-
-  for (DocId d = 0; d < docs_->num_docs(); ++d) {
-    Result<StoredDoc> doc = docs_->Load(d);
-    if (doc.ok()) {
-      PRIX_RETURN_NOT_OK(out->docs_->Append(d, doc->seq, doc->leaves));
-      ++stats->records_recovered;
-    } else {
-      // An empty placeholder keeps later DocIds aligned with the surviving
-      // Docid-index entries; queries refine the lost document to no match.
-      PRIX_RETURN_NOT_OK(out->docs_->Append(d, PruferSequences{}, {}));
-      ++stats->records_lost;
-    }
-  }
-  return out->Save(dst, name);
-}
-
 }  // namespace prix

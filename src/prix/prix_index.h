@@ -105,17 +105,6 @@ class PrixIndex {
   static Result<std::unique_ptr<PrixIndex>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry);
 
-  /// Best-effort salvage into `dst` (a different, fresh database): walks
-  /// both B+-trees via WalkReachable, bulk-loading every reachable entry
-  /// into new trees and skipping poisoned subtrees, and copies every
-  /// readable document record (unreadable ones become empty placeholders so
-  /// DocIds stay aligned with surviving Docid-index entries). The rebuilt
-  /// index is registered in `dst`'s catalog under `name`. Only a failure to
-  /// WRITE to `dst` returns non-OK; source corruption is counted in
-  /// `stats`, never fatal.
-  Status Salvage(Database* dst, const std::string& name,
-                 SalvageStats* stats) const;
-
   SymbolTree& symbol_index() { return *symbol_index_; }
   const SymbolTree& symbol_index() const { return *symbol_index_; }
   DocTree& docid_index() { return *docid_index_; }
@@ -167,8 +156,8 @@ class PrixIndex {
   /// Rebuilds document `doc` from its stored Prüfer transform — RP records
   /// via the stored leaf list, EP records by synthesizing the dummy leaves
   /// and stripping them from the reconstruction. Used by ingest (to learn
-  /// which tag streams a delete touches) and by salvage (to regenerate
-  /// derived ViST/TwigStack indexes from the surviving documents). Fails on
+  /// which tag streams a delete touches) and by salvage (to rebuild every
+  /// index of a database from the surviving documents). Fails on
   /// tombstoned or unreadable records.
   Result<Document> ReconstructDocument(DocId doc) const;
 

@@ -323,10 +323,10 @@ Status QueryProcessor::RunArrangement(
       for (DocId doc : docs) {
         PRIX_ASSIGN_OR_RETURN(const RefinableDoc* rdoc,
                               LoadDoc(index, doc, ctx, stats));
-        if (!RefineCandidate(*rdoc, qseq, positions, generalized,
-                             &stats->refine)) {
-          continue;
-        }
+        PRIX_ASSIGN_OR_RETURN(bool refined,
+                              RefineCandidate(*rdoc, qseq, positions,
+                                              generalized, &stats->refine));
+        if (!refined) continue;
         if (generalized) {
           candidates->push_back(doc);
         } else {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 
 #include "common/macros.h"
 #include "prufer/prufer.h"
@@ -128,11 +129,16 @@ bool CheckLeaves(const RefinableDoc& doc, const QuerySequence& q,
 
 }  // namespace
 
-bool RefineCandidate(const RefinableDoc& doc, const QuerySequence& q,
-                     const std::vector<uint32_t>& positions, bool generalized,
-                     RefineStats* stats) {
+Result<bool> RefineCandidate(const RefinableDoc& doc, const QuerySequence& q,
+                             const std::vector<uint32_t>& positions,
+                             bool generalized, RefineStats* stats) {
   ++stats->candidates;
   PRIX_DCHECK(positions.size() == q.lps.size());
+  if (!positions.empty() && positions.back() > doc.stored.seq.lps.size()) {
+    return Status::Corruption(
+        "doc record of " + std::to_string(doc.num_nodes()) +
+        " node(s) has no LPS position " + std::to_string(positions.back()));
+  }
   if (!CheckConnectedness(doc, positions, generalized)) {
     ++stats->failed_connectedness;
     return false;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "naive/naive_matcher.h"
 #include "prix/doc_store.h"
 #include "query/twig_prufer.h"
@@ -54,10 +55,12 @@ bool CheckFrequencyConsistency(const RefinableDoc& doc,
 /// connectedness (Theorem 2, with the Sec. 4.5 parent-chain generalization
 /// when `generalized`), by structure (gap + frequency consistency,
 /// Definitions 3 and 4), and by leaf nodes (RP stores only; skipped per
-/// Sec. 5.6 for extended stores). Returns true if the candidate survives.
-bool RefineCandidate(const RefinableDoc& doc, const QuerySequence& q,
-                     const std::vector<uint32_t>& positions, bool generalized,
-                     RefineStats* stats);
+/// Sec. 5.6 for extended stores). Returns true if the candidate survives,
+/// and Corruption when the occurrence reaches past the record's LPS (a
+/// record that disagrees with the trie that named it).
+Result<bool> RefineCandidate(const RefinableDoc& doc, const QuerySequence& q,
+                             const std::vector<uint32_t>& positions,
+                             bool generalized, RefineStats* stats);
 
 /// Recovers the embedding of the EFFECTIVE twig implied by a refined
 /// occurrence (Sec. 4.4 / Example 6): effective node e deleted at sequence

@@ -31,7 +31,7 @@ uint32_t AdmissionController::RetryAfterMsLocked() const {
   return static_cast<uint32_t>(std::max<uint64_t>(1, us / 1000));
 }
 
-Status AdmissionController::Admit(uint64_t client_id, const Deadline* deadline,
+Status AdmissionController::Admit(const Deadline* deadline,
                                   uint32_t* retry_after_ms) {
   std::unique_lock<std::mutex> lock(mu_);
   auto shed = [&](const std::string& why) {
@@ -43,13 +43,6 @@ Status AdmissionController::Admit(uint64_t client_id, const Deadline* deadline,
     ++shed_total_;
     if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMsLocked();
     return Status::Unavailable("server is draining");
-  }
-  auto cit = client_inflight_.find(client_id);
-  size_t inflight_now = cit == client_inflight_.end() ? 0 : cit->second;
-  if (inflight_now >= options_.per_client_inflight) {
-    return shed("client has " + std::to_string(inflight_now) +
-                " requests in flight (limit " +
-                std::to_string(options_.per_client_inflight) + ")");
   }
   if (queue_.size() >= options_.max_queued) {
     return shed("admission queue full (" +
@@ -63,21 +56,12 @@ Status AdmissionController::Admit(uint64_t client_id, const Deadline* deadline,
                   std::to_string(deadline->remaining_us() / 1000) + " ms");
     }
   }
-  ++client_inflight_[client_id];
-  auto drop_client = [this, client_id]() {
-    auto it = client_inflight_.find(client_id);
-    if (it == client_inflight_.end()) return;
-    if (it->second > 0) --it->second;
-    if (it->second == 0) client_inflight_.erase(it);
-  };
   auto waiter = std::make_shared<Waiter>();
-  waiter->client_id = client_id;
   queue_.push_back(waiter);
   GrantLocked();
   while (!waiter->granted) {
     if (draining_) {
       waiter->abandoned = true;
-      drop_client();
       ++shed_total_;
       GrantLocked();
       if (retry_after_ms != nullptr) *retry_after_ms = RetryAfterMsLocked();
@@ -86,7 +70,6 @@ Status AdmissionController::Admit(uint64_t client_id, const Deadline* deadline,
     Status dead = deadline != nullptr ? deadline->Check() : Status::OK();
     if (!dead.ok()) {
       waiter->abandoned = true;
-      drop_client();
       GrantLocked();
       return dead.Annotate("while queued for admission");
     }
@@ -118,14 +101,9 @@ void AdmissionController::GrantLocked() {
   if (granted_any) cv_.notify_all();
 }
 
-void AdmissionController::Release(uint64_t client_id, uint64_t service_us) {
+void AdmissionController::Release(uint64_t service_us) {
   std::lock_guard<std::mutex> lock(mu_);
   if (executing_ > 0) --executing_;
-  auto it = client_inflight_.find(client_id);
-  if (it != client_inflight_.end()) {
-    if (it->second > 0) --it->second;
-    if (it->second == 0) client_inflight_.erase(it);
-  }
   if (!has_sample_) {
     // First completed request: adopt its service time outright instead of
     // blending into the synthetic seed — a seed orders of magnitude off

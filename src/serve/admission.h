@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "common/deadline.h"
 #include "common/result.h"
@@ -14,16 +13,14 @@
 namespace prix {
 
 // Admission control for the serving layer (DESIGN.md §5j): a bounded FIFO
-// queue in front of a fixed number of execute slots, with per-client
-// in-flight caps and deadline-aware shedding. The goal under overload is a
-// flat ceiling — memory bounded by max_queued, useful work bounded by
-// max_executing — with excess load turned into cheap, typed SHED responses
-// the client can back off on, instead of a growing queue of work that will
-// time out anyway.
+// queue in front of a fixed number of execute slots, with deadline-aware
+// shedding. The goal under overload is a flat ceiling — memory bounded by
+// max_queued, useful work bounded by max_executing — with excess load
+// turned into cheap, typed SHED responses the client can back off on,
+// instead of a growing queue of work that will time out anyway.
 //
 // Shed decisions (all typed, all carrying a retry-after hint):
 //  - queue full                -> ResourceExhausted, shed on arrival
-//  - per-client cap reached    -> ResourceExhausted, shed on arrival
 //  - deadline unmeetable       -> ResourceExhausted, shed on arrival: the
 //    predicted queue wait (EWMA service time x queue depth / slots) already
 //    exceeds the request's remaining deadline, so queueing it would only
@@ -38,7 +35,6 @@ class AdmissionController {
   struct Options {
     size_t max_executing = 4;       ///< concurrent requests actually running
     size_t max_queued = 64;         ///< waiters beyond the executing set
-    size_t per_client_inflight = 8; ///< queued+executing cap per client id
     /// EWMA seed before any sample; 0 means "unknown", which falls back to
     /// the conservative kConservativeServiceUs so cold-start shed
     /// predictions err toward shedding rather than queueing corpses.
@@ -54,12 +50,11 @@ class AdmissionController {
   /// On OK the caller MUST call Release() when the request finishes. On
   /// ResourceExhausted / Unavailable, `retry_after_ms` (if non-null) holds
   /// the backoff hint to send with the SHED frame. `deadline` may be null.
-  Status Admit(uint64_t client_id, const Deadline* deadline,
-               uint32_t* retry_after_ms);
+  Status Admit(const Deadline* deadline, uint32_t* retry_after_ms);
 
   /// Returns an execute slot and feeds `service_us` into the EWMA the
   /// shed predictions use.
-  void Release(uint64_t client_id, uint64_t service_us);
+  void Release(uint64_t service_us);
 
   /// Refuse every new request with Unavailable and wake queued waiters
   /// (they are shed with Unavailable too). Idempotent.
@@ -74,7 +69,6 @@ class AdmissionController {
 
  private:
   struct Waiter {
-    uint64_t client_id = 0;
     bool granted = false;
     bool abandoned = false;  ///< left the queue (deadline/cancel); skip it
   };
@@ -90,7 +84,6 @@ class AdmissionController {
   std::condition_variable cv_;
   size_t executing_ = 0;
   std::deque<std::shared_ptr<Waiter>> queue_;
-  std::unordered_map<uint64_t, size_t> client_inflight_;
   uint64_t ewma_service_us_;
   /// False until the first Release(): the first real sample replaces the
   /// seed outright instead of blending into it.

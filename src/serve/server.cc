@@ -218,9 +218,6 @@ void Server::AcceptLoop() {
     }
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
-    // One admission key per connection; see the Conn::client_id comment
-    // for why the (always-loopback) peer address cannot be the key.
-    conn->client_id = next_client_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     Conn* raw = conn.get();
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
@@ -373,8 +370,7 @@ std::vector<char> Server::HandleQuery(Conn* conn, const Frame& frame) {
   }
 
   uint32_t retry_after_ms = 0;
-  Status admitted =
-      admission_.Admit(conn->client_id, &deadline, &retry_after_ms);
+  Status admitted = admission_.Admit(&deadline, &retry_after_ms);
   if (admitted.IsResourceExhausted() || admitted.IsUnavailable()) {
     ShedResponse shed;
     shed.request_id = req.request_id;
@@ -401,7 +397,7 @@ std::vector<char> Server::HandleQuery(Conn* conn, const Frame& frame) {
       req.xpaths, dict_, qopts);
   UnregisterExecuting(conn);
   uint64_t service_us = Deadline::NowMicros() - start_us;
-  admission_.Release(conn->client_id, service_us);
+  admission_.Release(service_us);
 
   if (!batch.ok()) {
     ErrorResponse err;

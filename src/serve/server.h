@@ -28,7 +28,7 @@ struct ServerOptions {
   /// Admission control. `max_executing` (at least 1) is the only bound on
   /// concurrent execution: an admitted request runs on its own connection
   /// thread.
-  AdmissionController::Options admission{4, 64, 8, 10'000};
+  AdmissionController::Options admission{4, 64, 10'000};
 
   /// Result cache budget; 0 disables caching.
   size_t cache_bytes = 16u << 20;
@@ -136,7 +136,6 @@ class Server {
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-  std::atomic<uint64_t> next_client_id_{0};
   std::atomic<bool> draining_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> watchdog_stop_{false};
@@ -147,13 +146,6 @@ class Server {
 
   struct Conn {
     int fd = -1;
-    /// Admission key. One id per connection (monotonic counter): the
-    /// server binds loopback only, so every peer shares 127.0.0.1 and the
-    /// address cannot distinguish clients — keying on it would collapse
-    /// per_client_inflight into an accidental global cap. Per-connection
-    /// keys restore per-client fairness (one budget per connection);
-    /// global bounds come from max_executing/max_queued/max_connections.
-    uint64_t client_id = 0;
     std::thread thread;
     std::atomic<bool> done{false};
     /// Deadline of the request this connection is executing (null when

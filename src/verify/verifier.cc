@@ -11,6 +11,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "btree/btree.h"
 #include "common/macros.h"
 #include "db/database.h"
 #include "prix/prix_index.h"
@@ -213,74 +214,88 @@ void VerifyBlobEntry(Database* db, const Database::IndexEntry& entry,
   if (!st.ok()) AddIssue(report, entry.root, entry.name, "blob chain", st);
 }
 
-/// Rebuilds derived entries (stream stores, XB-forests, ViSTs whose own
-/// structure could not be walked) into `dst` from the documents
-/// reconstructed out of `source` — the first PRIX index the salvage could
-/// open. Documents that fail to reconstruct (tombstoned or poisoned) become
-/// empty placeholders so DocIds keep lining up with the salvaged PRIX
-/// store, and are tombstoned again in the rebuilt stream store. Returns
-/// non-OK only for destination write failures; per-entry rebuild failures
-/// drop that entry.
-Status RebuildDerivedEntries(const PrixIndex* source, Database* dst,
-                             const std::vector<Database::IndexEntry>& derived,
-                             SalvageReport* report) {
-  if (source == nullptr) {
-    for (const auto& e : derived) report->dropped.push_back(e.name);
-    return Status::OK();
-  }
+/// The collection a salvage rebuilds every index from. `docs[d]` is DocId
+/// d; it is an empty placeholder for each DocId in `placeholders`, which
+/// holds the dead DocIds and the `lost` ones.
+struct Collection {
   std::vector<Document> docs;
-  std::vector<DocId> dead;
-  docs.reserve(source->num_docs());
-  for (DocId d = 0; d < source->num_docs(); ++d) {
-    Result<Document> doc = source->ReconstructDocument(d);
-    if (doc.ok()) {
-      docs.push_back(std::move(*doc));
-    } else {
-      docs.push_back(Document(d));
-      dead.push_back(d);
+  std::vector<DocId> placeholders;
+  std::vector<DocId> lost;
+};
+
+/// Reconstructs the collection from the document stores of `stores` (every
+/// PRIX index that opened, in catalog order). A DocId any of them
+/// tombstones is dead; otherwise it comes from the first store that
+/// reconstructs it, so a record one store cannot read or decode falls back
+/// to the next.
+Collection ReconstructCollection(
+    const std::vector<std::unique_ptr<PrixIndex>>& stores) {
+  size_t num_docs = 0;
+  for (const auto& s : stores) num_docs = std::max(num_docs, s->num_docs());
+  Collection c;
+  c.docs.reserve(num_docs);
+  for (DocId d = 0; d < num_docs; ++d) {
+    const bool dead = std::any_of(
+        stores.begin(), stores.end(),
+        [d](const auto& s) { return s->IsDeleted(d); });
+    for (size_t i = 0; !dead && i < stores.size(); ++i) {
+      Result<Document> doc = stores[i]->ReconstructDocument(d);
+      if (doc.ok()) {
+        c.docs.push_back(std::move(*doc));
+        break;
+      }
     }
+    if (c.docs.size() > d) continue;
+    c.docs.push_back(Document(d));
+    c.placeholders.push_back(d);
+    if (!dead) c.lost.push_back(d);
   }
-  // Streams before forests: a forest is rebuilt over the rebuilt store.
-  std::unique_ptr<StreamStore> store;
-  for (const auto& e : derived) {
-    if (e.kind != Database::IndexKind::kTwigStreams) continue;
-    auto built = StreamStore::Build(docs, dst->pool());
-    if (!built.ok()) {
-      report->dropped.push_back(e.name);
-      continue;
+  return c;
+}
+
+/// Bulk-builds `entry`'s kind over `c` and saves it into `dst` under the
+/// entry's name. `streams` holds the first rebuilt stream store, which a
+/// forest summarizes. Returns false when the build fails and the entry is
+/// dropped; a failed Save is fatal.
+Result<bool> RebuildEntry(const Database::IndexEntry& entry,
+                          const Collection& c, Database* dst,
+                          std::unique_ptr<StreamStore>* streams) {
+  switch (entry.kind) {
+    case Database::IndexKind::kPrixRegular:
+    case Database::IndexKind::kPrixExtended: {
+      PrixIndexOptions options;
+      options.extended = entry.kind == Database::IndexKind::kPrixExtended;
+      auto index = PrixIndex::Build(c.docs, dst->pool(), options);
+      if (!index.ok()) return false;
+      for (DocId d : c.placeholders) (*index)->Tombstone(d);
+      PRIX_RETURN_NOT_OK((*index)->Save(dst, entry.name));
+      return true;
     }
-    for (DocId d : dead) (*built)->Tombstone(d);
-    PRIX_RETURN_NOT_OK((*built)->Save(dst, e.name));
-    if (store == nullptr) store = std::move(*built);
-    report->rebuilt.push_back(e.name);
+    case Database::IndexKind::kVist: {
+      auto index = VistIndex::Build(c.docs, dst->pool());
+      if (!index.ok()) return false;
+      PRIX_RETURN_NOT_OK((*index)->Save(dst, entry.name));
+      return true;
+    }
+    case Database::IndexKind::kTwigStreams: {
+      auto store = StreamStore::Build(c.docs, dst->pool());
+      if (!store.ok()) return false;
+      for (DocId d : c.placeholders) (*store)->Tombstone(d);
+      PRIX_RETURN_NOT_OK((*store)->Save(dst, entry.name));
+      if (*streams == nullptr) *streams = std::move(*store);
+      return true;
+    }
+    case Database::IndexKind::kXbForest: {
+      if (*streams == nullptr) return false;
+      auto forest = XbForest::Build(streams->get());
+      if (!forest.ok()) return false;
+      PRIX_RETURN_NOT_OK((*forest)->Save(dst, entry.name));
+      return true;
+    }
+    case Database::IndexKind::kBlob:
+      break;
   }
-  for (const auto& e : derived) {
-    if (e.kind != Database::IndexKind::kXbForest) continue;
-    if (store == nullptr) {
-      // No stream store to summarize (none in the source catalog): a forest
-      // alone is meaningless.
-      report->dropped.push_back(e.name);
-      continue;
-    }
-    auto forest = XbForest::Build(store.get());
-    if (!forest.ok()) {
-      report->dropped.push_back(e.name);
-      continue;
-    }
-    PRIX_RETURN_NOT_OK((*forest)->Save(dst, e.name));
-    report->rebuilt.push_back(e.name);
-  }
-  for (const auto& e : derived) {
-    if (e.kind != Database::IndexKind::kVist) continue;
-    auto vist = VistIndex::Build(docs, dst->pool());
-    if (!vist.ok()) {
-      report->dropped.push_back(e.name);
-      continue;
-    }
-    PRIX_RETURN_NOT_OK((*vist)->Save(dst, e.name));
-    report->rebuilt.push_back(e.name);
-  }
-  return Status::OK();
+  return false;
 }
 
 }  // namespace
@@ -410,70 +425,52 @@ Status SalvageDatabase(const std::string& src, const std::string& dst,
     (*sdb)->Abandon();
     return ddb.status().Annotate("salvage: cannot create destination");
   }
-  Status fatal;
-  std::unique_ptr<PrixIndex> doc_source;  // reconstruction source for below
-  std::vector<Database::IndexEntry> derived;
-  std::vector<Database::IndexEntry> vists;
-  for (const auto& entry : (*sdb)->ListIndexes()) {
-    switch (entry.kind) {
-      case Database::IndexKind::kPrixRegular:
-      case Database::IndexKind::kPrixExtended: {
-        auto index = PrixIndex::Open(sdb->get(), entry.name);
-        if (!index.ok()) {
-          report->dropped.push_back(entry.name);
-          break;
-        }
-        fatal = (*index)->Salvage(ddb->get(), entry.name, &report->stats);
-        if (!fatal.ok()) break;
-        ++report->indexes_salvaged;
-        if (doc_source == nullptr) doc_source = std::move(*index);
-        break;
-      }
-      case Database::IndexKind::kVist:
-        vists.push_back(entry);  // once the reconstruction source is known
-        break;
-      case Database::IndexKind::kBlob: {
-        std::vector<char> blob;
-        if (!ReadBlob((*sdb)->pool(), entry.root, &blob).ok()) {
-          report->dropped.push_back(entry.name);
-          break;
-        }
-        auto first = WriteBlob((*ddb)->pool(), blob);
-        if (!first.ok()) {
-          fatal = first.status();
-          break;
-        }
-        Database::IndexEntry copy = entry;
-        copy.root = *first;
-        fatal = (*ddb)->PutIndex(copy);
-        if (fatal.ok()) ++report->indexes_salvaged;
-        break;
-      }
-      case Database::IndexKind::kTwigStreams:
-      case Database::IndexKind::kXbForest:
-        // Derived from the documents; rebuilt from the salvaged documents
-        // once a reconstruction source is known.
-        derived.push_back(entry);
-        break;
-    }
-    if (!fatal.ok()) break;
-  }
-  for (const auto& entry : vists) {
-    if (!fatal.ok()) break;
-    // A ViST that cannot be walked, or that is out of step with the
-    // documents, is still recoverable from them: rebuild it below.
-    auto index = VistIndex::Open(sdb->get(), entry.name);
-    if (!index.ok() || (doc_source != nullptr &&
-                        (*index)->num_docs() != doc_source->num_docs())) {
-      derived.push_back(entry);
+  std::vector<Database::IndexEntry> entries = (*sdb)->ListIndexes();
+  std::vector<std::unique_ptr<PrixIndex>> stores;
+  for (const auto& entry : entries) {
+    if (entry.kind != Database::IndexKind::kPrixRegular &&
+        entry.kind != Database::IndexKind::kPrixExtended) {
       continue;
     }
-    fatal = (*index)->Salvage(ddb->get(), entry.name, &report->stats);
-    if (fatal.ok()) ++report->indexes_salvaged;
+    auto index = PrixIndex::Open(sdb->get(), entry.name);
+    if (index.ok()) stores.push_back(std::move(*index));
   }
-  if (fatal.ok() && !derived.empty()) {
-    fatal = RebuildDerivedEntries(doc_source.get(), ddb->get(), derived,
-                                  report);
+  const Collection c = ReconstructCollection(stores);
+  report->lost = c.lost;
+  report->documents = c.docs.size() - c.placeholders.size();
+  // Streams before forests: a forest summarizes a rebuilt stream store.
+  std::stable_partition(entries.begin(), entries.end(), [](const auto& e) {
+    return e.kind != Database::IndexKind::kXbForest;
+  });
+  Status fatal;
+  std::unique_ptr<StreamStore> streams;
+  for (const auto& entry : entries) {
+    if (entry.kind == Database::IndexKind::kBlob) {
+      std::vector<char> blob;
+      if (!ReadBlob((*sdb)->pool(), entry.root, &blob).ok()) {
+        report->dropped.push_back(entry.name);
+        continue;
+      }
+      auto first = WriteBlob((*ddb)->pool(), blob);
+      if (!first.ok()) {
+        fatal = first.status();
+        break;
+      }
+      Database::IndexEntry copy = entry;
+      copy.root = *first;
+      fatal = (*ddb)->PutIndex(copy);
+      if (!fatal.ok()) break;
+      continue;
+    }
+    // With no PRIX store there is no collection to rebuild from.
+    Result<bool> rebuilt = stores.empty()
+                               ? Result<bool>(false)
+                               : RebuildEntry(entry, c, ddb->get(), &streams);
+    if (!rebuilt.ok()) {
+      fatal = rebuilt.status();
+      break;
+    }
+    (*rebuilt ? report->rebuilt : report->dropped).push_back(entry.name);
   }
   (*sdb)->Abandon();
   Status close_st = (*ddb)->Close();

@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
 #include "common/result.h"
 #include "storage/page.h"
+#include "xml/document.h"
 
 namespace prix {
 
@@ -68,26 +68,25 @@ Status VerifyDatabase(const std::string& path, VerifyReport* report);
 
 /// Result of one SalvageDatabase run.
 struct SalvageReport {
-  SalvageStats stats;                  ///< summed over all salvaged indexes
-  uint64_t indexes_salvaged = 0;       ///< entries rebuilt into `dst`
-  std::vector<std::string> dropped;    ///< entries lost or not salvageable
-  /// Derived entries (stream stores, XB-forests, unwalkable or misaligned
-  /// ViSTs) rebuilt from the salvaged documents rather than copied from the
-  /// source.
-  std::vector<std::string> rebuilt;
+  std::vector<std::string> rebuilt;  ///< index entries rebuilt into `dst`
+  std::vector<std::string> dropped;  ///< entries not carried into `dst`
+  std::vector<DocId> lost;           ///< live DocIds no PRIX store yields
+  uint64_t documents = 0;            ///< documents recovered
 };
 
-/// Best-effort salvage: rebuilds every reachable PRIX/ViST index of `src`
-/// into a fresh database file at `dst` (which must not be `src`), skipping
-/// poisoned subtrees, and copies readable blob entries (e.g. the tag
-/// dictionary). Derived entries — stream stores, XB-forests, and any ViST
-/// that cannot be walked or holds a different number of documents — are
-/// rebuilt from the documents reconstructed out of the first salvageable
-/// PRIX index (tombstoned or unreadable documents become empty
-/// placeholders, tombstoned again where the format supports it) and listed
-/// in `report->rebuilt`; only when no PRIX index survives to reconstruct
-/// from are they dropped. Fails when `src`'s catalog cannot be opened at
-/// all or `dst` cannot be written.
+/// Salvage by rebuilding: reconstructs the surviving collection once from
+/// the document stores of every PRIX index of `src` that opens, then
+/// bulk-builds every index entry of `src`'s catalog over it into a fresh
+/// database file at `dst` (which must not be `src`), under the entry's own
+/// name and kind, and copies readable blob entries (e.g. the tag
+/// dictionary). DocId d comes from the first PRIX index, in catalog order,
+/// that reconstructs it; one that some PRIX index tombstones, or that no
+/// store yields (`report->lost`), becomes an empty placeholder, tombstoned
+/// in every rebuilt PRIX index and stream store. So the output answers like
+/// the oracle over the recovered documents. When no PRIX index opens, every
+/// index entry is dropped, as is an XB-forest with no stream store to
+/// summarize. Fails when `src`'s catalog cannot be opened at all or `dst`
+/// cannot be written.
 Status SalvageDatabase(const std::string& src, const std::string& dst,
                        SalvageReport* report);
 

@@ -189,41 +189,6 @@ Result<std::unique_ptr<VistIndex>> VistIndex::OpenFromEntry(
   return index;
 }
 
-Status VistIndex::Salvage(Database* dst, const std::string& name,
-                          SalvageStats* stats) const {
-  SalvageStats local;
-  if (stats == nullptr) stats = &local;
-  auto out = std::unique_ptr<VistIndex>(new VistIndex());
-  out->root_range_ = root_range_;
-  out->prefixes_ = prefixes_;
-  out->symbol_prefixes_ = symbol_prefixes_;
-  out->seq_store_ = std::make_unique<RecordStore>(dst->pool());
-  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree,
-                        dancestor_->SalvageInto(dst->pool(), stats));
-  out->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, docid_->SalvageInto(dst->pool(), stats));
-  out->docid_ = std::make_unique<DocTree>(std::move(doct));
-
-  std::vector<char> buf;
-  for (uint32_t id = 0; id < seq_store_->num_records(); ++id) {
-    Status st = seq_store_->Load(id, &buf);
-    if (st.ok()) {
-      PRIX_ASSIGN_OR_RETURN(uint32_t new_id,
-                            out->seq_store_->Append(buf.data(), buf.size()));
-      (void)new_id;
-      ++stats->records_recovered;
-    } else {
-      // Zero-length placeholder: LoadDocument on it reports Corruption
-      // rather than shifting every later DocId.
-      PRIX_ASSIGN_OR_RETURN(uint32_t new_id,
-                            out->seq_store_->Append(nullptr, 0));
-      (void)new_id;
-      ++stats->records_lost;
-    }
-  }
-  return out->Save(dst, name);
-}
-
 Result<Document> VistIndex::LoadDocument(DocId doc) const {
   std::vector<char> buf;
   PRIX_RETURN_NOT_OK(seq_store_->Load(doc, &buf));

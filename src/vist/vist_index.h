@@ -82,14 +82,6 @@ class VistIndex {
   static Result<std::unique_ptr<VistIndex>> Open(Database* db,
                                                  const std::string& name);
 
-  /// Best-effort salvage into `dst` (Salvage parity with PrixIndex): walks
-  /// both B+-trees bulk-loading reachable entries, copies readable sequence
-  /// records (unreadable ones become empty placeholders keeping DocIds
-  /// aligned), and registers the rebuilt index under `name`. Only a `dst`
-  /// write failure is fatal; source corruption lands in `stats`.
-  Status Salvage(Database* dst, const std::string& name,
-                 SalvageStats* stats) const;
-
   /// Reopens an index from a catalog entry directly — the snapshot read
   /// path (entry from a pinned Snapshot) and the ingest acquire path. The
   /// kind check happens here; Open delegates.

@@ -167,14 +167,35 @@ TEST(RefinementTest, RefineCandidateCountsPhases) {
   RefineStats stats;
   // Example 2's occurrence: Q with NPS 2 6 4 5 6 at positions (6,7,11,13,14).
   QuerySequence q = FakeQuery({2, 6, 4, 5, 6});
-  EXPECT_TRUE(
-      RefineCandidate(doc, q, {6, 7, 11, 13, 14}, false, &stats));
+  Result<bool> passed =
+      RefineCandidate(doc, q, {6, 7, 11, 13, 14}, false, &stats);
+  ASSERT_TRUE(passed.ok()) << passed.status().ToString();
+  EXPECT_TRUE(*passed);
   EXPECT_EQ(stats.candidates, 1u);
   EXPECT_EQ(stats.passed, 1u);
   // A disconnected candidate is rejected and attributed to connectedness.
   QuerySequence q2 = FakeQuery({1, 2, 3, 4, 5});
-  RefineCandidate(doc, q2, {2, 3, 8, 10, 13}, false, &stats);
+  Result<bool> rejected =
+      RefineCandidate(doc, q2, {2, 3, 8, 10, 13}, false, &stats);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_FALSE(*rejected);
   EXPECT_EQ(stats.failed_connectedness, 1u);
+}
+
+TEST(RefinementTest, OccurrencePastTheRecordIsCorruption) {
+  // An empty record (the placeholder a lost document leaves) named by a
+  // trie occurrence at positions (1, 2): the record has no LPS to index.
+  RefinableDoc doc = RefinableDoc::Make(StoredDoc{}, /*extended=*/false);
+  RefineStats stats;
+  Result<bool> r =
+      RefineCandidate(doc, FakeQuery({2, 3}), {1, 2}, false, &stats);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("0 node(s)"), std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().ToString().find("position 2"), std::string::npos)
+      << r.status().ToString();
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST_F(ServeTest, BatchHoldsOneSlotAndAnswersLikeSingleQueries) {
   Seed({"(book (author (name)) (title))", "(article (author (name)))",
         "(book (editor (name)))"});
   ServerOptions options;
-  options.admission = {1, 64, 8, 10'000};
+  options.admission = {1, 64, 10'000};
   options.cache_bytes = 0;  // every request executes
   auto server = StartServer(options);
   ASSERT_NE(server, nullptr);
@@ -580,10 +580,8 @@ TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
   ServerOptions options;
   // One execute slot and a two-deep queue: 8 connections hammering it are
   // 4x past what admission will hold, so the overflow must shed on arrival
-  // (admission keys are per connection, so the per-client cap of 2 never
-  // binds a one-request-at-a-time connection — queue-full is what fires).
-  // Caching off so nothing short-circuits.
-  options.admission = {1, 2, 2, 10'000};
+  // with queue-full. Caching off so nothing short-circuits.
+  options.admission = {1, 2, 10'000};
   options.cache_bytes = 0;
   auto server = StartServer(options);
   ASSERT_NE(server, nullptr);
@@ -595,13 +593,11 @@ TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
   queries.push_back({4, "//book/title"});
 
   // Queries take microseconds, so eight connections need not overlap by
-  // themselves. The test holds the one execute slot (under a client id no
-  // connection gets) until the server has shed something, so the first
-  // requests queue, the overflow sheds on arrival, and then everything
-  // drains through the slot.
+  // themselves. The test holds the one execute slot until the server has
+  // shed something, so the first requests queue, the overflow sheds on
+  // arrival, and then everything drains through the slot.
   AdmissionController& slots = server->admission_for_testing();
-  constexpr uint64_t kHolder = ~uint64_t{0};
-  ASSERT_TRUE(slots.Admit(kHolder, nullptr, nullptr).ok());
+  ASSERT_TRUE(slots.Admit(nullptr, nullptr).ok());
   std::thread releaser([&slots] {
     // The guard only turns a broken server into a failed test, not a hang.
     const auto give_up = std::chrono::steady_clock::now() +
@@ -610,7 +606,7 @@ TEST_F(ServeTest, ReplaySaturationShedsTypedAndBounded) {
            std::chrono::steady_clock::now() < give_up) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    slots.Release(kHolder, /*service_us=*/0);
+    slots.Release(/*service_us=*/0);
   });
 
   ReplayOptions ropts;

@@ -425,149 +425,125 @@ TEST(DeadlineTest, CancelFromAnotherThreadIsObserved) {
 // ---- admission control ------------------------------------------------
 
 TEST(AdmissionTest, GrantsUpToMaxExecutingWithoutQueueing) {
-  AdmissionController ac({.max_executing = 2, .max_queued = 4,
-                          .per_client_inflight = 8});
+  AdmissionController ac({.max_executing = 2, .max_queued = 4});
   uint32_t retry = 0;
-  EXPECT_TRUE(ac.Admit(1, nullptr, &retry).ok());
-  EXPECT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  EXPECT_TRUE(ac.Admit(nullptr, &retry).ok());
+  EXPECT_TRUE(ac.Admit(nullptr, &retry).ok());
   EXPECT_EQ(ac.executing(), 2u);
   EXPECT_EQ(ac.queued(), 0u);
-  ac.Release(1, 1000);
-  ac.Release(1, 1000);
+  ac.Release(1000);
+  ac.Release(1000);
   EXPECT_EQ(ac.executing(), 0u);
   EXPECT_EQ(ac.admitted_total(), 2u);
 }
 
 TEST(AdmissionTest, FullQueueShedsWithRetryHint) {
-  AdmissionController ac({.max_executing = 1, .max_queued = 1,
-                          .per_client_inflight = 8});
+  AdmissionController ac({.max_executing = 1, .max_queued = 1});
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
 
   // Second request queues (blocks); wait for it to land in the queue.
   std::atomic<bool> queued_done{false};
   std::thread waiter([&ac, &queued_done] {
     uint32_t r = 0;
-    EXPECT_TRUE(ac.Admit(2, nullptr, &r).ok());
-    ac.Release(2, 1000);
+    EXPECT_TRUE(ac.Admit(nullptr, &r).ok());
+    ac.Release(1000);
     queued_done.store(true);
   });
   while (ac.queued() == 0) std::this_thread::yield();
 
   // Third request overflows the queue: typed shed, nonzero backoff hint.
-  Status shed = ac.Admit(3, nullptr, &retry);
+  Status shed = ac.Admit(nullptr, &retry);
   EXPECT_TRUE(shed.IsResourceExhausted()) << shed.ToString();
   EXPECT_GT(retry, 0u);
   EXPECT_EQ(ac.shed_total(), 1u);
 
-  ac.Release(1, 1000);  // frees the slot; the queued waiter runs
+  ac.Release(1000);  // frees the slot; the queued waiter runs
   waiter.join();
   EXPECT_TRUE(queued_done.load());
 }
 
-TEST(AdmissionTest, PerClientInflightCapSheds) {
-  AdmissionController ac({.max_executing = 4, .max_queued = 8,
-                          .per_client_inflight = 1});
-  uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(7, nullptr, &retry).ok());
-  // Same client, second in-flight request: refused even though slots are
-  // free — one greedy client cannot monopolize the server.
-  EXPECT_TRUE(ac.Admit(7, nullptr, &retry).IsResourceExhausted());
-  // A different client still gets in.
-  EXPECT_TRUE(ac.Admit(8, nullptr, &retry).ok());
-  ac.Release(7, 1000);
-  ac.Release(8, 1000);
-  // With its request finished, the capped client is admittable again.
-  EXPECT_TRUE(ac.Admit(7, nullptr, &retry).ok());
-  ac.Release(7, 1000);
-}
-
 TEST(AdmissionTest, UnmeetableDeadlineShedsOnArrival) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 50'000});
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
   // Predicted wait is ~one EWMA service time (50ms); a request with 1ms of
   // budget left would die in the queue, so it is shed immediately instead.
   Deadline tight = Deadline::AfterMillis(1);
-  Status s = ac.Admit(2, &tight, &retry);
+  Status s = ac.Admit(&tight, &retry);
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
   // A roomy deadline queues fine (released via drain below).
-  ac.Release(1, 1000);
+  ac.Release(1000);
   Deadline roomy = Deadline::AfterMillis(60'000);
-  EXPECT_TRUE(ac.Admit(2, &roomy, &retry).ok());
-  ac.Release(2, 1000);
+  EXPECT_TRUE(ac.Admit(&roomy, &retry).ok());
+  ac.Release(1000);
 }
 
 TEST(AdmissionTest, DeadlineExpiryWhileQueuedIsErrorNotShed) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 10});
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
   // Queue a request whose deadline will expire while it waits. (The tiny
   // EWMA seed keeps the predicted wait below 60ms so it queues instead of
   // shedding on arrival.)
   std::thread waiter([&ac] {
     Deadline d = Deadline::AfterMillis(60);
     uint32_t r = 0;
-    Status s = ac.Admit(2, &d, &r);
+    Status s = ac.Admit(&d, &r);
     EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
     EXPECT_NE(s.ToString().find("queued"), std::string::npos)
         << "error should say the deadline died in the admission queue";
   });
   waiter.join();
   EXPECT_EQ(ac.queued(), 0u) << "expired waiter must leave the queue";
-  ac.Release(1, 1000);
+  ac.Release(1000);
 }
 
 TEST(AdmissionTest, CancellationWhileQueuedIsObserved) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 10});
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
   Deadline d = Deadline::AfterMillis(60'000);
   std::thread waiter([&ac, &d] {
     uint32_t r = 0;
-    Status s = ac.Admit(2, &d, &r);
+    Status s = ac.Admit(&d, &r);
     EXPECT_TRUE(s.IsCancelled()) << s.ToString();
   });
   while (ac.queued() == 0) std::this_thread::yield();
   d.Cancel();
   waiter.join();
-  ac.Release(1, 1000);
+  ac.Release(1000);
 }
 
 TEST(AdmissionTest, DrainShedsQueueAndRefusesNewWork) {
-  AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8});
+  AdmissionController ac({.max_executing = 1, .max_queued = 8});
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
   std::thread waiter([&ac] {
     uint32_t r = 0;
-    Status s = ac.Admit(2, nullptr, &r);
+    Status s = ac.Admit(nullptr, &r);
     EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
   });
   while (ac.queued() == 0) std::this_thread::yield();
   ac.BeginDrain();
   waiter.join();
-  EXPECT_TRUE(ac.Admit(3, nullptr, &retry).IsUnavailable());
+  EXPECT_TRUE(ac.Admit(nullptr, &retry).IsUnavailable());
   // In-flight work still finishes and releases normally.
-  ac.Release(1, 1000);
+  ac.Release(1000);
   EXPECT_EQ(ac.executing(), 0u);
 }
 
 TEST(AdmissionTest, EwmaTracksServiceTime) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 10'000});
   EXPECT_EQ(ac.ewma_service_us(), 10'000u);
   uint32_t retry = 0;
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
-    ac.Release(1, 100'000);
+    ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
+    ac.Release(100'000);
   }
   // alpha = 1/4: twenty samples of 100ms pull the estimate almost there.
   EXPECT_GT(ac.ewma_service_us(), 90'000u);
@@ -578,44 +554,41 @@ TEST(AdmissionTest, ZeroSeedFallsBackToConservativeEstimate) {
   // would predict zero queue wait and admit requests with microseconds of
   // deadline left straight into the queue to die there.
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 0});
   EXPECT_EQ(ac.ewma_service_us(), AdmissionController::kConservativeServiceUs);
   // The conservative seed sheds an unmeetable deadline on arrival, exactly
   // like an explicit seed of the same magnitude would.
   uint32_t retry = 0;
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
   Deadline tight = Deadline::AfterMillis(1);
-  EXPECT_TRUE(ac.Admit(2, &tight, &retry).IsResourceExhausted());
-  ac.Release(1, 1000);
+  EXPECT_TRUE(ac.Admit(&tight, &retry).IsResourceExhausted());
+  ac.Release(1000);
 }
 
 TEST(AdmissionTest, FirstSampleReplacesTheSeedOutright) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 10'000});
   uint32_t retry = 0;
   // The first real sample REPLACES the synthetic seed (no blend): a seed
   // orders of magnitude off would otherwise linger for many releases.
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
-  ac.Release(1, 200'000);
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
+  ac.Release(200'000);
   EXPECT_EQ(ac.ewma_service_us(), 200'000u);
   // From the second sample on, the normal alpha = 1/4 blend applies.
-  ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
-  ac.Release(1, 100'000);
+  ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
+  ac.Release(100'000);
   EXPECT_EQ(ac.ewma_service_us(), 175'000u);
 }
 
 TEST(AdmissionTest, ZeroDurationSamplesNeverZeroTheEstimate) {
   AdmissionController ac({.max_executing = 1, .max_queued = 8,
-                          .per_client_inflight = 8,
                           .initial_service_us = 0});
   uint32_t retry = 0;
   // Sub-microsecond requests clamp to 1us — the estimate stays positive so
   // the predicted-wait arithmetic never degenerates to "free".
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ac.Admit(1, nullptr, &retry).ok());
-    ac.Release(1, 0);
+    ASSERT_TRUE(ac.Admit(nullptr, &retry).ok());
+    ac.Release(0);
   }
   EXPECT_GE(ac.ewma_service_us(), 1u);
 }

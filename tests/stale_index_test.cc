@@ -5,7 +5,7 @@
 // that fails to load into the writer, or whose document count is out of
 // step with the PRIX index — fails the write with Corruption naming it, and
 // nothing commits. `prix verify` reports such a database CORRUPT, and
-// `prix verify --salvage` rebuilds the derived entries from the documents.
+// `prix verify --salvage` rebuilds every index from the documents.
 
 #include <gtest/gtest.h>
 
@@ -277,7 +277,8 @@ TEST_F(StaleIndexTest, SalvagedFileAnswersLikeTheOracleAndAcceptsWrites) {
   ASSERT_TRUE(SalvageDatabase(db_.path(), salvaged.path(), &sr).ok());
   std::vector<std::string> rebuilt = sr.rebuilt;
   std::sort(rebuilt.begin(), rebuilt.end());
-  EXPECT_EQ(rebuilt, (std::vector<std::string>{"ts", "ts-old", "v-old", "xb"}));
+  EXPECT_EQ(rebuilt, (std::vector<std::string>{"rp", "ts", "ts-old", "v",
+                                               "v-old", "xb"}));
   VerifyReport report;
   ASSERT_TRUE(VerifyDatabase(salvaged.path(), &report).ok());
   EXPECT_TRUE(report.clean());

@@ -3,7 +3,9 @@
 # kMaxDocumentDepth levels deep (src/xml/document.h) must index and insert,
 # and one level more must be refused with InvalidArgument (exit 1, no
 # crash) by both `prix index` and `prix insert`, leaving the database
-# intact; `prix query --timeout-ms` must stop a ViST query over a deep
+# intact; `prix verify --salvage` must rebuild that database into a file
+# that verifies clean and on which every engine agrees; `prix query
+# --timeout-ms` must stop a ViST query over a deep
 # chain with DeadlineExceeded; `/a` x 8 on that chain must answer with
 # the trie nodes it scans bounded by its range queries and occurrences;
 # and a query nested kMaxDocumentDepth
@@ -47,6 +49,24 @@ echo "---- depth $LIMIT indexes and inserts, depth $((LIMIT + 1)) is refused ---
 expect_refused "$PRIX" index "$WORK/over.prix" "$WORK/over.xml"
 expect_refused "$PRIX" insert "$WORK/at.prix" "$WORK/over.xml"
 "$PRIX" verify "$WORK/at.prix" > /dev/null
+
+# Salvage reconstructs both chains from the PRIX document stores and
+# bulk-builds every index from them; the records are the <a> chains.
+echo "---- salvage rebuilds the depth-$LIMIT database ----"
+"$PRIX" verify --salvage "$WORK/at.prix" "$WORK/at.salvaged" \
+  > "$WORK/out.txt"
+if ! grep -q "from 2 document(s), 0 lost" "$WORK/out.txt"; then
+  echo "expected salvage to recover both documents:"
+  cat "$WORK/out.txt"
+  exit 1
+fi
+"$PRIX" verify "$WORK/at.salvaged" > /dev/null
+"$PRIX" query --engine all "$WORK/at.salvaged" "/a/a" > "$WORK/out.txt"
+if ! grep -q "(all agree)" "$WORK/out.txt"; then
+  echo "expected every engine to agree on the salvaged file:"
+  cat "$WORK/out.txt"
+  exit 1
+fi
 
 # `prix query --timeout-ms` bounds every engine, not just PRIX: ViST's
 # descent over a deep chain runs for minutes unbounded, and must stop with

@@ -3,7 +3,9 @@
 #   1. plain build + tier1 (fast correctness tests) + the bench smoke (every
 #      bench_paper section at a small scale)
 #   2. faults tier (fault-injection / crash-recovery matrices)
-#   3. corruption tier (single-page garble fuzz, scrub, salvage)
+#   3. corruption tier (single-page garble fuzz, scrub, and the salvage
+#      sweep: every single-page garble salvages to a file that answers
+#      like the oracle on every engine)
 #   4. ingest tier (online insert/update/delete with the co-resident
 #      ViST/TwigStack/XB engines carried in every commit, the tri-engine
 #      bulk-rebuild equivalence, and the snapshot-isolation stress oracle —
@@ -20,8 +22,9 @@
 #   8. ASan/UBSan suite (includes the serve tests: the frame-decoder
 #      adversarial sweep and the socket servers run sanitized here)
 #   9. fault suite again under ASan (error paths are where pins leak)
-#  10. corruption fuzz under ASan/UBSan, swept over fixed seeds — garbled
-#      pages must produce clean Status errors, never UB
+#  10. corruption fuzz and salvage sweep under ASan/UBSan, swept over fixed
+#      seeds — garbled pages must produce clean Status errors, never UB, and
+#      salvage must rebuild them to the oracle's answers
 #  11. TSan concurrency suite (includes the ingest stress oracle, so the
 #      reader/writer snapshot handoff is race-checked, not just correct)
 # Each stage uses its own build tree, so rerunning after a fix is
@@ -41,7 +44,7 @@ ctest --test-dir build -L 'tier1|bench' --output-on-failure -j "$(nproc)"
 echo "==== 2/11 fault-injection tier ===="
 ctest --test-dir build -L faults --output-on-failure -j "$(nproc)"
 
-echo "==== 3/11 corruption tier ===="
+echo "==== 3/11 corruption tier (garble fuzz, scrub, salvage sweep) ===="
 ctest --test-dir build -L corruption --output-on-failure -j "$(nproc)"
 
 echo "==== 4/11 tri-engine online-ingest tier ===="
@@ -75,7 +78,7 @@ tools/check_asan.sh build-asan
 echo "==== 9/11 fault injection + crash simulation under ASan ===="
 tools/check_faults.sh build-asan
 
-echo "==== 10/11 corruption fuzz under ASan, fixed seed sweep ===="
+echo "==== 10/11 corruption fuzz + salvage sweep under ASan, fixed seeds ===="
 # Each seed garbles every page of a differently-shaped index file; the
 # sweep is deterministic so a failure reproduces with the printed seed.
 for seed in 1 42 20260806; do

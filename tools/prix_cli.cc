@@ -37,7 +37,7 @@
 //                                         DocStore records remain until a
 //                                         rebuild but no query returns them
 //   prix serve <db-file> [--port N] [--rp NAME] [--ep NAME]
-//              [--cache-mb N] [--max-queued N] [--per-client N]
+//              [--cache-mb N] [--max-queued N]
 //              [--max-executing N] [--default-timeout-ms N]
 //              [--idle-timeout-ms N] [--idle-conn-timeout-ms N]
 //              [--max-connections N]
@@ -79,9 +79,12 @@
 //                                         every index structurally,
 //                                         reporting page id / index name /
 //                                         node path per fault; --salvage
-//                                         additionally rebuilds reachable
-//                                         index contents into <out-file>
-//                                         (default <db-file>.salvaged)
+//                                         additionally reconstructs the
+//                                         surviving documents from the PRIX
+//                                         document stores and rebuilds
+//                                         every index from them into
+//                                         <out-file> (default
+//                                         <db-file>.salvaged)
 //
 // Everything lives in one database file: the RP and EP indexes are catalog
 // entries named "rp" and "ep", and the tag dictionary (which must survive
@@ -526,10 +529,6 @@ int CmdServe(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr || !ParseUintValue("--max-queued", v, &n)) return 1;
       options.admission.max_queued = n;
-    } else if (flag == "--per-client") {
-      const char* v = value();
-      if (v == nullptr || !ParseUintValue("--per-client", v, &n)) return 1;
-      options.admission.per_client_inflight = n;
     } else if (flag == "--max-executing") {
       const char* v = value();
       if (v == nullptr || !ParseUintValue("--max-executing", v, &n)) {
@@ -1106,17 +1105,12 @@ int CmdVerify(const std::string& path, bool salvage,
     if (auto s = SalvageDatabase(path, salvage_out, &sr); !s.ok()) {
       return Fail(s.ToString());
     }
-    std::printf(
-        "salvage: %llu index(es) rebuilt into %s; %llu entries recovered, "
-        "%llu subtrees skipped, %llu records recovered, %llu lost\n",
-        (unsigned long long)sr.indexes_salvaged, salvage_out.c_str(),
-        (unsigned long long)sr.stats.entries_recovered,
-        (unsigned long long)sr.stats.subtrees_skipped,
-        (unsigned long long)sr.stats.records_recovered,
-        (unsigned long long)sr.stats.records_lost);
+    std::printf("salvage: %zu index(es) rebuilt into %s from %llu "
+                "document(s), %zu lost\n",
+                sr.rebuilt.size(), salvage_out.c_str(),
+                (unsigned long long)sr.documents, sr.lost.size());
     for (const std::string& name : sr.rebuilt) {
-      std::printf("  rebuilt: %s (derived entry regenerated from salvaged "
-                  "documents)\n", name.c_str());
+      std::printf("  rebuilt: %s\n", name.c_str());
     }
     for (const std::string& name : sr.dropped) {
       std::printf("  dropped: %s\n", name.c_str());
