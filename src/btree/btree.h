@@ -127,6 +127,9 @@ class BPlusTree {
     PageId root = kInvalidPage;
     uint64_t num_entries = 0;
     uint32_t height = 0;
+    /// The struct's tail padding, named so it is written as zeros: the
+    /// meta page is a memcpy of this struct.
+    uint32_t reserved = 0;
   };
 
   BPlusTree() = default;

@@ -21,11 +21,11 @@
 // Derived engines (DESIGN.md §5k). Co-resident ViST indexes, TwigStack
 // stream stores, and XB-forests found in the catalog ride along in the same
 // commit:
-//   - ViST's structure-encoded sequences insert exactly like LPS paths —
-//     both persist a virtual trie as range-labeled B+-tree entries — so the
-//     dynamic trie-labeling + relabel-batch machinery is shared
-//     (trie/dynamic_trie.h) and only the persistence ops differ. Deletes
-//     remove the Docid entry (candidates come solely from Docid scans).
+//   - ViST's structure-encoded sequences insert exactly like LPS paths:
+//     both engines persist one VirtualTrie (trie/virtual_trie.h), whose ops
+//     drive the shared DynamicTrie labeling and relabel batches; only the
+//     child keys differ. Deletes remove the Docid entry (candidates come
+//     solely from Docid scans).
 //   - Stream stores append the new document's entries to the tail of each
 //     touched tag stream (DocIds are monotone, so (doc, left) order holds)
 //     and tombstone deletes; cursors hide dead entries.
@@ -69,62 +69,6 @@
 
 namespace prix {
 namespace {
-
-/// DynamicTrie persistence ops for the PRIX Trie-Symbol/Docid trees. The
-/// composite child key is just the LPS label.
-struct PrixIndexOps {
-  PrixIndex* index;
-
-  Status InsertNode(uint64_t ckey, uint64_t left, uint64_t right,
-                    uint32_t level) {
-    return index->symbol_index().Insert(
-        SymbolKey{static_cast<LabelId>(ckey), 0, left},
-        TrieNodeValue{right, level, 0});
-  }
-  Status DeleteNode(uint64_t ckey, uint64_t left) {
-    return index->symbol_index().Delete(
-        SymbolKey{static_cast<LabelId>(ckey), 0, left});
-  }
-  Status InsertDoc(uint64_t left, uint32_t seq, DocId doc) {
-    return index->docid_index().Insert(DocKey{left, seq, 0}, doc);
-  }
-  Status DeleteDoc(uint64_t left, uint32_t seq) {
-    return index->docid_index().Delete(DocKey{left, seq, 0});
-  }
-  void SetRootRange(uint64_t left, uint64_t right) {
-    index->set_root_range(RangeLabel{left, right});
-  }
-};
-
-/// DynamicTrie persistence ops for ViST's D-Ancestorship/Docid trees. The
-/// composite child key is VistItem::ChildKey, (symbol << 32) | prefix — the
-/// same key the bulk build's SequenceTrie uses to distinguish siblings.
-struct VistIndexOps {
-  VistIndex* index;
-
-  Status InsertNode(uint64_t ckey, uint64_t left, uint64_t right,
-                    uint32_t level) {
-    const VistItem item = VistItem::FromChildKey(ckey);
-    PRIX_RETURN_NOT_OK(index->dancestor().Insert(
-        VistKey{item.symbol, 0, left},
-        VistNodeValue{right, level, item.prefix}));
-    index->AddSymbolPrefix(item.symbol, item.prefix);
-    return Status::OK();
-  }
-  Status DeleteNode(uint64_t ckey, uint64_t left) {
-    return index->dancestor().Delete(
-        VistKey{VistItem::FromChildKey(ckey).symbol, 0, left});
-  }
-  Status InsertDoc(uint64_t left, uint32_t seq, DocId doc) {
-    return index->docid_index().Insert(VistDocKey{left, seq, 0}, doc);
-  }
-  Status DeleteDoc(uint64_t left, uint32_t seq) {
-    return index->docid_index().Delete(VistDocKey{left, seq, 0});
-  }
-  void SetRootRange(uint64_t left, uint64_t right) {
-    index->set_root_range(RangeLabel{left, right});
-  }
-};
 
 /// Everything the writer caches about one open PRIX index: the live handle,
 /// the trie mirror, and the page chain of the current catalog blob (retired
@@ -178,60 +122,6 @@ struct IngestState {
   std::vector<std::unique_ptr<ForestEngine>> forests;
 };
 
-/// Rebuilds the PRIX trie mirror and Docid map from the persisted trees.
-Status BuildPrixMirror(OpenIndex* oi) {
-  std::vector<DynTrieEntry> ents;
-  PRIX_ASSIGN_OR_RETURN(auto it, oi->index->symbol_index().SeekToFirst());
-  while (it.Valid()) {
-    ents.push_back(DynTrieEntry{it.key().label, it.key().left,
-                                it.value().right, it.value().level});
-    PRIX_RETURN_NOT_OK(it.Next());
-  }
-  const RangeLabel rr = oi->index->root_range();
-  PRIX_RETURN_NOT_OK(oi->trie.Init(std::move(ents), rr.left, rr.right));
-
-  PRIX_ASSIGN_OR_RETURN(auto dit, oi->index->docid_index().SeekToFirst());
-  while (dit.Valid()) {
-    const DocId doc = dit.value();
-    if (doc >= oi->index->num_docs()) {
-      return Status::Corruption("Docid entry for DocId " +
-                                std::to_string(doc) + " beyond the store");
-    }
-    PRIX_RETURN_NOT_OK(oi->trie.AddDocKey(doc, dit.key().left,
-                                          dit.key().seq));
-    PRIX_RETURN_NOT_OK(dit.Next());
-  }
-  return Status::OK();
-}
-
-/// Rebuilds a ViST engine's trie mirror and Docid map.
-Status BuildVistMirror(VistEngine* ve) {
-  std::vector<DynTrieEntry> ents;
-  PRIX_ASSIGN_OR_RETURN(auto it, ve->index->dancestor().SeekToFirst());
-  while (it.Valid()) {
-    const uint64_t ckey =
-        VistItem{it.key().symbol, it.value().prefix}.ChildKey();
-    ents.push_back(DynTrieEntry{ckey, it.key().left, it.value().right,
-                                it.value().level});
-    PRIX_RETURN_NOT_OK(it.Next());
-  }
-  const RangeLabel rr = ve->index->root_range();
-  PRIX_RETURN_NOT_OK(ve->trie.Init(std::move(ents), rr.left, rr.right));
-
-  PRIX_ASSIGN_OR_RETURN(auto dit, ve->index->docid_index().SeekToFirst());
-  while (dit.Valid()) {
-    const DocId doc = dit.value();
-    if (doc >= ve->index->num_docs()) {
-      return Status::Corruption("ViST Docid entry for DocId " +
-                                std::to_string(doc) + " beyond the store");
-    }
-    PRIX_RETURN_NOT_OK(ve->trie.AddDocKey(doc, dit.key().left,
-                                          dit.key().seq));
-    PRIX_RETURN_NOT_OK(dit.Next());
-  }
-  return Status::OK();
-}
-
 /// The error for a derived index that cannot ride a write.
 Status DerivedCorruption(const std::string& name, const std::string& why) {
   return Status::Corruption("derived index '" + name + "' " + why +
@@ -256,7 +146,9 @@ Status LoadDerived(Database* db, IngestState* state) {
       ve->entry = entry;
       ve->index = std::move(*opened);
       Status st = ReadBlobPages(db->pool(), entry.root, &ve->catalog_pages);
-      if (st.ok()) st = BuildVistMirror(ve.get());
+      if (st.ok()) {
+        st = ve->index->trie().LoadMirror(&ve->trie, ve->index->num_docs());
+      }
       if (!st.ok()) return unloadable(entry, st);
       state->vists.push_back(std::move(ve));
     } else if (entry.kind == Database::IndexKind::kTwigStreams) {
@@ -341,7 +233,8 @@ Result<OpenIndex*> AcquireIngest(Database* db, std::shared_ptr<void>* slot,
     PRIX_ASSIGN_OR_RETURN(Database::IndexEntry entry, db->GetIndex(name));
     PRIX_RETURN_NOT_OK(
         ReadBlobPages(db->pool(), entry.root, &oi->catalog_pages));
-    PRIX_RETURN_NOT_OK(BuildPrixMirror(oi.get()));
+    PRIX_RETURN_NOT_OK(
+        oi->index->trie().LoadMirror(&oi->trie, oi->index->num_docs()));
     it = state->indexes.emplace(name, std::move(oi)).first;
   }
   PRIX_RETURN_NOT_OK(CheckAligned(*state, name, *it->second->index));
@@ -373,21 +266,18 @@ Result<DocId> StageInsert(OpenIndex* oi, const Document& original) {
     }
   }
 
-  PrixIndexOps ops{index};
-  const std::vector<uint64_t> ckeys(seq.lps.begin(), seq.lps.end());
-  PRIX_ASSIGN_OR_RETURN(const uint64_t end_left,
-                        oi->trie.InsertPath(ckeys, ops));
-  PRIX_ASSIGN_OR_RETURN(const DynDocKey key,
-                        oi->trie.InsertDocEntry(end_left, d, ops));
-  (void)key;
+  std::vector<uint64_t> ckeys;
+  ckeys.reserve(seq.lps.size());
+  for (LabelId label : seq.lps) ckeys.push_back(TrieChildKey(label, 0));
+  PRIX_RETURN_NOT_OK(index->trie().InsertSequence(&oi->trie, ckeys, d));
   PRIX_RETURN_NOT_OK(index->docs_mut().Append(d, seq, leaves));
   return d;
 }
 
 /// Stages a delete: remove the document's Docid entry (queries can no
 /// longer surface it through subsequence matching) and tombstone the DocId
-/// (belt and braces for the single-node scan paths; also what `prix verify`
-/// reports as dead). Trie-Symbol entries are shared between documents and
+/// (the paths that take every live document as a candidate skip it; also
+/// what `prix verify` reports as dead). Trie-Symbol entries are shared between documents and
 /// are never removed; MaxGap and the childless-label set stay sound
 /// over-approximations.
 Status StageDelete(OpenIndex* oi, DocId doc) {
@@ -400,8 +290,7 @@ Status StageDelete(OpenIndex* oi, DocId doc) {
     return Status::Corruption("live document " + std::to_string(doc) +
                               " has no Docid-index entry");
   }
-  PrixIndexOps ops{index};
-  PRIX_RETURN_NOT_OK(oi->trie.DeleteDocEntry(doc, ops));
+  PRIX_RETURN_NOT_OK(oi->trie.DeleteDocEntry(doc, index->trie()));
   index->Tombstone(doc);
   return Status::OK();
 }
@@ -412,28 +301,18 @@ Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
   if (ve->index->num_docs() == static_cast<size_t>(d) + 1) {
     return Status::OK();
   }
-  const std::vector<VistItem> seq =
-      BuildVistSequence(doc, ve->index->prefixes_mut());
-  std::vector<char> buf;
-  PutU32(&buf, static_cast<uint32_t>(seq.size()));
+  VistIndex* index = ve->index.get();
+  PRIX_ASSIGN_OR_RETURN(const std::vector<VistItem> seq,
+                        index->AppendSequence(doc, d));
   std::vector<uint64_t> ckeys;
   ckeys.reserve(seq.size());
   for (const VistItem& item : seq) {
-    PutU32(&buf, item.symbol);
-    PutU32(&buf, item.prefix);
-    ckeys.push_back(item.ChildKey());
+    ckeys.push_back(TrieChildKey(item.symbol, item.prefix));
+    // A no-op for every key already in the trie, so only the path's new
+    // nodes extend the lists, as they did when listed per inserted node.
+    index->AddSymbolPrefix(item.symbol, item.prefix);
   }
-  PRIX_ASSIGN_OR_RETURN(const uint32_t id,
-                        ve->index->sequences().Append(buf.data(), buf.size()));
-  if (id != d) {
-    return Status::Internal("ViST sequence record landed out of order");
-  }
-  VistIndexOps ops{ve->index.get()};
-  PRIX_ASSIGN_OR_RETURN(const uint64_t end_left,
-                        ve->trie.InsertPath(ckeys, ops));
-  PRIX_ASSIGN_OR_RETURN(const DynDocKey key,
-                        ve->trie.InsertDocEntry(end_left, d, ops));
-  (void)key;
+  PRIX_RETURN_NOT_OK(index->trie().InsertSequence(&ve->trie, ckeys, d));
   ve->dirty = true;
   return Status::OK();
 }
@@ -444,8 +323,7 @@ Status StageVistInsert(VistEngine* ve, const Document& doc, DocId d) {
 /// no-op (the second lockstep call).
 Status StageVistDelete(VistEngine* ve, DocId doc) {
   if (!ve->trie.HasDoc(doc)) return Status::OK();
-  VistIndexOps ops{ve->index.get()};
-  PRIX_RETURN_NOT_OK(ve->trie.DeleteDocEntry(doc, ops));
+  PRIX_RETURN_NOT_OK(ve->trie.DeleteDocEntry(doc, ve->index->trie()));
   ve->dirty = true;
   return Status::OK();
 }

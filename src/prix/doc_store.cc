@@ -131,6 +131,13 @@ Result<StoredDoc> DocStore::Load(DocId doc) const {
   out.seq.nps.resize(len);
   PRIX_RETURN_NOT_OK(BlockDecodeU32(&p, end, len, out.seq.lps.data()));
   PRIX_RETURN_NOT_OK(BlockDecodeU32(&p, end, len, out.seq.nps.data()));
+  // The checks ReconstructTree makes: readers index arrays of n + 1 by
+  // these values, so one outside the record must not get past the load.
+  for (uint32_t i = 1; i <= len; ++i) {
+    if (out.seq.nps[i - 1] <= i || out.seq.nps[i - 1] > n) {
+      return Status::Corruption("NPS is not a valid postorder parent array");
+    }
+  }
   uint64_t leaf_count;
   if (!GetVarint64(&p, end, &leaf_count)) {
     return Status::Corruption("truncated doc record (leaf count)");
@@ -149,8 +156,8 @@ Result<StoredDoc> DocStore::Load(DocId doc) const {
       return Status::Corruption("truncated doc record (leaf list)");
     }
     int64_t post = prev_post + ZigzagDecode64(enc);
-    if (post < 0 || post > 0xffffffffll) {
-      return Status::Corruption("doc record: leaf postorder out of range");
+    if (post <= 0 || post > n) {
+      return Status::Corruption("leaf postorder out of range");
     }
     out.leaves[i].postorder = static_cast<uint32_t>(post);
     prev_post = post;

@@ -20,6 +20,7 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
   // Phase 1: transform every document, populate the doc store and MaxGap
   // table, and insert every LPS into the (in-memory, build-time) trie.
   SequenceTrie trie;
+  std::vector<uint64_t> keys;
   for (DocId d = 0; d < documents.size(); ++d) {
     const Document& original = documents[d];
     PRIX_CHECK(original.doc_id() == d);
@@ -42,7 +43,9 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     }
     stats->total_sequence_length += seq.lps.size();
     PRIX_RETURN_NOT_OK(index->docs_->Append(d, seq, leaves));
-    trie.Insert(seq.lps, d);
+    keys.clear();
+    for (LabelId label : seq.lps) keys.push_back(TrieChildKey(label, 0));
+    trie.Insert(keys, d);
   }
   std::vector<LabelId>& childless = index->childless_labels_;
   std::sort(childless.begin(), childless.end());
@@ -57,37 +60,10 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::Build(
     }
   }
 
-  // Phase 2: range-label the trie. Inserts relabel through DynamicTrie.
-  std::vector<RangeLabel> labels = LabelTrieExact(trie);
-  index->root_range_ = labels[trie.root()];
-
-  // Phase 3: materialize the Trie-Symbol and Docid B+-trees, each
-  // bulk-loaded from its entries in key order.
-  std::vector<SymbolTree::Entry> symbols;
-  symbols.reserve(trie.num_nodes());
-  std::vector<DocTree::Entry> ends;
-  ends.reserve(documents.size());
-  uint32_t doc_seq = 0;
-  for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
-    const auto& node = trie.node(v);
-    if (v != trie.root()) {
-      symbols.push_back({SymbolKey{static_cast<LabelId>(node.key), 0,
-                                   labels[v].left},
-                         TrieNodeValue{labels[v].right, node.depth, 0}});
-    }
-    for (DocId d : node.end_docs) {
-      ends.push_back({DocKey{labels[v].left, doc_seq++, 0}, d});
-    }
-  }
-  auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
-  std::sort(symbols.begin(), symbols.end(), by_key);
-  std::sort(ends.begin(), ends.end(), by_key);
-  stats->symbol_entries = symbols.size();
-  stats->docid_entries = ends.size();
-  PRIX_ASSIGN_OR_RETURN(SymbolTree sym, SymbolTree::BulkLoad(pool, symbols));
-  index->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::BulkLoad(pool, ends));
-  index->docid_index_ = std::make_unique<DocTree>(std::move(doct));
+  // Phase 2: label the trie exactly and bulk-load its two B+-trees.
+  PRIX_ASSIGN_OR_RETURN(index->trie_, VirtualTrie::BulkLoad(trie, pool));
+  stats->symbol_entries = index->trie_.nodes().num_entries();
+  stats->docid_entries = index->trie_.docs().num_entries();
   stats->pages_after_build = pool->disk()->num_pages();
   PRIX_RETURN_NOT_OK(pool->FlushAll());
   return index;
@@ -104,10 +80,7 @@ void PrixIndex::SerializeCatalog(std::vector<char>* blob) const {
   PutU32(blob, kCatalogMagic);
   PutU32(blob, kCatalogVersion);
   PutU32(blob, options_.extended ? 1 : 0);
-  PutU64(blob, root_range_.left);
-  PutU64(blob, root_range_.right);
-  PutU32(blob, symbol_index_->meta_page_id());
-  PutU32(blob, docid_index_->meta_page_id());
+  trie_.SerializeTo(blob);
   docs_->SerializeTo(blob);
   maxgap_.SerializeTo(blob);
   PutU32(blob, static_cast<uint32_t>(childless_labels_.size()));
@@ -160,7 +133,7 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
     if (p + bytes > end) return Status::Corruption("truncated index catalog");
     return Status::OK();
   };
-  PRIX_RETURN_NOT_OK(need(36));
+  PRIX_RETURN_NOT_OK(need(12));
   if (GetU32(p) != kCatalogMagic) {
     return Status::Corruption("not a PRIX index catalog");
   }
@@ -174,20 +147,7 @@ Result<std::unique_ptr<PrixIndex>> PrixIndex::OpenFromEntry(
   auto index = std::unique_ptr<PrixIndex>(new PrixIndex());
   index->options_.extended = GetU32(p) != 0;
   p += 4;
-  index->root_range_.left = GetU64(p);
-  p += 8;
-  index->root_range_.right = GetU64(p);
-  p += 8;
-  PageId symbol_meta = GetU32(p);
-  p += 4;
-  PageId docid_meta = GetU32(p);
-  p += 4;
-  PRIX_ASSIGN_OR_RETURN(SymbolTree sym,
-                        SymbolTree::Open(pool, symbol_meta));
-  index->symbol_index_ = std::make_unique<SymbolTree>(std::move(sym));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct,
-                        DocTree::Open(pool, docid_meta));
-  index->docid_index_ = std::make_unique<DocTree>(std::move(doct));
+  PRIX_ASSIGN_OR_RETURN(index->trie_, VirtualTrie::Deserialize(pool, &p, end));
   PRIX_ASSIGN_OR_RETURN(DocStore docs,
                         DocStore::Deserialize(pool, &p, end));
   index->docs_ = std::make_unique<DocStore>(std::move(docs));

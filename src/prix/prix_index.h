@@ -11,8 +11,7 @@
 #include "db/database.h"
 #include "prix/doc_store.h"
 #include "prix/maxgap.h"
-#include "trie/range_labeler.h"
-#include "trie/trie_builder.h"
+#include "trie/virtual_trie.h"
 #include "xml/document.h"
 
 namespace prix {
@@ -20,44 +19,6 @@ namespace prix {
 /// Label used for the dummy children of Extended-Prüfer trees. Dummies are
 /// always leaves, so this label never enters any sequence or index.
 inline constexpr LabelId kDummyLabel = 0xfffffffeu;
-
-/// Key of the Trie-Symbol index: all symbols share one B+-tree, keyed by
-/// (symbol, LeftPos). Range descent for symbol e over trie scope (l, r]
-/// scans keys (e, l+1) .. (e, r). The paper builds one B+-tree per tag;
-/// a shared tree with a composite key has the same asymptotics and page
-/// behaviour without needing one tree per distinct value label (see
-/// DESIGN.md).
-struct SymbolKey {
-  LabelId label;
-  uint32_t pad = 0;
-  uint64_t left;
-
-  friend bool operator<(const SymbolKey& a, const SymbolKey& b) {
-    if (a.label != b.label) return a.label < b.label;
-    return a.left < b.left;
-  }
-};
-
-/// Value of the Trie-Symbol index: the node's RightPos and its level in the
-/// trie (= the position of this label within the LPS, 1-based).
-struct TrieNodeValue {
-  uint64_t right;
-  uint32_t level;
-  uint32_t pad = 0;
-};
-
-/// Key of the Docid index: (LeftPos of the trie node where an LPS ends,
-/// sequence number to disambiguate multiple documents ending at one node).
-struct DocKey {
-  uint64_t left;
-  uint32_t seq;
-  uint32_t pad = 0;
-
-  friend bool operator<(const DocKey& a, const DocKey& b) {
-    if (a.left != b.left) return a.left < b.left;
-    return a.seq < b.seq;
-  }
-};
 
 /// Options controlling index construction.
 struct PrixIndexOptions {
@@ -78,11 +39,12 @@ struct PrixIndexBuildStats {
 
 /// The PRIX index of Fig. 3: a virtual trie over the collection's Labeled
 /// Prüfer sequences, materialized as a Trie-Symbol B+-tree and a Docid
-/// B+-tree, plus the document store (NPS + leaf lists) and the MaxGap table.
+/// B+-tree (trie/virtual_trie.h), plus the document store (NPS + leaf
+/// lists) and the MaxGap table.
 class PrixIndex {
  public:
-  using SymbolTree = BPlusTree<SymbolKey, TrieNodeValue>;
-  using DocTree = BPlusTree<DocKey, DocId>;
+  using SymbolTree = VirtualTrie::NodeTree;
+  using DocTree = VirtualTrie::DocTree;
 
   /// Builds the index over `documents` (DocIds must equal vector positions).
   static Result<std::unique_ptr<PrixIndex>> Build(
@@ -105,10 +67,11 @@ class PrixIndex {
   static Result<std::unique_ptr<PrixIndex>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry);
 
-  SymbolTree& symbol_index() { return *symbol_index_; }
-  const SymbolTree& symbol_index() const { return *symbol_index_; }
-  DocTree& docid_index() { return *docid_index_; }
-  const DocTree& docid_index() const { return *docid_index_; }
+  SymbolTree& symbol_index() { return trie_.nodes(); }
+  const SymbolTree& symbol_index() const { return trie_.nodes(); }
+  DocTree& docid_index() { return trie_.docs(); }
+  const DocTree& docid_index() const { return trie_.docs(); }
+  VirtualTrie& trie() { return trie_; }
   const DocStore& docs() const { return *docs_; }
   const MaxGapTable& maxgap() const { return maxgap_; }
 
@@ -119,8 +82,7 @@ class PrixIndex {
   /// the trees' meta page ids change on first mutation; re-read
   /// meta_page_id() when serializing the catalog for publication.
   void SetCow(CowContext* cow) {
-    symbol_index_->SetCow(cow);
-    docid_index_->SetCow(cow);
+    trie_.SetCow(cow);
     docs_->SetCow(cow);
   }
 
@@ -145,7 +107,6 @@ class PrixIndex {
       childless_labels_.insert(it, label);
     }
   }
-  void set_root_range(RangeLabel range) { root_range_ = range; }
 
   /// Serializes the full index catalog (format tag, options, tree roots,
   /// store extents, MaxGap, childless labels, tombstones) into `blob` —
@@ -161,9 +122,7 @@ class PrixIndex {
   /// tombstoned or unreadable records.
   Result<Document> ReconstructDocument(DocId doc) const;
 
-  /// Scope of the virtual trie root: every node's LeftPos lies in
-  /// (root.left, root.right].
-  RangeLabel root_range() const { return root_range_; }
+  RangeLabel root_range() const { return trie_.root_range(); }
   bool extended() const { return options_.extended; }
   size_t num_docs() const { return docs_->num_docs(); }
   const PrixIndexOptions& options() const { return options_; }
@@ -182,11 +141,9 @@ class PrixIndex {
   PrixIndex() = default;
 
   PrixIndexOptions options_;
-  std::unique_ptr<SymbolTree> symbol_index_;
-  std::unique_ptr<DocTree> docid_index_;
+  VirtualTrie trie_;
   std::unique_ptr<DocStore> docs_;
   MaxGapTable maxgap_;
-  RangeLabel root_range_;
   /// Sorted and distinct, so an open decodes it with one copy: a large
   /// collection has tens of thousands of childless (value) labels.
   std::vector<LabelId> childless_labels_;

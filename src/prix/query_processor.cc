@@ -20,6 +20,14 @@ void SortUnique(std::vector<DocId>* docs) {
   docs->erase(std::unique(docs->begin(), docs->end()), docs->end());
 }
 
+/// Appends every live DocId of `index`: the candidates of a twig whose
+/// sequence filters nothing.
+void LiveDocs(const PrixIndex& index, std::vector<DocId>* docs) {
+  for (DocId d = 0; d < index.num_docs(); ++d) {
+    if (!index.IsDeleted(d)) docs->push_back(d);
+  }
+}
+
 /// Folds one finished query into the process-wide registry (no-op unless a
 /// bench/test/CLI enabled it). The references are resolved once and reused.
 void RecordQueryInRegistry(const QueryStats& s) {
@@ -132,52 +140,52 @@ Result<QueryResult> QueryProcessor::Execute(const TwigPattern& pattern,
   if (options.semantics == MatchSemantics::kOrdered) {
     arrangements.push_back(base);
   } else {
-    PRIX_ASSIGN_OR_RETURN(
-        arrangements, EnumerateArrangements(base, options.arrangement_limit));
+    PRIX_ASSIGN_OR_RETURN(arrangements,
+                          EnumerateArrangements(base, kArrangementLimit));
   }
   result.stats.arrangements = arrangements.size();
 
-  if (base.num_nodes() == 1) {
-    TraceSpan span("scan");
-    const uint64_t t0 = MetricsContext::NowMicros();
-    PRIX_RETURN_NOT_OK(
-        ScanSingleNode(index, base, &ctx, &result.matches, &result.stats));
-    result.stats.verify_us += MetricsContext::NowMicros() - t0;
-  } else {
-    std::set<TwigMatch> match_set;
-    for (const EffectiveTwig& arrangement : arrangements) {
-      std::vector<TwigMatch> matches;
-      std::vector<DocId> candidates;
+  // A one-node twig has no sequence to match: every live document is a
+  // candidate, and the verify loop finds its nodes.
+  const bool one_node = base.num_nodes() == 1;
+  std::set<TwigMatch> match_set;
+  for (const EffectiveTwig& arrangement : arrangements) {
+    std::vector<TwigMatch> matches;
+    std::vector<DocId> candidates;
+    if (one_node) {
+      LiveDocs(*index, &candidates);
+    } else {
       PRIX_RETURN_NOT_OK(RunArrangement(index, arrangement, options,
                                         generalized, &ctx, &matches,
                                         &candidates, &result.stats));
-      for (auto& m : matches) match_set.insert(std::move(m));
-      if (generalized) {
-        TraceSpan span("verify");
-        const uint64_t t0 = MetricsContext::NowMicros();
-        SortUnique(&candidates);
-        // Final phase for generalized queries: direct embedding check on
-        // the reconstructed tree (parent array is the NPS, Lemma 1).
-        for (DocId doc : candidates) {
-          PRIX_RETURN_NOT_OK(CheckDeadline());
-          PRIX_ASSIGN_OR_RETURN(const RefinableDoc* rdoc,
-                                LoadDoc(index, doc, &ctx, &result.stats));
-          std::vector<uint32_t> parent;
-          std::vector<LabelId> label;
-          uint32_t n = 0;
-          BuildOriginalArrays(*rdoc, index->extended(), &parent, &label, &n);
-          ParentArrayMatcher matcher(parent, label, n);
-          ++result.stats.docs_verified;
-          for (auto& image :
-               matcher.Match(arrangement, MatchSemantics::kOrdered)) {
-            match_set.insert(TwigMatch{doc, std::move(image)});
-          }
-        }
-        result.stats.verify_us += MetricsContext::NowMicros() - t0;
-      }
     }
-    result.matches.assign(match_set.begin(), match_set.end());
+    for (auto& m : matches) match_set.insert(std::move(m));
+    if (generalized || one_node) {
+      TraceSpan span("verify");
+      const uint64_t t0 = MetricsContext::NowMicros();
+      SortUnique(&candidates);
+      // Final phase for generalized and one-node queries: direct
+      // embedding check on the reconstructed tree (parent array is the
+      // NPS, Lemma 1).
+      for (DocId doc : candidates) {
+        PRIX_RETURN_NOT_OK(CheckDeadline());
+        PRIX_ASSIGN_OR_RETURN(const RefinableDoc* rdoc,
+                              LoadDoc(index, doc, &ctx, &result.stats));
+        std::vector<uint32_t> parent;
+        std::vector<LabelId> label;
+        uint32_t n = 0;
+        BuildOriginalArrays(*rdoc, index->extended(), &parent, &label, &n);
+        ParentArrayMatcher matcher(parent, label, n);
+        ++result.stats.docs_verified;
+        for (auto& image :
+             matcher.Match(arrangement, MatchSemantics::kOrdered)) {
+          match_set.insert(TwigMatch{doc, std::move(image)});
+        }
+      }
+      result.stats.verify_us += MetricsContext::NowMicros() - t0;
+    }
   }
+  result.matches.assign(match_set.begin(), match_set.end());
 
   result.docs.reserve(result.matches.size());
   for (const TwigMatch& m : result.matches) result.docs.push_back(m.doc);
@@ -298,9 +306,7 @@ Status QueryProcessor::RunArrangement(
     if (path.size() < 2) {
       // Degenerate spine (e.g. lone '*' tail on an extended index): every
       // live document is a candidate; verification does the filtering.
-      for (DocId d = 0; d < index->num_docs(); ++d) {
-        if (!index->IsDeleted(d)) candidates->push_back(d);
-      }
+      LiveDocs(*index, candidates);
       return Status::OK();
     }
     spine = twig.ExtractPath(path);
@@ -346,41 +352,6 @@ Status QueryProcessor::RunArrangement(
   stats->refine_us += emit_us;
   stats->match_us += find_us > emit_us ? find_us - emit_us : 0;
   return st;
-}
-
-Status QueryProcessor::ScanSingleNode(const PrixIndex* index,
-                                      const EffectiveTwig& twig,
-                                      ExecContext* ctx,
-                                      std::vector<TwigMatch>* matches,
-                                      QueryStats* stats) const {
-  stats->used_scan = true;
-  const EffectiveTwig::Node& qn = twig.node(twig.root());
-  EdgeSpec anchor = twig.root_anchor();
-  bool is_star = twig.is_star(twig.root());
-  for (DocId doc = 0; doc < index->num_docs(); ++doc) {
-    if (index->IsDeleted(doc)) continue;
-    PRIX_RETURN_NOT_OK(CheckDeadline());
-    PRIX_ASSIGN_OR_RETURN(const RefinableDoc* rdoc,
-                          LoadDoc(index, doc, ctx, stats));
-    std::vector<uint32_t> parent;
-    std::vector<LabelId> label;
-    uint32_t n = 0;
-    BuildOriginalArrays(*rdoc, index->extended(), &parent, &label, &n);
-    // Depths for anchor tests.
-    std::vector<uint32_t> depth(n + 1, 0);
-    for (uint32_t v = n > 0 ? n - 1 : 0; v >= 1; --v) {
-      depth[v] = depth[parent[v]] + 1;
-      if (v == 1) break;
-    }
-    for (uint32_t v = 1; v <= n; ++v) {
-      if (!is_star && label[v] != qn.label) continue;
-      bool anchor_ok = anchor.exact ? depth[v] == anchor.min_edges
-                                    : depth[v] >= anchor.min_edges;
-      if (!anchor_ok) continue;
-      matches->push_back(TwigMatch{doc, {v}});
-    }
-  }
-  return Status::OK();
 }
 
 Result<const RefinableDoc*> QueryProcessor::LoadDoc(const PrixIndex* index,

@@ -41,9 +41,6 @@ struct QueryOptions {
   enum class WildcardFilter { kSound, kFullTwig };
   WildcardFilter wildcard_filter = WildcardFilter::kSound;
 
-  /// Cap on raw branch permutations for unordered matching.
-  size_t arrangement_limit = 40320;
-
   /// Optional per-request deadline + cancel token (common/deadline.h). When
   /// set, Execute installs it on the executing thread for its whole run, so
   /// every engine checkpoint — range descents, per-document verification,
@@ -85,7 +82,6 @@ struct QueryStats {
   uint64_t verify_us = 0;
   uint64_t total_us = 0;
   bool used_extended_index = false;
-  bool used_scan = false;  ///< single-node query answered by doc-store scan
 };
 
 /// Query answer: all twig matches (images over effective-twig nodes, as
@@ -141,11 +137,6 @@ class QueryProcessor {
                         const QueryOptions& options, bool generalized,
                         ExecContext* ctx, std::vector<TwigMatch>* matches,
                         std::vector<DocId>* candidates,
-                        QueryStats* stats) const;
-
-  /// Single-node queries: scan the document store (see DESIGN.md).
-  Status ScanSingleNode(const PrixIndex* index, const EffectiveTwig& twig,
-                        ExecContext* ctx, std::vector<TwigMatch>* matches,
                         QueryStats* stats) const;
 
   static Result<const RefinableDoc*> LoadDoc(const PrixIndex* index,

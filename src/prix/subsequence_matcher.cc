@@ -136,15 +136,14 @@ Status SubsequenceMatcher::Descend(const QuerySequence& q, size_t i,
     if (i + 1 == q.lps.size()) {
       // Terminal: fetch all documents whose LPS ends in [left, right].
       std::vector<DocId>& docs = scratch->docs;
-      auto& dit = scratch->doc_cursor;
       docs.clear();
-      PRIX_RETURN_NOT_OK(dit.Reseek(DocKey{left, 0, 0}));
-      while (dit.Valid() && dit.key().left <= node.right) {
-        // Tombstoned documents keep their Docid-index entries until a
-        // compaction; they must never reach refinement.
-        if (!index_->IsDeleted(dit.value())) docs.push_back(dit.value());
-        PRIX_RETURN_NOT_OK(dit.Next());
-      }
+      // A delete removes its document's Docid entry. Only the tombstoned
+      // placeholders a salvage writes for dead or lost DocIds keep one, and
+      // those must never reach refinement.
+      PRIX_RETURN_NOT_OK(VirtualTrie::ScanDocs(
+          &scratch->doc_cursor, left, node.right, [&](DocId doc) {
+            if (!index_->IsDeleted(doc)) docs.push_back(doc);
+          }));
       if (!docs.empty()) {
         ++stats->occurrences;
         PRIX_RETURN_NOT_OK(emit(docs, positions));

@@ -98,6 +98,10 @@ Result<QuerySequence> BuildQuerySequence(
     const EffectiveTwig& twig, bool extended,
     const std::vector<bool>* rp_extend_leaves = nullptr);
 
+/// Cap on raw branch permutations for unordered matching, used by every
+/// engine that enumerates arrangements: 8! = 40320.
+inline constexpr size_t kArrangementLimit = 40320;
+
 /// Enumerates the distinct branch arrangements of `twig` for unordered twig
 /// matching (Sec. 5.7): every permutation of every node's child list, with
 /// structurally identical arrangements deduplicated. Node ids are stable

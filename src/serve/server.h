@@ -68,7 +68,7 @@ struct ServerOptions {
 ///
 /// Request lifecycle: decode (hostile-input hardened) -> result-cache
 /// probe at the current committed generation -> admission (bounded queue,
-/// per-client caps, deadline-aware shedding) -> snapshot-pinned batch
+/// deadline-aware shedding) -> snapshot-pinned batch
 /// execution on the connection thread with the request's Deadline
 /// installed -> typed response (kResult / kError / kShed). A watchdog thread polls executing
 /// connections for peer disconnect (POLLRDHUP) and cancels their Deadline,

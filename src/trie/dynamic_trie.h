@@ -13,9 +13,10 @@
 // back to a batched relabel of the nearest ancestor whose scope can host its
 // whole subtree when the slack runs out.
 //
-// This class owns the engine-neutral half: the mirror, the range arithmetic,
-// the relabel batch, and the Docid-key bookkeeping. Engine-specific
-// persistence is injected through an Ops policy supplied per call:
+// This class owns the in-memory half: the mirror, the range arithmetic, the
+// relabel batch, and the Docid-key bookkeeping. Persistence is injected
+// through an Ops policy supplied per call — VirtualTrie
+// (trie/virtual_trie.h) for both engines:
 //
 //   struct Ops {
 //     Status InsertNode(uint64_t ckey, uint64_t left, uint64_t right,
@@ -26,11 +27,10 @@
 //     void SetRootRange(uint64_t left, uint64_t right);
 //   };
 //
-// `ckey` is the engine's composite child key — the value that distinguishes
-// one trie child from its siblings, the same key the bulk build's
-// SequenceTrie uses. PRIX packs the LPS label; ViST packs
-// (symbol << 32) | prefix. The mirror never interprets ckeys beyond
-// equality.
+// `ckey` is the child key that distinguishes one trie child from its
+// siblings, the same key the bulk build's SequenceTrie uses:
+// TrieChildKey(label, aux), with aux = 0 for PRIX and the interned prefix
+// for ViST. The mirror never interprets ckeys beyond equality.
 //
 // This is the only labeler that runs on insert. Bulk builds are labeled
 // exactly (trie/range_labeler.h), without slack, so the first insert that
@@ -48,8 +48,8 @@
 
 namespace prix {
 
-/// One persisted trie-node entry, as enumerated from an engine's node
-/// B+-tree when (re)building the mirror.
+/// One persisted trie-node entry, as enumerated from the node B+-tree when
+/// (re)building the mirror.
 struct DynTrieEntry {
   uint64_t ckey = 0;
   uint64_t left = 0;
@@ -57,8 +57,8 @@ struct DynTrieEntry {
   uint32_t level = 0;
 };
 
-/// The (left, seq) half of a Docid-index key; the engine adds its own
-/// padding/layout when persisting.
+/// The (left, seq) of a Docid-index key; the persisted DocKey
+/// (trie/virtual_trie.h) adds its padding.
 struct DynDocKey {
   uint64_t left = 0;
   uint32_t seq = 0;

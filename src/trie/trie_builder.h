@@ -16,8 +16,8 @@ namespace prix {
 /// materialized from it.
 ///
 /// A node's key is the 64-bit child key that tells it apart from its
-/// siblings, as in DynamicTrie: PRIX uses the LPS label, ViST packs
-/// (symbol << 32) | prefix.
+/// siblings, as in DynamicTrie: TrieChildKey(label, aux) of
+/// trie/virtual_trie.h.
 class SequenceTrie {
  public:
   static constexpr uint32_t kNoNode = 0xffffffffu;

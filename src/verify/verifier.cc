@@ -63,6 +63,13 @@ void ScrubTree(Tree* tree, const std::string& index, const std::string& label,
   if (!st.ok()) AddIssue(report, kInvalidPage, index, label, st);
 }
 
+/// Walks both B+-trees of a virtual trie (PRIX's or ViST's).
+void ScrubTrie(VirtualTrie* trie, const std::string& index,
+               VerifyReport* report) {
+  ScrubTree(&trie->nodes(), index, "symbol-tree", report);
+  ScrubTree(&trie->docs(), index, "docid-tree", report);
+}
+
 void VerifyPrixEntry(Database* db, const Database::IndexEntry& entry,
                      VerifyReport* report) {
   auto index = PrixIndex::Open(db, entry.name);
@@ -70,8 +77,7 @@ void VerifyPrixEntry(Database* db, const Database::IndexEntry& entry,
     AddIssue(report, entry.root, entry.name, "index catalog", index.status());
     return;
   }
-  ScrubTree(&(*index)->symbol_index(), entry.name, "symbol-tree", report);
-  ScrubTree(&(*index)->docid_index(), entry.name, "docid-tree", report);
+  ScrubTrie(&(*index)->trie(), entry.name, report);
   for (DocId d = 0; d < (*index)->num_docs(); ++d) {
     Result<StoredDoc> doc = (*index)->docs().Load(d);
     if (!doc.ok()) {
@@ -98,13 +104,12 @@ void VerifyVistEntry(Database* db, const Database::IndexEntry& entry,
     AddIssue(report, entry.root, entry.name, "index catalog", index.status());
     return;
   }
-  ScrubTree(&(*index)->dancestor(), entry.name, "dancestor-tree", report);
-  ScrubTree(&(*index)->docid_index(), entry.name, "docid-tree", report);
+  ScrubTrie(&(*index)->trie(), entry.name, report);
   // Live/dead accounting: a ViST delete removes the Docid entry and leaves
   // the sequence record behind, so live = Docid entries, dead = the rest.
   // Only live documents need a loadable sequence record.
   std::vector<bool> live((*index)->num_docs(), false);
-  auto it = (*index)->docid_index().SeekToFirst();
+  auto it = (*index)->trie().docs().SeekToFirst();
   if (!it.ok()) {
     AddIssue(report, kInvalidPage, entry.name, "docid-tree scan", it.status());
   } else {

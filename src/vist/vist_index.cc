@@ -19,67 +19,51 @@ Result<std::unique_ptr<VistIndex>> VistIndex::Build(
 
   SequenceTrie trie;
   std::vector<uint64_t> keys;
+  // The distinct (symbol, prefix) keys. Their hash-set order reaches the
+  // catalog, so they are inserted as they first occur.
+  std::unordered_map<LabelId, std::unordered_set<PrefixId>> key_sets;
   for (DocId d = 0; d < documents.size(); ++d) {
     PRIX_CHECK(documents[d].doc_id() == d);
-    std::vector<VistItem> seq =
-        BuildVistSequence(documents[d], &index->prefixes_);
+    PRIX_ASSIGN_OR_RETURN(const std::vector<VistItem> seq,
+                          index->AppendSequence(documents[d], d));
     keys.clear();
-    // Persist the raw sequence for post-verification.
-    std::vector<char> buf;
-    PutU32(&buf, static_cast<uint32_t>(seq.size()));
     for (const VistItem& item : seq) {
-      keys.push_back(item.ChildKey());
-      PutU32(&buf, item.symbol);
-      PutU32(&buf, item.prefix);
+      keys.push_back(TrieChildKey(item.symbol, item.prefix));
+      key_sets[item.symbol].insert(item.prefix);
     }
     trie.Insert(keys, d);
-    PRIX_ASSIGN_OR_RETURN(uint32_t id,
-                          index->seq_store_->Append(buf.data(), buf.size()));
-    PRIX_DCHECK(id == d);
-    (void)id;
   }
   stats->trie_nodes = trie.num_nodes();
   stats->distinct_prefixes = index->prefixes_.size();
   stats->prefix_labels = index->prefixes_.total_labels();
 
-  std::vector<RangeLabel> labels = LabelTrieExact(trie);
-  index->root_range_ = labels[trie.root()];
-  // Both B+-trees are bulk-loaded from their entries in key order.
-  std::vector<DAncestorTree::Entry> nodes;
-  nodes.reserve(trie.num_nodes());
-  std::vector<DocTree::Entry> ends;
-  ends.reserve(documents.size());
-  uint32_t doc_seq = 0;
-  std::unordered_map<LabelId, std::unordered_set<PrefixId>> key_sets;
-  for (uint32_t v = 0; v < trie.num_nodes(); ++v) {
-    const auto& node = trie.node(v);
-    if (v != trie.root()) {
-      const VistItem item = VistItem::FromChildKey(node.key);
-      nodes.push_back(
-          {VistKey{item.symbol, 0, labels[v].left},
-           VistNodeValue{labels[v].right, node.depth, item.prefix}});
-      key_sets[item.symbol].insert(item.prefix);
-    }
-    for (DocId d : node.end_docs) {
-      ends.push_back({VistDocKey{labels[v].left, doc_seq++, 0}, d});
-    }
-  }
+  PRIX_ASSIGN_OR_RETURN(index->trie_, VirtualTrie::BulkLoad(trie, pool));
+  stats->dancestor_entries = index->trie_.nodes().num_entries();
   for (auto& [symbol, prefixes] : key_sets) {
     index->symbol_prefixes_[symbol] =
         std::vector<PrefixId>(prefixes.begin(), prefixes.end());
   }
-  auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
-  std::sort(nodes.begin(), nodes.end(), by_key);
-  std::sort(ends.begin(), ends.end(), by_key);
-  stats->dancestor_entries = nodes.size();
-  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree,
-                        DAncestorTree::BulkLoad(pool, nodes));
-  index->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::BulkLoad(pool, ends));
-  index->docid_ = std::make_unique<DocTree>(std::move(doct));
   stats->pages_after_build = pool->disk()->num_pages();
   PRIX_RETURN_NOT_OK(pool->FlushAll());
   return index;
+}
+
+Result<std::vector<VistItem>> VistIndex::AppendSequence(const Document& doc,
+                                                        DocId d) {
+  std::vector<VistItem> seq = BuildVistSequence(doc, &prefixes_);
+  // The raw sequence, kept for post-verification.
+  std::vector<char> buf;
+  PutU32(&buf, static_cast<uint32_t>(seq.size()));
+  for (const VistItem& item : seq) {
+    PutU32(&buf, item.symbol);
+    PutU32(&buf, item.prefix);
+  }
+  PRIX_ASSIGN_OR_RETURN(const uint32_t id,
+                        seq_store_->Append(buf.data(), buf.size()));
+  if (id != d) {
+    return Status::Internal("ViST sequence record landed out of order");
+  }
+  return seq;
 }
 
 namespace {
@@ -90,10 +74,7 @@ constexpr uint32_t kVistCatalogVersion = 1;
 void VistIndex::SerializeCatalog(std::vector<char>* blob) const {
   PutU32(blob, kVistCatalogMagic);
   PutU32(blob, kVistCatalogVersion);
-  PutU64(blob, root_range_.left);
-  PutU64(blob, root_range_.right);
-  PutU32(blob, dancestor_->meta_page_id());
-  PutU32(blob, docid_->meta_page_id());
+  trie_.SerializeTo(blob);
   seq_store_->SerializeTo(blob);
   prefixes_.SerializeTo(blob);
   PutU32(blob, static_cast<uint32_t>(symbol_prefixes_.size()));
@@ -142,7 +123,7 @@ Result<std::unique_ptr<VistIndex>> VistIndex::OpenFromEntry(
     if (p + bytes > end) return Status::Corruption("truncated ViST catalog");
     return Status::OK();
   };
-  PRIX_RETURN_NOT_OK(need(32));
+  PRIX_RETURN_NOT_OK(need(8));
   if (GetU32(p) != kVistCatalogMagic) {
     return Status::Corruption("not a ViST index catalog");
   }
@@ -152,19 +133,7 @@ Result<std::unique_ptr<VistIndex>> VistIndex::OpenFromEntry(
   }
   p += 4;
   auto index = std::unique_ptr<VistIndex>(new VistIndex());
-  index->root_range_.left = GetU64(p);
-  p += 8;
-  index->root_range_.right = GetU64(p);
-  p += 8;
-  PageId dancestor_meta = GetU32(p);
-  p += 4;
-  PageId docid_meta = GetU32(p);
-  p += 4;
-  PRIX_ASSIGN_OR_RETURN(DAncestorTree dtree,
-                        DAncestorTree::Open(pool, dancestor_meta));
-  index->dancestor_ = std::make_unique<DAncestorTree>(std::move(dtree));
-  PRIX_ASSIGN_OR_RETURN(DocTree doct, DocTree::Open(pool, docid_meta));
-  index->docid_ = std::make_unique<DocTree>(std::move(doct));
+  PRIX_ASSIGN_OR_RETURN(index->trie_, VirtualTrie::Deserialize(pool, &p, end));
   PRIX_ASSIGN_OR_RETURN(RecordStore seqs,
                         RecordStore::Deserialize(pool, &p, end));
   index->seq_store_ = std::make_unique<RecordStore>(std::move(seqs));

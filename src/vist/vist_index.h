@@ -6,49 +6,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "btree/btree.h"
 #include "db/database.h"
 #include "storage/record_store.h"
-#include "trie/range_labeler.h"
+#include "trie/virtual_trie.h"
 #include "vist/vist_sequence.h"
 
 namespace prix {
-
-/// Key of the D-Ancestorship index over the virtual trie built from the
-/// structure-encoded sequences (ViST; Sec. 2 and 6 of the PRIX paper).
-/// Scoped descent scans all trie nodes of a symbol within a range and
-/// filters them by their (symbol, prefix) key — every key with the symbol
-/// is examined when the query prefix carries wildcards, which is the
-/// behaviour the paper measures on TREEBANK.
-struct VistKey {
-  LabelId symbol;
-  uint32_t pad = 0;
-  uint64_t left;
-
-  friend bool operator<(const VistKey& a, const VistKey& b) {
-    if (a.symbol != b.symbol) return a.symbol < b.symbol;
-    return a.left < b.left;
-  }
-};
-
-/// Value: the trie node's RightPos, level, and interned prefix.
-struct VistNodeValue {
-  uint64_t right;
-  uint32_t level;
-  PrefixId prefix;
-};
-
-/// Key of ViST's Docid index.
-struct VistDocKey {
-  uint64_t left;
-  uint32_t seq;
-  uint32_t pad = 0;
-
-  friend bool operator<(const VistDocKey& a, const VistDocKey& b) {
-    if (a.left != b.left) return a.left < b.left;
-    return a.seq < b.seq;
-  }
-};
 
 /// Build-time statistics (Sec. 2's storage argument shows up in
 /// prefix_labels: O(n^2) for unary trees).
@@ -61,14 +24,16 @@ struct VistIndexBuildStats {
 };
 
 /// The ViST baseline index: a virtual trie over structure-encoded sequences
-/// materialized into the D-Ancestorship B+-tree, a Docid B+-tree, and a
-/// paged store of the raw sequences (used to verify candidate documents,
-/// since ViST admits false alarms — Fig. 1(b)).
+/// and a paged store of the raw sequences (used to verify candidate
+/// documents, since ViST admits false alarms — Fig. 1(b)). The trie is
+/// persisted like PRIX's (trie/virtual_trie.h): its node tree is ViST's
+/// D-Ancestorship index, keyed (symbol, LeftPos) with the node's interned
+/// prefix in the value's aux word. Scoped descent scans all trie nodes of a
+/// symbol within a range and filters them by their (symbol, prefix) key —
+/// every key with the symbol is examined when the query prefix carries
+/// wildcards, which is the behaviour the paper measures on TREEBANK.
 class VistIndex {
  public:
-  using DAncestorTree = BPlusTree<VistKey, VistNodeValue>;
-  using DocTree = BPlusTree<VistDocKey, DocId>;
-
   static Result<std::unique_ptr<VistIndex>> Build(
       const std::vector<Document>& documents, BufferPool* pool,
       VistIndexBuildStats* stats = nullptr);
@@ -88,15 +53,12 @@ class VistIndex {
   static Result<std::unique_ptr<VistIndex>> OpenFromEntry(
       BufferPool* pool, const Database::IndexEntry& entry);
 
-  DAncestorTree& dancestor() { return *dancestor_; }
-  const DAncestorTree& dancestor() const { return *dancestor_; }
-  DocTree& docid_index() { return *docid_; }
-  const DocTree& docid_index() const { return *docid_; }
+  VirtualTrie& trie() { return trie_; }
+  const VirtualTrie& trie() const { return trie_; }
   const PrefixDictionary& prefixes() const { return prefixes_; }
   /// Distinct prefixes occurring with `symbol` — the unique (symbol,
   /// prefix) D-Ancestorship keys of that symbol.
   const std::vector<PrefixId>& SymbolPrefixes(LabelId symbol) const;
-  RangeLabel root_range() const { return root_range_; }
   size_t num_docs() const { return seq_store_->num_records(); }
 
   // ---- online-ingest surface (src/prix/database_ingest.cc) ----
@@ -109,14 +71,13 @@ class VistIndex {
   /// Routes every subsequent page write of both B+-trees and the sequence
   /// store through the copy-on-write context (nullptr detaches).
   void SetCow(CowContext* cow) {
-    dancestor_->SetCow(cow);
-    docid_->SetCow(cow);
+    trie_.SetCow(cow);
     seq_store_->SetCow(cow);
   }
 
-  RecordStore& sequences() { return *seq_store_; }
-  PrefixDictionary* prefixes_mut() { return &prefixes_; }
-  void set_root_range(RangeLabel range) { root_range_ = range; }
+  /// Interns `doc`'s structure-encoded sequence into the prefix dictionary
+  /// and appends it to the sequence store as record `d`.
+  Result<std::vector<VistItem>> AppendSequence(const Document& doc, DocId d);
 
   /// Records that `prefix` now occurs with `symbol` (insert-if-absent), so
   /// scoped descents keep seeing every live (symbol, prefix) key.
@@ -140,12 +101,10 @@ class VistIndex {
  private:
   VistIndex() = default;
 
-  std::unique_ptr<DAncestorTree> dancestor_;
-  std::unique_ptr<DocTree> docid_;
+  VirtualTrie trie_;
   std::unique_ptr<RecordStore> seq_store_;
   PrefixDictionary prefixes_;
   std::unordered_map<LabelId, std::vector<PrefixId>> symbol_prefixes_;
-  RangeLabel root_range_;
 };
 
 }  // namespace prix

@@ -42,10 +42,10 @@ Result<VistQueryResult> VistQueryProcessor::Execute(
   }
 
   cursors_.assign(items_.size(),
-                  VistIndex::DAncestorTree::Iterator(index_->dancestor()));
-  doc_cursor_ = VistIndex::DocTree::Iterator(index_->docid_index());
+                  VirtualTrie::NodeTree::Iterator(index_->trie().nodes()));
+  doc_cursor_ = VirtualTrie::DocTree::Iterator(index_->trie().docs());
   std::vector<DocId> candidates;
-  RangeLabel root = index_->root_range();
+  RangeLabel root = index_->trie().root_range();
   PRIX_RETURN_NOT_OK(
       Descend(0, root.left, root.right, &candidates, &result.stats));
   std::sort(candidates.begin(), candidates.end());
@@ -61,7 +61,8 @@ Result<VistQueryResult> VistQueryProcessor::Execute(
   if (semantics == MatchSemantics::kOrdered) {
     arrangements.push_back(base);
   } else {
-    PRIX_ASSIGN_OR_RETURN(arrangements, EnumerateArrangements(base, 40320));
+    PRIX_ASSIGN_OR_RETURN(arrangements,
+                          EnumerateArrangements(base, kArrangementLimit));
   }
   std::set<TwigMatch> match_set;
   for (DocId doc : candidates) {
@@ -96,17 +97,13 @@ Status VistQueryProcessor::Descend(size_t i, uint64_t ql, uint64_t qr,
   // would grind through the whole index).
   PRIX_RETURN_NOT_OK(CheckDeadline());
 
-  auto process_node = [&](const VistKey& key,
-                          const VistNodeValue& value) -> Status {
+  auto process_node = [&](const SymbolKey& key,
+                          const TrieNodeValue& value) -> Status {
     if (i + 1 == items_.size()) {
       ++stats->occurrences;
-      auto& dit = doc_cursor_;
-      PRIX_RETURN_NOT_OK(dit.Reseek(VistDocKey{key.left, 0, 0}));
-      while (dit.Valid() && dit.key().left <= value.right) {
-        candidates->push_back(dit.value());
-        PRIX_RETURN_NOT_OK(dit.Next());
-      }
-      return Status::OK();
+      return VirtualTrie::ScanDocs(
+          &doc_cursor_, key.left, value.right,
+          [candidates](DocId doc) { candidates->push_back(doc); });
     }
     return Descend(i + 1, key.left, value.right, candidates, stats);
   };
@@ -114,14 +111,14 @@ Status VistQueryProcessor::Descend(size_t i, uint64_t ql, uint64_t qr,
   ++stats->range_queries;
   if (item.star) {
     // '*' symbol: every key within scope qualifies if its prefix matches.
-    PRIX_ASSIGN_OR_RETURN(auto it, index_->dancestor().SeekToFirst());
+    PRIX_ASSIGN_OR_RETURN(auto it, index_->trie().nodes().SeekToFirst());
     while (it.Valid()) {
-      const VistKey key = it.key();
-      const VistNodeValue value = it.value();
+      const SymbolKey key = it.key();
+      const TrieNodeValue value = it.value();
       PRIX_RETURN_NOT_OK(it.Next());
       ++stats->keys_scanned;
       if (key.left <= ql || key.left > qr) continue;
-      if (!prefix_ok_[i][value.prefix]) continue;
+      if (!prefix_ok_[i][value.aux]) continue;
       PRIX_RETURN_NOT_OK(process_node(key, value));
     }
     return Status::OK();
@@ -130,14 +127,14 @@ Status VistQueryProcessor::Descend(size_t i, uint64_t ql, uint64_t qr,
   // Scan all trie nodes of the symbol within the scope; each is checked
   // against the item's admissible (symbol, prefix) keys.
   auto& it = cursors_[i];
-  PRIX_RETURN_NOT_OK(it.Reseek(VistKey{item.symbol, 0, ql + 1}));
+  PRIX_RETURN_NOT_OK(it.Reseek(SymbolKey{item.symbol, 0, ql + 1}));
   while (it.Valid()) {
-    const VistKey key = it.key();
-    if (key.symbol != item.symbol || key.left > qr) break;
+    const SymbolKey key = it.key();
+    if (key.label != item.symbol || key.left > qr) break;
     ++stats->keys_scanned;
-    const VistNodeValue value = it.value();
+    const TrieNodeValue value = it.value();
     PRIX_RETURN_NOT_OK(it.Next());
-    if (!prefix_ok_[i][value.prefix]) continue;
+    if (!prefix_ok_[i][value.aux]) continue;
     PRIX_RETURN_NOT_OK(process_node(key, value));
   }
   return Status::OK();

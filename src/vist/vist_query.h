@@ -49,8 +49,8 @@ class VistQueryProcessor {
   std::vector<VistQueryItem> items_;
   // One D-Ancestorship cursor per item and one Docid cursor, reused by
   // every range query of an Execute (sized before the descent starts).
-  std::vector<VistIndex::DAncestorTree::Iterator> cursors_;
-  VistIndex::DocTree::Iterator doc_cursor_;
+  std::vector<VirtualTrie::NodeTree::Iterator> cursors_;
+  VirtualTrie::DocTree::Iterator doc_cursor_;
   // prefix_ok_[i][prefix]: item i accepts that interned prefix.
   std::vector<std::vector<char>> prefix_ok_;
 };

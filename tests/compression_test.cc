@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -905,6 +907,42 @@ TEST_F(CompressedBtreeTest, DocStoreRoundTripsTheSourceSequences) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(loaded->seq.lps.empty());
   EXPECT_TRUE(loaded->leaves.empty());
+}
+
+TEST_F(CompressedBtreeTest, DocStoreRejectsPointersOutsideTheRecord) {
+  // Each record decodes cleanly but points outside its own n = 2 nodes:
+  // an NPS parent past the root, an NPS parent that is not above its child,
+  // and a leaf beyond the last postorder number.
+  auto two_nodes = [](uint32_t parent) {
+    PruferSequences seq;
+    seq.num_nodes = 2;
+    seq.root_label = 1;
+    seq.lps = {1};
+    seq.nps = {parent};
+    return seq;
+  };
+  const struct {
+    PruferSequences seq;
+    std::vector<LeafEntry> leaves;
+    const char* message;
+  } cases[] = {
+      {two_nodes(40), {}, "NPS is not a valid postorder parent array"},
+      {two_nodes(1), {}, "NPS is not a valid postorder parent array"},
+      {two_nodes(2), {LeafEntry{3, 9}}, "leaf postorder out of range"},
+  };
+  DocStore store(pool());
+  for (DocId d = 0; d < std::size(cases); ++d) {
+    ASSERT_TRUE(store.Append(d, cases[d].seq, cases[d].leaves).ok());
+    auto loaded = store.Load(d);
+    if (loaded.ok()) {
+      ADD_FAILURE() << "record " << d << " loaded";
+      continue;
+    }
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().ToString().find(cases[d].message),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 // --- end to end: PRIX and ViST answers == naive, through the catalog -----

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "naive/naive_matcher.h"
 #include "prix/prix_index.h"
 #include "prix/query_processor.h"
@@ -12,6 +17,7 @@
 #include "testutil/temp_db.h"
 #include "testutil/tree_gen.h"
 #include "twigstack/position_stream.h"
+#include "twigstack/twig_stack.h"
 #include "vist/vist_index.h"
 #include "vist/vist_query.h"
 
@@ -276,6 +282,77 @@ TEST(PersistenceTest, OpenRejectsGarbageCatalog) {
   EXPECT_FALSE(PrixIndex::Open(&db.db(), "bogus").ok());
   // Kind mismatches are rejected before any page is read.
   EXPECT_FALSE(VistIndex::Open(&db.db(), "bogus").ok());
+}
+
+std::vector<char> ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+// Pins the bytes every engine writes. rp, ep, v, ts and xb are bulk-built
+// over a fixed collection, then grown, updated and shrunk through
+// Database's ingest path (whose first insert relabels both virtual tries),
+// and the resulting database file and oplog are checksummed. A change that
+// is meant to leave the on-disk format alone must leave both checksums
+// alone; one that changes the format must bump the version of every
+// catalog or page layout it touches and re-record the two constants.
+TEST(PersistenceTest, OnDiskBytesArePinned) {
+  constexpr uint32_t kDatabaseCrc = 1861868338;
+  constexpr uint32_t kOplogCrc = 434191536;
+
+  TagDictionary dict;
+  Random rng(20041);
+  const std::vector<Document> docs = RandomCollection(rng, 60, &dict);
+  const std::vector<Document> extra = RandomCollection(rng, 12, &dict);
+  TempDb db(Database::Options{.pool_pages = 256});
+  for (bool extended : {false, true}) {
+    auto prix = PrixIndex::Build(docs, db.pool(), PrixIndexOptions{extended});
+    ASSERT_TRUE(prix.ok()) << prix.status().ToString();
+    ASSERT_TRUE((*prix)->Save(&db.db(), extended ? "ep" : "rp").ok());
+  }
+  auto vist = VistIndex::Build(docs, db.pool());
+  ASSERT_TRUE(vist.ok()) << vist.status().ToString();
+  ASSERT_TRUE((*vist)->Save(&db.db(), "v").ok());
+  auto streams = StreamStore::Build(docs, db.pool());
+  ASSERT_TRUE(streams.ok()) << streams.status().ToString();
+  ASSERT_TRUE((*streams)->Save(&db.db(), "ts").ok());
+  auto forest = XbForest::Build(streams->get());
+  ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+  ASSERT_TRUE((*forest)->Save(&db.db(), "xb").ok());
+
+  // Each mutation goes to rp and then ep, which keeps the derived engines
+  // in step with both.
+  const char* const kPrix[] = {"rp", "ep"};
+  for (const Document& doc : extra) {
+    for (const char* name : kPrix) {
+      auto d = db->InsertDocument(name, doc);
+      ASSERT_TRUE(d.ok()) << d.status().ToString();
+    }
+  }
+  for (const char* name : kPrix) {
+    auto updated = db->UpdateDocument(name, 3, extra[0]);
+    ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  }
+  for (uint32_t doc : {7u, 41u}) {
+    for (const char* name : kPrix) {
+      Status st = db->DeleteDocument(name, doc);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+  }
+  ASSERT_TRUE(db.CloseHandle().ok());
+
+  const std::string oplog_path = db.path() + ".oplog";
+  const std::vector<char> file = ReadWholeFile(db.path());
+  const std::vector<char> oplog = ReadWholeFile(oplog_path);
+  ::unlink(oplog_path.c_str());
+  ASSERT_FALSE(file.empty());
+  ASSERT_FALSE(oplog.empty());
+  const std::string advice =
+      "the on-disk bytes changed: if that is intended, bump the version of "
+      "every format that changed and re-record this constant";
+  EXPECT_EQ(Crc32c(file.data(), file.size()), kDatabaseCrc) << advice;
+  EXPECT_EQ(Crc32c(oplog.data(), oplog.size()), kOplogCrc) << advice;
 }
 
 }  // namespace

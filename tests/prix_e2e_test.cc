@@ -160,7 +160,7 @@ TEST_F(PrixE2eTest, NoFalseAlarmsOnVistFigure1Scenario) {
   EXPECT_EQ(result->docs, (std::vector<DocId>{0}));
 }
 
-TEST_F(PrixE2eTest, SingleNodeQueryViaScan) {
+TEST_F(PrixE2eTest, SingleNodeQueryVerifiesEveryLiveDocument) {
   TagDictionary dict;
   std::vector<Document> docs;
   docs.push_back(DocFromSexp("(a (b) (b (a)))", 0, &dict));
@@ -171,7 +171,9 @@ TEST_F(PrixE2eTest, SingleNodeQueryViaScan) {
   ASSERT_TRUE(pattern.ok());
   auto result = qp.Execute(*pattern);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->stats.used_scan);
+  // No sequence to match: every live document is verified.
+  EXPECT_EQ(result->stats.docs_verified, docs.size());
+  EXPECT_EQ(result->stats.matcher.range_queries, 0u);
   EXPECT_EQ(result->matches.size(), 2u);
   EXPECT_EQ(result->docs, (std::vector<DocId>{0}));
   // A leaf-only label is still found (b at depth 1 and internal b).

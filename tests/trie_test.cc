@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "common/random.h"
+#include "testutil/temp_db.h"
 #include "trie/dynamic_trie.h"
 #include "trie/range_labeler.h"
+#include "trie/virtual_trie.h"
 
 namespace prix {
 namespace {
@@ -306,6 +309,80 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.max_length) +
              (info.param.packed ? "_packed" : "");
     });
+
+// ------------------------------------------------------------ VirtualTrie
+
+/// A VirtualTrie's aux words survive relabel batches: bulk-load half of the
+/// sequences, load the writer's mirror, insert the rest through the shared
+/// ops (the first new node relabels the whole trie), and read the node tree
+/// back. Recovering each entry's path from range nesting, with (label, aux)
+/// as its child key, must give exactly the paths of a trie of every
+/// sequence. ViST-shaped keys carry a non-zero aux; the PRIX-shaped twin
+/// must keep aux == 0 throughout.
+TEST(VirtualTrieTest, AuxWordSurvivesRelabel) {
+  for (const bool vist : {true, false}) {
+    SCOPED_TRACE(vist ? "ViST keys" : "PRIX keys");
+    testutil::TempDb db(Database::Options{.pool_pages = 128});
+    Random rng(17);
+    std::vector<std::vector<uint64_t>> seqs(200);
+    for (auto& seq : seqs) {
+      seq.resize(1 + rng.Uniform(8));
+      for (uint64_t& key : seq) {
+        const LabelId label = static_cast<LabelId>(1 + rng.Uniform(6));
+        key = TrieChildKey(label, vist ? 1 + label * 7 % 5 : 0);
+      }
+    }
+    const size_t bulk = seqs.size() / 2;
+    SequenceTrie base;
+    for (DocId d = 0; d < bulk; ++d) base.Insert(seqs[d], d);
+    auto vt = VirtualTrie::BulkLoad(base, db.pool());
+    ASSERT_TRUE(vt.ok()) << vt.status().ToString();
+    DynamicTrie mirror;
+    Status st = vt->LoadMirror(&mirror, bulk);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    for (DocId d = bulk; d < seqs.size(); ++d) {
+      st = vt->InsertSequence(&mirror, seqs[d], d);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    ASSERT_GE(mirror.relabels(), 1u);
+
+    std::map<uint64_t, DynTrieEntry> nodes;  // by LeftPos
+    auto it = vt->nodes().SeekToFirst();
+    ASSERT_TRUE(it.ok());
+    while (it->Valid()) {
+      const TrieNodeValue value = it->value();
+      if (!vist) {
+        EXPECT_EQ(value.aux, 0u);
+      }
+      nodes.emplace(it->key().left,
+                    DynTrieEntry{TrieChildKey(it->key().label, value.aux),
+                                 it->key().left, value.right, value.level});
+      ASSERT_TRUE(it->Next().ok());
+    }
+    SequenceTrie all;
+    for (DocId d = 0; d < seqs.size(); ++d) all.Insert(seqs[d], d);
+    const auto paths = PathsByNesting(nodes);
+    const std::set<std::vector<uint64_t>> expected = TriePaths(all);
+    ASSERT_EQ(paths.size(), expected.size());
+    for (const auto& [path, left] : paths) {
+      EXPECT_TRUE(expected.count(path)) << "node at LeftPos " << left;
+    }
+
+    // Each document's Docid entry sits at the end node of its sequence.
+    VirtualTrie::DocTree::Iterator cursor(vt->docs());
+    for (DocId d = 0; d < seqs.size(); ++d) {
+      const auto found = paths.find(seqs[d]);
+      ASSERT_NE(found, paths.end()) << "doc " << d;
+      const uint64_t end = found->second;
+      std::vector<DocId> at_end;
+      st = VirtualTrie::ScanDocs(&cursor, end, end,
+                                 [&](DocId doc) { at_end.push_back(doc); });
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_NE(std::find(at_end.begin(), at_end.end(), d), at_end.end())
+          << "doc " << d;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace prix
